@@ -12,7 +12,6 @@ from .loss import ClassWeights, weighted_cross_entropy
 from .metrics import (
     ConfusionCounts,
     EvalReport,
-    bootstrap_ci,
     build_report,
     confusion,
     mcc,
@@ -25,13 +24,11 @@ from .segments import (
     BEAT,
     NO_BEAT,
     LabeledDataset,
-    Segment,
     build_subsets,
     label_window,
     load_cache,
     resample_linear,
     save_cache,
-    segment_record,
     split_subjects,
 )
 from .train import TrainConfig, load_checkpoint, save_checkpoint, train, transfer
@@ -49,12 +46,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaDeltaState", "BEAT", "BeatAnnotations", "ClassWeights",
     "ConfusionCounts", "ConvBlockSpec", "CsvSchema", "EcgRecord",
-    "EvalReport", "LabeledDataset", "NO_BEAT", "NetworkConfig", "Segment",
-    "TrainConfig", "WfdbHeader", "adadelta_step", "bootstrap_ci",
-    "build_report", "build_subsets", "confusion", "decode_signal",
-    "filter_beats", "forward", "ingest_csv", "init_params", "label_window",
-    "load_cache", "load_checkpoint", "load_records", "mcc",
-    "parse_annotations", "parse_header", "precision_sensitivity_f1",
-    "resample_linear", "save_cache", "save_checkpoint", "segment_record",
-    "split_subjects", "train", "transfer", "weighted_cross_entropy",
+    "EvalReport", "LabeledDataset", "NO_BEAT", "NetworkConfig",
+    "TrainConfig", "WfdbHeader", "adadelta_step", "build_report",
+    "build_subsets", "confusion", "decode_signal", "filter_beats",
+    "forward", "ingest_csv", "init_params", "label_window", "load_cache",
+    "load_checkpoint", "load_records", "mcc", "parse_annotations",
+    "parse_header", "precision_sensitivity_f1", "resample_linear",
+    "save_cache", "save_checkpoint", "split_subjects", "train", "transfer",
+    "weighted_cross_entropy",
 ]

@@ -13,7 +13,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import UsageError
+from .errors import BeatnetError, UsageError
 from .loss import W_BEAT, W_NOBEAT, ClassWeights
 from .metrics import BOOTSTRAP_FRACTION, BOOTSTRAP_REPS
 from .nn import BN_EPS, BN_MOMENTUM, ConvBlockSpec, NetworkConfig
@@ -135,9 +135,23 @@ def load_settings(path: str | Path | None = None) -> Settings:
                                  f"[{section}]")
             values[key] = raw
     try:
-        return _settings_from_strings(values)
-    except ValueError as exc:
-        raise UsageError(f"bad config value: {exc}") from exc
+        settings = _settings_from_strings(values)
+        settings.train_config()  # runs the network and training checks
+        if not settings.max_record_seconds > 0:
+            raise UsageError(f"max_record_seconds must be > 0, got "
+                             f"{settings.max_record_seconds}")
+        if not 0 < settings.train_fraction < 1:
+            raise UsageError(f"train_fraction must be in (0, 1), got "
+                             f"{settings.train_fraction}")
+        if settings.bootstrap_reps < 2:
+            raise UsageError(f"bootstrap_reps must be >= 2, got "
+                             f"{settings.bootstrap_reps}")
+        if not 0 < settings.bootstrap_fraction <= 1:
+            raise UsageError(f"bootstrap_fraction must be in (0, 1], got "
+                             f"{settings.bootstrap_fraction}")
+    except (ValueError, BeatnetError) as exc:
+        raise UsageError(f"bad value in config {path}: {exc}") from exc
+    return settings
 
 
 def _settings_from_strings(v: dict) -> Settings:

@@ -36,9 +36,8 @@ from .errors import (
 from .metrics import EvalReport, build_report, reports_from_json, \
     reports_to_csv, reports_to_json
 from .nn import predict_labels
-from .records import load_manifest, load_record
+from .records import SUBSET_NAMES, load_manifest, load_record
 from .segments import (
-    SUBSET_NAMES,
     TEST,
     TRAIN,
     LabeledDataset,
@@ -133,11 +132,6 @@ class ExperimentSpec:
     target_subsets: tuple
     train_config: TrainConfig
     out_dir: Path
-
-    def __post_init__(self):
-        if self.experiment_id not in (1, 2, 3):
-            raise UsageError(f"experiment id must be 1, 2 or 3, got "
-                             f"{self.experiment_id}")
 
 
 def _file_hash(path: Path) -> str:

@@ -137,18 +137,6 @@ def bootstrap_metrics(predicted: np.ndarray, true: np.ndarray,
     return out
 
 
-def bootstrap_ci(predicted: np.ndarray, true: np.ndarray, metric_name: str,
-                 n_rep: int = BOOTSTRAP_REPS,
-                 fraction: float = BOOTSTRAP_FRACTION,
-                 seed: int = 0) -> tuple[float, float, float]:
-    """(mean, ci_low, ci_high) of one named metric under the bootstrap."""
-    if metric_name not in METRIC_NAMES:
-        raise EmptyInput(f"unknown metric {metric_name!r}; choose from "
-                         f"{METRIC_NAMES}")
-    return bootstrap_metrics(predicted, true, n_rep, fraction,
-                             seed)[metric_name]
-
-
 @dataclass(frozen=True)
 class MetricCI:
     """Point value of a metric plus its bootstrap mean and 90% interval."""

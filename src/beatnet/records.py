@@ -35,8 +35,17 @@ from .errors import (
     SchemaMismatch,
 )
 
-DATASET_TAGS = ("NormalSinus", "LongTerm", "Arrhythmia",
-                "BaselineFlexComp", "BaselineComfTech", "MovementComfTech")
+# Subset each record tag contributes to; two tags pool into one subset.
+SUBSET_OF_TAG = {
+    "NormalSinus": "NormalSinus+LongTerm",
+    "LongTerm": "NormalSinus+LongTerm",
+    "Arrhythmia": "Arrhythmia",
+    "BaselineFlexComp": "BaselineFlexComp",
+    "BaselineComfTech": "BaselineComfTech",
+    "MovementComfTech": "MovementComfTech",
+}
+DATASET_TAGS = tuple(SUBSET_OF_TAG)
+SUBSET_NAMES = tuple(dict.fromkeys(SUBSET_OF_TAG.values()))
 
 DATA_ROOT_ENV = "BEATNET_DATA_ROOT"
 

@@ -13,7 +13,6 @@ contributes windows to both Train and Test of the same subset.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -26,7 +25,8 @@ from .errors import (
     SegmentTooShort,
     TooFewSubjects,
 )
-from .records import EcgRecord
+from .container import pack_str, read_framed, write_framed
+from .records import SUBSET_NAMES, SUBSET_OF_TAG, EcgRecord
 
 NO_BEAT = 0
 BEAT = 1
@@ -41,30 +41,8 @@ BEAT_WINDOW_HIGH = 0.15  # exclusive
 TRAIN, TEST = "Train", "Test"
 PARTITIONS = (TRAIN, TEST)
 
-# Subset each record tag contributes to; two tags pool into one subset.
-SUBSET_OF_TAG = {
-    "NormalSinus": "NormalSinus+LongTerm",
-    "LongTerm": "NormalSinus+LongTerm",
-    "Arrhythmia": "Arrhythmia",
-    "BaselineFlexComp": "BaselineFlexComp",
-    "BaselineComfTech": "BaselineComfTech",
-    "MovementComfTech": "MovementComfTech",
-}
-SUBSET_NAMES = ("NormalSinus+LongTerm", "Arrhythmia", "BaselineFlexComp",
-                "BaselineComfTech", "MovementComfTech")
-
 _CACHE_MAGIC = b"HBDS"
 _CACHE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One 0.25 s window: 250 resampled samples plus its label."""
-
-    samples: np.ndarray  # float32, length 250
-    label: int           # BEAT or NO_BEAT
-    record_id: str
-    start_time: float    # seconds from record start, multiple of 0.25
 
 
 def label_window(t0: float, beats: np.ndarray) -> int:
@@ -131,14 +109,6 @@ def segment_arrays(record: EcgRecord, beats: np.ndarray | None = None,
     return X, y
 
 
-def segment_record(record: EcgRecord, beats: np.ndarray | None = None,
-                   max_duration: float = MAX_RECORD_SECONDS) -> list[Segment]:
-    """Cut one record into labeled :class:`Segment` objects."""
-    X, y = segment_arrays(record, beats, max_duration)
-    return [Segment(X[i], int(y[i]), record.record_id, i * WINDOW_SECONDS)
-            for i in range(len(y))]
-
-
 def split_subjects(subject_ids, train_fraction: float = 2 / 3,
                    seed: int = 0) -> tuple[frozenset, frozenset]:
     """Deterministic subject-level train/test split.
@@ -202,15 +172,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return int(self.y.size)
-
-    def __getitem__(self, i: int) -> Segment:
-        rec_id, _ = self.record_table[self.record_index[i]]
-        return Segment(self.X[i], int(self.y[i]), rec_id,
-                       float(self.window_index[i]) * WINDOW_SECONDS)
-
-    @property
-    def segments(self) -> list[Segment]:
-        return [self[i] for i in range(len(self))]
 
 
 def class_stats(dataset: LabeledDataset) -> tuple[int, int, float]:
@@ -295,90 +256,37 @@ def stats_csv(datasets) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise DataError(f"string too long for cache: {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
-
-
-class _Reader:
-    """Cursor over cache bytes that fails loudly on truncation."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptCache("cache file truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def take_str(self) -> str:
-        (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
-
-
-def _checksum(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=8).digest()
-
-
 def save_cache(dataset: LabeledDataset, path) -> None:
     """Write a dataset to a binary cache file.
 
-    Layout (all little-endian): magic "HBDS", u16 version, u16 segment
-    length, u8 partition (0=Train, 1=Test), subset name, subject ids,
-    record table, u32 segment count, then the column arrays (record
-    index u32, window index u32, labels u8, samples f32), and finally an
-    8-byte keyed-hash checksum of everything before it.
+    The file uses the shared frame of :mod:`beatnet.container` with
+    magic "HBDS". Its body is all little-endian: u16 segment length, u8
+    partition (0=Train, 1=Test), subset name, subject ids, record table,
+    u32 segment count, then the column arrays (record index u32, window
+    index u32, labels u8, samples f32).
     """
-    parts = [_CACHE_MAGIC,
-             struct.pack("<HHB", _CACHE_VERSION, SEGMENT_LENGTH,
-                         PARTITIONS.index(dataset.partition)),
-             _pack_str(dataset.subset_name)]
     subjects = sorted(dataset.subject_ids)
-    parts.append(struct.pack("<H", len(subjects)))
-    parts.extend(_pack_str(s) for s in subjects)
+    parts = [struct.pack("<HB", SEGMENT_LENGTH,
+                         PARTITIONS.index(dataset.partition)),
+             pack_str(dataset.subset_name),
+             struct.pack("<H", len(subjects))]
+    parts.extend(pack_str(s) for s in subjects)
     parts.append(struct.pack("<I", len(dataset.record_table)))
     for rec_id, subj in dataset.record_table:
-        parts.append(_pack_str(rec_id))
-        parts.append(_pack_str(subj))
-    n = len(dataset)
-    parts.append(struct.pack("<I", n))
+        parts.append(pack_str(rec_id))
+        parts.append(pack_str(subj))
+    parts.append(struct.pack("<I", len(dataset)))
     parts.append(dataset.record_index.astype("<u4").tobytes())
     parts.append(dataset.window_index.astype("<u4").tobytes())
     parts.append(dataset.y.astype(np.uint8).tobytes())
     parts.append(dataset.X.astype("<f4").tobytes())
-    payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(_checksum(payload))
+    write_framed(path, _CACHE_MAGIC, _CACHE_VERSION, parts)
 
 
 def load_cache(path) -> LabeledDataset:
     """Read a cache file back; any structural damage raises CorruptCache."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CorruptCache(f"cannot read cache {path}: {exc}") from exc
-    if len(data) < len(_CACHE_MAGIC) + 8:
-        raise CorruptCache("cache file too small")
-    payload, stored = data[:-8], data[-8:]
-    if _checksum(payload) != stored:
-        raise CorruptCache("cache checksum mismatch")
-
-    rd = _Reader(payload)
-    if rd.take(4) != _CACHE_MAGIC:
-        raise CorruptCache("bad cache magic")
-    version, seg_len, part_code = rd.unpack("<HHB")
-    if version != _CACHE_VERSION:
-        raise CorruptCache(f"unsupported cache version {version}")
+    rd = read_framed(path, _CACHE_MAGIC, _CACHE_VERSION, CorruptCache)
+    seg_len, part_code = rd.unpack("<HB")
     if seg_len != SEGMENT_LENGTH:
         raise CorruptCache(f"cache segment length {seg_len} != "
                            f"{SEGMENT_LENGTH}")
@@ -395,8 +303,7 @@ def load_cache(path) -> LabeledDataset:
     y = np.frombuffer(rd.take(n), dtype=np.uint8).copy()
     X = np.frombuffer(rd.take(4 * n * SEGMENT_LENGTH), dtype="<f4")
     X = X.reshape(n, SEGMENT_LENGTH).copy()
-    if rd.pos != len(payload):
-        raise CorruptCache(f"{len(payload) - rd.pos} trailing bytes in cache")
+    rd.finish()
     try:
         return LabeledDataset(subset_name, PARTITIONS[part_code], X, y,
                               record_index, window_index, table, subjects)

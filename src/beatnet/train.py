@@ -10,21 +10,22 @@ BN running statistics all stay exactly as loaded, and only the FC head
 trains. That is the transfer-learning mode; the head fine-tunes from
 the loaded values rather than being re-initialized.
 
-Checkpoints: magic "HBDL", version, a JSON architecture header, then
-raw little-endian float32 parameter blocks in declared order, and an
-8-byte keyed-hash checksum over everything before it.
+Checkpoints use the shared frame of :mod:`beatnet.container` (magic
+"HBDL", u16 version, 8-byte checksum trailer). The body is a u32-length
+JSON architecture header, then raw little-endian float32 parameter
+blocks in declared order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .container import read_framed, write_framed
 from .errors import (
     CorruptCheckpoint,
     EmptyDataset,
@@ -183,17 +184,7 @@ def transfer(checkpoint_path, dataset: LabeledDataset,
         raise IncompatibleCheckpoint(
             f"checkpoint architecture {net_config.to_dict()} differs from "
             f"configured {config.network.to_dict()}")
-    if not config.freeze_conv:
-        config = TrainConfig(
-            epochs=config.epochs, batch_size=config.batch_size,
-            weights=config.weights, lr=config.lr, seed=config.seed,
-            freeze_conv=True, network=config.network, rho=config.rho,
-            eps=config.eps, reduction=config.reduction)
-    return train(dataset, config, init=params)
-
-
-def _checksum(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=8).digest()
+    return train(dataset, replace(config, freeze_conv=True), init=params)
 
 
 def save_checkpoint(params: dict, config: NetworkConfig, path) -> None:
@@ -204,44 +195,24 @@ def save_checkpoint(params: dict, config: NetworkConfig, path) -> None:
         "params": [[name, list(shape)] for name, shape in layout],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [_CKPT_MAGIC,
-             struct.pack("<HI", _CKPT_VERSION, len(header_bytes)),
-             header_bytes]
+    parts = [struct.pack("<I", len(header_bytes)), header_bytes]
     for name, shape in layout:
         arr = np.asarray(params[name], dtype=np.float32)
         if arr.shape != shape:
             raise ShapeMismatch(f"{name}: shape {arr.shape} does not match "
                                 f"layout {shape}")
         parts.append(arr.astype("<f4").tobytes())
-    payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(_checksum(payload))
+    write_framed(path, _CKPT_MAGIC, _CKPT_VERSION, parts)
 
 
 def load_checkpoint(path) -> tuple[dict, NetworkConfig]:
     """Read a checkpoint back; returns (params, architecture)."""
+    rd = read_framed(path, _CKPT_MAGIC, _CKPT_VERSION, CorruptCheckpoint,
+                     VersionMismatch)
+    (header_len,) = rd.unpack("<I")
+    header_bytes = rd.take(header_len)
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
-    min_len = len(_CKPT_MAGIC) + struct.calcsize("<HI") + 8
-    if len(data) < min_len:
-        raise CorruptCheckpoint("checkpoint file too small")
-    payload, stored = data[:-8], data[-8:]
-    if _checksum(payload) != stored:
-        raise CorruptCheckpoint("checkpoint checksum mismatch")
-    if payload[:4] != _CKPT_MAGIC:
-        raise CorruptCheckpoint("bad checkpoint magic")
-    version, header_len = struct.unpack("<HI", payload[4:10])
-    if version != _CKPT_VERSION:
-        raise VersionMismatch(f"checkpoint version {version}, expected "
-                              f"{_CKPT_VERSION}")
-    if 10 + header_len > len(payload):
-        raise CorruptCheckpoint("checkpoint header truncated")
-    try:
-        header = json.loads(payload[10:10 + header_len].decode("utf-8"))
+        header = json.loads(bytes(header_bytes))
         config = NetworkConfig.from_dict(header["network"])
         declared = [(name, tuple(shape)) for name, shape in header["params"]]
     except (ValueError, KeyError, TypeError) as exc:
@@ -250,16 +221,8 @@ def load_checkpoint(path) -> tuple[dict, NetworkConfig]:
         raise CorruptCheckpoint("checkpoint layout does not match its own "
                                 "architecture header")
     params = {}
-    pos = 10 + header_len
     for name, shape in declared:
-        count = int(np.prod(shape))
-        nbytes = 4 * count
-        if pos + nbytes > len(payload):
-            raise CorruptCheckpoint(f"checkpoint data truncated at {name}")
-        params[name] = np.frombuffer(
-            payload[pos:pos + nbytes], dtype="<f4").reshape(shape).copy()
-        pos += nbytes
-    if pos != len(payload):
-        raise CorruptCheckpoint(f"{len(payload) - pos} trailing bytes in "
-                                f"checkpoint")
+        raw = rd.take(4 * int(np.prod(shape)))
+        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    rd.finish()
     return params, config

@@ -92,6 +92,9 @@ class BeatAnnotations:
 
 
 _FORMAT_FIELD_RE = re.compile(r"^(\d+)(x(\d+))?(:(\d+))?(\+(\d+))?$")
+# a decimal float (as float() reads it), optionally "(baseline)"
+_GAIN_FIELD_RE = re.compile(
+    r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(\((-?\d+)\))?$")
 
 
 def _parse_format_field(field: str) -> int:
@@ -127,7 +130,7 @@ def _parse_gain_field(field: str) -> tuple[float, int | None, str]:
     if "/" in field:
         field, units = field.split("/", 1)
     baseline = None
-    m = re.match(r"^(-?[\d.eE+-]+)(\((-?\d+)\))?$", field)
+    m = _GAIN_FIELD_RE.match(field)
     if m is None:
         raise MalformedHeader(f"unparseable gain field {field!r}")
     gain = float(m.group(1))

@@ -295,6 +295,20 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  "--out", "y"]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err
+    # out-of-range values fail when the config file is read
+    bad = tmp_path / "bad.ini"
+    for text in ("[data]\nmax_record_seconds = -5\n",
+                 "[data]\ntrain_fraction = 3/2\n",
+                 "[train]\nepochs = -1\n",
+                 "[network]\ndropout_p = 1.5\n",
+                 "[evaluate]\nbootstrap_reps = 1\n",
+                 "[evaluate]\nbootstrap_fraction = 0\n"):
+        bad.write_text(text)
+        assert main(["experiment", "--id", "1", "--caches", "x",
+                     "--out", str(tmp_path / "o"), "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(bad) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

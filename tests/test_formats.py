@@ -1,0 +1,150 @@
+"""The shared file frame, and on-disk format pins for caches and checkpoints.
+
+The digests below were recorded from the files these inputs produce.
+Every value is drawn from a seeded PCG64 generator with exactly
+specified arithmetic (no transcendental functions), so the bytes do not
+depend on the BLAS or libm of the machine. A deliberate format change
+must update the digests, and bump the version in the file header.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from beatnet.container import pack_str, read_framed, write_framed
+from beatnet.errors import CorruptCache, CorruptCheckpoint, VersionMismatch
+from beatnet.nn import init_params
+from beatnet.segments import (
+    SEGMENT_LENGTH,
+    TRAIN,
+    LabeledDataset,
+    load_cache,
+    save_cache,
+)
+from beatnet.train import load_checkpoint, save_checkpoint
+
+from gradcheck import SMALL_NET
+
+CACHE_BLAKE2B = "9335046c047c31297a37e37cd26e048f"
+CHECKPOINT_BLAKE2B = "4c86e0dcaf8ab27ad138482899a47591"
+
+
+def seeded_dataset(seed: int = 0) -> LabeledDataset:
+    rng = np.random.default_rng(seed)
+    n_records, per_record = 3, 7
+    n = n_records * per_record
+    table = tuple((f"rec{k}", f"subj{k % 2}") for k in range(n_records))
+    return LabeledDataset(
+        "Arrhythmia", TRAIN,
+        rng.random((n, SEGMENT_LENGTH), dtype=np.float32),
+        rng.integers(0, 2, n).astype(np.uint8),
+        np.repeat(np.arange(n_records, dtype=np.uint32), per_record),
+        np.tile(np.arange(per_record, dtype=np.uint32), n_records),
+        table, frozenset({"subj0", "subj1", "subj9"}))
+
+
+def file_digest(path) -> str:
+    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+
+
+def test_cache_bytes_pinned(tmp_path):
+    path = tmp_path / "pin.hbds"
+    save_cache(seeded_dataset(), path)
+    assert file_digest(path) == CACHE_BLAKE2B
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    path = tmp_path / "pin.hbdl"
+    save_checkpoint(init_params(SMALL_NET, np.random.default_rng(0)),
+                    SMALL_NET, path)
+    assert file_digest(path) == CHECKPOINT_BLAKE2B
+
+
+# --- the shared frame ---
+
+
+def reframe(path, mutate) -> None:
+    """Apply ``mutate`` to a framed file's payload and re-sign it."""
+    payload = bytearray(path.read_bytes()[:-8])
+    mutate(payload)
+    path.write_bytes(bytes(payload)
+                     + hashlib.blake2b(bytes(payload), digest_size=8).digest())
+
+
+def test_frame_layout(tmp_path):
+    path = tmp_path / "f.bin"
+    write_framed(path, b"TEST", 3, [b"ab", b"", pack_str("hé")])
+    raw = path.read_bytes()
+    payload = b"TEST" + struct.pack("<H", 3) + b"ab" + b"\x03\x00h\xc3\xa9"
+    assert raw == payload + hashlib.blake2b(payload, digest_size=8).digest()
+    rd = read_framed(path, b"TEST", 3, CorruptCache)
+    assert bytes(rd.take(2)) == b"ab"
+    assert rd.take_str() == "hé"
+    rd.finish()
+
+
+def test_frame_errors(tmp_path):
+    path = tmp_path / "f.bin"
+    write_framed(path, b"TEST", 3, [b"abc"])
+    with pytest.raises(VersionMismatch):
+        read_framed(path, b"TEST", 4, CorruptCheckpoint, VersionMismatch)
+    with pytest.raises(CorruptCache):
+        read_framed(path, b"TEST", 4, CorruptCache)
+    with pytest.raises(CorruptCache):
+        read_framed(path, b"ELSE", 3, CorruptCache)
+    rd = read_framed(path, b"TEST", 3, CorruptCache)
+    with pytest.raises(CorruptCache):
+        rd.finish()  # three body bytes left
+    with pytest.raises(CorruptCache):
+        rd.take(4)
+    (tmp_path / "short").write_bytes(b"TEST\x03")
+    with pytest.raises(CorruptCache):
+        read_framed(tmp_path / "short", b"TEST", 3, CorruptCache)
+
+
+def test_write_is_atomic(tmp_path):
+    path = tmp_path / "f.bin"
+    write_framed(path, b"TEST", 1, [b"old"])
+    before = path.read_bytes()
+
+    def parts():
+        yield b"new" * 1000
+        raise KeyboardInterrupt  # interrupted halfway through the body
+
+    with pytest.raises(KeyboardInterrupt):
+        write_framed(path, b"TEST", 1, parts())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+
+def test_cache_with_non_utf8_string_is_corrupt(tmp_path):
+    path = tmp_path / "pin.hbds"
+    save_cache(seeded_dataset(), path)
+    name_at = 4 + 2 + 3 + 2  # magic, version, <HB, subset-name length
+
+    def damage(payload):
+        assert payload[name_at:name_at + 10] == b"Arrhythmia"
+        payload[name_at] = 0xFF
+
+    reframe(path, damage)
+    with pytest.raises(CorruptCache):
+        load_cache(path)
+
+
+def test_cache_version_gate(tmp_path):
+    path = tmp_path / "pin.hbds"
+    save_cache(seeded_dataset(), path)
+    reframe(path, lambda p: p.__setitem__(slice(4, 6), struct.pack("<H", 2)))
+    with pytest.raises(CorruptCache):
+        load_cache(path)
+
+
+def test_checkpoint_trailing_bytes_are_corrupt(tmp_path):
+    path = tmp_path / "pin.hbdl"
+    save_checkpoint(init_params(SMALL_NET, np.random.default_rng(0)),
+                    SMALL_NET, path)
+    reframe(path, lambda p: p.extend(b"\x00" * 4))
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)

@@ -7,10 +7,11 @@ import pytest
 
 from beatnet.errors import EmptyInput, LengthMismatch
 from beatnet.metrics import (
+    BOOTSTRAP_FRACTION,
+    BOOTSTRAP_REPS,
     METRIC_NAMES,
     ConfusionCounts,
     all_metrics,
-    bootstrap_ci,
     bootstrap_metrics,
     build_report,
     confusion,
@@ -159,8 +160,13 @@ def test_bootstrap_deterministic_and_shared_resamples():
     assert a == b
     c = bootstrap_metrics(pred, true, seed=8)
     assert a != c
-    # single-metric view agrees with the all-metric run
-    assert bootstrap_ci(pred, true, "mcc", seed=7) == a["mcc"]
+    # repetition r resamples with its own generator seeded (seed, r)
+    m = round(BOOTSTRAP_FRACTION * 400)
+    reps = []
+    for rep in range(BOOTSTRAP_REPS):
+        idx = np.random.default_rng((7, rep)).integers(0, 400, size=m)
+        reps.append(mcc_from_labels(pred[idx], true[idx]))
+    assert a["mcc"][0] == pytest.approx(np.mean(reps), abs=1e-12)
 
 
 def test_bootstrap_perfect_predictions_degenerate_ci():
@@ -177,7 +183,7 @@ def test_bootstrap_ci_ordering_and_range():
     pred = np.where(rng.random(300) < 0.8, true, 1 - true)
     for seed in range(5):
         for name in METRIC_NAMES:
-            mean, lo, hi = bootstrap_ci(pred, true, name, seed=seed)
+            mean, lo, hi = bootstrap_metrics(pred, true, seed=seed)[name]
             assert lo <= mean <= hi
             assert -1.0 <= lo and hi <= 1.0
 
@@ -191,7 +197,7 @@ def test_bootstrap_ci_covers_truth():
         true = rng.integers(0, 2, 600)
         pred = np.where(rng.random(600) < 0.85, true, 1 - true)
         point = mcc_from_labels(pred, true)
-        _, lo, hi = bootstrap_ci(pred, true, "mcc", seed=trial)
+        _, lo, hi = bootstrap_metrics(pred, true, seed=trial)["mcc"]
         hits += lo <= point <= hi
     assert hits >= 85
 
@@ -202,8 +208,9 @@ def test_bootstrap_resample_size_quarter():
     rng = np.random.default_rng(6)
     true = rng.integers(0, 2, 1000)
     pred = np.where(rng.random(1000) < 0.8, true, 1 - true)
-    _, lo_q, hi_q = bootstrap_ci(pred, true, "mcc", fraction=0.25, seed=0)
-    _, lo_f, hi_f = bootstrap_ci(pred, true, "mcc", fraction=1.0, seed=0)
+    _, lo_q, hi_q = bootstrap_metrics(pred, true, fraction=0.25,
+                                      seed=0)["mcc"]
+    _, lo_f, hi_f = bootstrap_metrics(pred, true, fraction=1.0, seed=0)["mcc"]
     assert (hi_f - lo_f) < (hi_q - lo_q)
 
 
@@ -214,9 +221,7 @@ def test_bootstrap_errors():
     with pytest.raises(EmptyInput):
         bootstrap_metrics(one, one, fraction=0.0)
     with pytest.raises(EmptyInput):
-        bootstrap_ci(one, one, "mcc", fraction=1.5)
-    with pytest.raises(EmptyInput):
-        bootstrap_ci(one, one, "accuracy")  # not a known metric name
+        bootstrap_metrics(one, one, fraction=1.5)
 
 
 def test_bootstrap_tiny_input_still_resamples():

@@ -21,7 +21,6 @@ from beatnet.segments import (
     resample_linear,
     save_cache,
     segment_arrays,
-    segment_record,
     split_subjects,
     stats_csv,
     window_count,
@@ -176,11 +175,19 @@ def test_segment_first_window_content():
 
 
 def test_segment_record_objects():
+    # a one-record dataset locates every window through its columns
     rec = synth_pair(seed=4)
-    segs = segment_record(rec)
-    assert all(s.record_id == rec.record_id for s in segs)
-    assert [s.start_time for s in segs] == [0.25 * i for i in range(len(segs))]
-    assert {s.label for s in segs} <= {BEAT, NO_BEAT}
+    ds = build_labeled_dataset([rec], "NormalSinus+LongTerm", TRAIN,
+                               {rec.subject_id})
+    X, y = segment_arrays(rec)
+    assert ds.record_table == ((rec.record_id, rec.subject_id),)
+    assert all(ds.record_table[k][0] == rec.record_id
+               for k in ds.record_index)
+    # start time of window i is 0.25 * window_index[i]
+    np.testing.assert_array_equal(ds.window_index, np.arange(len(y)))
+    assert set(ds.y.tolist()) <= {BEAT, NO_BEAT}
+    np.testing.assert_array_equal(ds.y, y)
+    assert ds.X.tobytes() == X.tobytes()
 
 
 # --- subject splitting ---
@@ -354,14 +361,24 @@ def test_cache_missing_file(tmp_path):
         load_cache(tmp_path / "never-written.hbds")
 
 
-def test_dataset_getitem_round_trip():
-    ds = build_small_dataset()
-    seg = ds[0]
-    assert seg.samples.shape == (SEGMENT_LENGTH,)
-    assert seg.start_time == 0.0
-    rec_id, _ = ds.record_table[ds.record_index[0]]
-    assert seg.record_id == rec_id
-    assert len(ds.segments) == len(ds)
+def test_dataset_columns_locate_windows():
+    records = make_synthetic_records(n_subjects=3, seed=12)
+    ds = build_labeled_dataset(records, "Arrhythmia", TRAIN,
+                               {r.subject_id for r in records})
+    assert ds.X.shape == (len(ds), SEGMENT_LENGTH)
+    assert ds.window_index[0] == 0
+    start = 0
+    for k, rec in enumerate(records):
+        X, y = segment_arrays(rec)
+        rows = slice(start, start + len(y))
+        assert ds.record_table[k] == (rec.record_id, rec.subject_id)
+        assert np.all(ds.record_index[rows] == k)
+        np.testing.assert_array_equal(ds.window_index[rows],
+                                      np.arange(len(y)))
+        np.testing.assert_array_equal(ds.y[rows], y)
+        assert ds.X[rows].tobytes() == X.tobytes()
+        start += len(y)
+    assert start == len(ds)
 
 
 def test_dataset_invariants_enforced():

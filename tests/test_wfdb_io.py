@@ -114,6 +114,8 @@ def test_parse_header_counter_frequency_and_comments():
     "X 2 250 10\nX.dat 16\n",           # fewer signal lines than declared
     "X 1 250 10\nX.dat\n",              # signal line too short
     "X 1 250 10\nX.dat 16 bogus\n",     # unparseable gain
+    "X 1 250 10\nX.dat 16 1e+e\n",      # gain the pattern once let through
+    "X 1 250 10\nX.dat 16 --5(0)/mV\n",
 ])
 def test_parse_header_malformed(text):
     with pytest.raises(MalformedHeader):
