@@ -11,6 +11,7 @@ outputs). Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .experiments import (
 )
 from .metrics import reports_to_csv, reports_to_json
 from .records import DATASET_TAGS
-from .segments import PARTITIONS, TRAIN
+from .segments import PARTITIONS, TRAIN, WINDOW_SECONDS
 from .train import load_checkpoint, save_checkpoint, train, transfer
 
 
@@ -120,6 +121,13 @@ def _cmd_build_dataset(args) -> None:
     if unknown:
         raise UsageError(f"unknown tags {unknown}; choose from "
                          f"{DATASET_TAGS}")
+    if args.subjects < 1:
+        raise UsageError(f"--subjects must be >= 1, got {args.subjects}")
+    if not WINDOW_SECONDS <= args.duration < math.inf:
+        raise UsageError(f"--duration must be a finite number of seconds "
+                         f">= {WINDOW_SECONDS}, got {args.duration}")
+    if not 0 < args.fs < math.inf:
+        raise UsageError(f"--fs must be a finite rate > 0, got {args.fs}")
     written = build_synthetic_caches(args.out, settings, args.subjects,
                                      args.duration, args.fs, seed, tags)
     print(f"wrote {len(written)} synthetic caches to {args.out}")
@@ -132,11 +140,10 @@ def _train_like(args, checkpoint_path=None) -> None:
                                   args.partition)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    config = settings.train_config(seed)
     if checkpoint_path is None:
-        config = settings.train_config(seed)
         params, history = train(dataset, config)
     else:
-        config = settings.train_config(seed, freeze_conv=True)
         params, history = transfer(checkpoint_path, dataset, config)
     save_checkpoint(params, config.network, out / "checkpoint.hbdl")
     (out / "train_log.csv").write_text(history.to_csv())

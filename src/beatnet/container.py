@@ -33,7 +33,11 @@ def pack_str(s: str) -> bytes:
 
 
 def write_framed(path, magic: bytes, version: int, parts) -> None:
-    """Write magic, version, the byte strings in ``parts`` and the digest."""
+    """Write magic, version, the ``parts`` and the digest.
+
+    Each part is ``bytes`` or a C-contiguous buffer such as a NumPy
+    array, written as its raw bytes.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     digest = hashlib.blake2b(digest_size=_DIGEST_BYTES)

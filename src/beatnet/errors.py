@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: UsageError -> 1,
-DataError (and subclasses) -> 2, NumericError -> 3.
+Every class here is a UsageError, a DataError or a NumericError, and
+the CLI maps those families onto process exit codes: UsageError -> 1,
+DataError -> 2, NumericError -> 3. Shape, probability and empty-input
+failures in the network, loss and metrics are DataErrors: they arise
+from the sizes and values of the arrays a caller passes in.
 """
 
 
@@ -14,7 +17,7 @@ class UsageError(BeatnetError):
 
 
 class DataError(BeatnetError):
-    """A problem with input data: files, formats, shapes of stored artifacts."""
+    """Bad input data: files, formats, or array shapes and values."""
 
 
 class NumericError(BeatnetError):
@@ -75,19 +78,19 @@ class CorruptCache(DataError):
 
 # --- network / optimisation ---------------------------------------------------
 
-class ShapeMismatch(BeatnetError):
+class ShapeMismatch(DataError):
     """Tensor or parameter shapes are inconsistent."""
 
 
-class DegenerateBatch(BeatnetError):
+class DegenerateBatch(DataError):
     """Batch statistics requested over fewer than two values."""
 
 
-class InvalidProbability(BeatnetError):
+class InvalidProbability(DataError):
     """Dropout probability outside [0, 1)."""
 
 
-class EmptyBatch(BeatnetError):
+class EmptyBatch(DataError):
     """Loss requested over zero samples."""
 
 
@@ -115,11 +118,11 @@ class VersionMismatch(DataError):
 
 # --- evaluation -----------------------------------------------------------------
 
-class LengthMismatch(BeatnetError):
+class LengthMismatch(DataError):
     """Predicted and true label sequences differ in length."""
 
 
-class EmptyInput(BeatnetError):
+class EmptyInput(DataError):
     """Metric or bootstrap requested on empty inputs."""
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .chart import render_mcc_chart
 from .config import Settings, render_snapshot
 from .errors import (
     DataError,
+    EmptyDataset,
     MissingCache,
     MissingCheckpoint,
     NoReportsFound,
@@ -47,7 +47,7 @@ from .segments import (
     stats_csv,
 )
 from .synthetic import make_synthetic_records
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train, transfer
+from .train import load_checkpoint, save_checkpoint, train, transfer
 
 SOURCE_SUBSET = "NormalSinus+LongTerm"
 
@@ -123,23 +123,15 @@ def build_synthetic_caches(out_dir, settings: Settings, n_subjects: int = 4,
     return _write_caches(datasets, Path(out_dir))
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Resolved plan for one experiment run."""
-
-    experiment_id: int
-    source_subset: str
-    target_subsets: tuple
-    train_config: TrainConfig
-    out_dir: Path
-
-
 def _file_hash(path: Path) -> str:
     return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
 
 
 def evaluate_dataset(params, net_config, dataset: LabeledDataset,
-              settings: Settings, seed: int) -> EvalReport:
+                     settings: Settings, seed: int) -> EvalReport:
+    if len(dataset) == 0:
+        raise EmptyDataset(f"{dataset.subset_name} {dataset.partition} has "
+                           f"no segments to evaluate")
     preds = predict_labels(net_config, params, dataset.X)
     return build_report(preds, dataset.y.astype(np.int64),
                         dataset.subset_name, dataset.partition,
@@ -158,27 +150,6 @@ def _present_targets(cache_dir: Path, partitions) -> list[str]:
     return out
 
 
-def _finish_run(spec: ExperimentSpec, settings: Settings, seed: int,
-                reports: list[EvalReport], cache_paths: list[Path],
-                checkpoint_paths: list[Path]) -> None:
-    out = spec.out_dir
-    (out / REPORTS_CSV).write_text(reports_to_csv(reports))
-    (out / REPORTS_JSON).write_text(reports_to_json(reports))
-    (out / CHART_FILE).write_text(render_mcc_chart(
-        reports, f"Experiment {spec.experiment_id}: MCC with 90% CIs"))
-    (out / CONFIG_SNAPSHOT).write_text(render_snapshot(settings, seed))
-    info = {
-        "experiment": spec.experiment_id,
-        "seed": seed,
-        "source_subset": spec.source_subset,
-        "target_subsets": list(spec.target_subsets),
-        "caches": {p.name: _file_hash(p) for p in cache_paths},
-        "checkpoints": {p.name: _file_hash(p) for p in checkpoint_paths},
-    }
-    (out / RUN_INFO).write_text(json.dumps(info, indent=2, sort_keys=True)
-                                + "\n")
-
-
 def run_experiment(experiment_id: int, cache_dir, out_dir,
                    settings: Settings, seed: int | None = None,
                    checkpoint=None) -> list[EvalReport]:
@@ -187,7 +158,9 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
     ``checkpoint`` (the experiment-1 output) is required for experiments
     2 and 3. Target subsets without caches are skipped so the protocol
     runs on whichever datasets are actually present; having none at all
-    is an error.
+    is an error. Every experiment walks the same loop over its subsets
+    and their partitions; they differ only in where a subset's
+    parameters come from.
     """
     if experiment_id not in (1, 2, 3):
         raise UsageError(f"experiment id must be 1, 2 or 3, got "
@@ -195,89 +168,66 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
     cache_dir = Path(cache_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    eff_seed = settings.seed if seed is None else seed
+    seed = settings.seed if seed is None else seed
+    config = settings.train_config(seed)
+    net_config = config.network
 
     if experiment_id == 1:
-        spec = ExperimentSpec(1, SOURCE_SUBSET, (),
-                              settings.train_config(eff_seed), out_dir)
-        return _run_experiment1(spec, cache_dir, settings, eff_seed)
-    if checkpoint is None:
-        raise MissingCheckpoint(
-            f"experiment {experiment_id} needs the experiment-1 checkpoint "
-            f"(--checkpoint)")
-    checkpoint = Path(checkpoint)
-    if not checkpoint.exists():
-        raise MissingCheckpoint(f"checkpoint {checkpoint} does not exist")
-    if experiment_id == 2:
-        targets = _present_targets(cache_dir, (TEST,))
+        partitions = (TRAIN, TEST)
+        targets = []
+        checkpoints = []
+    else:
+        if checkpoint is None:
+            raise MissingCheckpoint(
+                f"experiment {experiment_id} needs the experiment-1 "
+                f"checkpoint (--checkpoint)")
+        checkpoint = Path(checkpoint)
+        if not checkpoint.exists():
+            raise MissingCheckpoint(f"checkpoint {checkpoint} does not exist")
+        partitions = (TEST,) if experiment_id == 2 else (TRAIN, TEST)
+        targets = _present_targets(cache_dir, partitions)
         if not targets:
             raise MissingCache(f"no target subset caches in {cache_dir}")
-        spec = ExperimentSpec(2, SOURCE_SUBSET, tuple(targets),
-                              settings.train_config(eff_seed), out_dir)
-        return _run_experiment2(spec, cache_dir, settings, eff_seed,
-                                checkpoint)
-    targets = _present_targets(cache_dir, (TRAIN, TEST))
-    if not targets:
-        raise MissingCache(f"no target subset caches in {cache_dir}")
-    spec = ExperimentSpec(3, SOURCE_SUBSET, tuple(targets),
-                          settings.train_config(eff_seed, freeze_conv=True),
-                          out_dir)
-    return _run_experiment3(spec, cache_dir, settings, eff_seed, checkpoint)
+        checkpoints = [checkpoint]
+    if experiment_id == 2:
+        params, net_config = load_checkpoint(checkpoint)
 
-
-def _run_experiment1(spec: ExperimentSpec, cache_dir: Path,
-                     settings: Settings, seed: int) -> list[EvalReport]:
-    train_ds = load_cache_checked(cache_dir, spec.source_subset, TRAIN)
-    test_ds = load_cache_checked(cache_dir, spec.source_subset, TEST)
-    params, history = train(train_ds, spec.train_config)
-    ckpt = spec.out_dir / EXP1_CHECKPOINT
-    save_checkpoint(params, spec.train_config.network, ckpt)
-    (spec.out_dir / "train_log.csv").write_text(history.to_csv())
-    reports = [
-        evaluate_dataset(params, spec.train_config.network, train_ds, settings, seed),
-        evaluate_dataset(params, spec.train_config.network, test_ds, settings, seed),
-    ]
-    _finish_run(spec, settings, seed, reports,
-                [cache_file(cache_dir, spec.source_subset, p)
-                 for p in (TRAIN, TEST)], [ckpt])
-    return reports
-
-
-def _run_experiment2(spec: ExperimentSpec, cache_dir: Path,
-                     settings: Settings, seed: int,
-                     checkpoint: Path) -> list[EvalReport]:
-    params, net_config = load_checkpoint(checkpoint)
     reports = []
     caches = []
-    for subset in spec.target_subsets:
-        ds = load_cache_checked(cache_dir, subset, TEST)
-        caches.append(cache_file(cache_dir, subset, TEST))
-        reports.append(evaluate_dataset(params, net_config, ds, settings, seed))
-    _finish_run(spec, settings, seed, reports, caches, [checkpoint])
-    return reports
+    # experiment 1 has no targets: it trains and scores the source itself
+    for subset in targets or [SOURCE_SUBSET]:
+        datasets = [load_cache_checked(cache_dir, subset, p)
+                    for p in partitions]
+        caches.extend(cache_file(cache_dir, subset, p) for p in partitions)
+        if experiment_id != 2:
+            if experiment_id == 1:
+                params, history = train(datasets[0], config)
+                suffix = ""
+            else:
+                params, history = transfer(checkpoint, datasets[0], config)
+                suffix = f"_{subset_slug(subset)}"
+            ckpt = out_dir / f"checkpoint{suffix}.hbdl"
+            save_checkpoint(params, net_config, ckpt)
+            checkpoints.append(ckpt)
+            (out_dir / f"train_log{suffix}.csv").write_text(history.to_csv())
+        reports.extend(evaluate_dataset(params, net_config, ds, settings, seed)
+                       for ds in datasets)
 
-
-def _run_experiment3(spec: ExperimentSpec, cache_dir: Path,
-                     settings: Settings, seed: int,
-                     checkpoint: Path) -> list[EvalReport]:
-    reports = []
-    caches = []
-    checkpoints = [checkpoint]
-    for subset in spec.target_subsets:
-        train_ds = load_cache_checked(cache_dir, subset, TRAIN)
-        test_ds = load_cache_checked(cache_dir, subset, TEST)
-        caches.extend(cache_file(cache_dir, subset, p)
-                      for p in (TRAIN, TEST))
-        params, history = transfer(checkpoint, train_ds, spec.train_config)
-        slug = subset_slug(subset)
-        ckpt = spec.out_dir / f"checkpoint_{slug}.hbdl"
-        save_checkpoint(params, spec.train_config.network, ckpt)
-        checkpoints.append(ckpt)
-        (spec.out_dir / f"train_log_{slug}.csv").write_text(history.to_csv())
-        net = spec.train_config.network
-        reports.append(evaluate_dataset(params, net, train_ds, settings, seed))
-        reports.append(evaluate_dataset(params, net, test_ds, settings, seed))
-    _finish_run(spec, settings, seed, reports, caches, checkpoints)
+    (out_dir / REPORTS_CSV).write_text(reports_to_csv(reports))
+    (out_dir / REPORTS_JSON).write_text(reports_to_json(reports))
+    (out_dir / CHART_FILE).write_text(render_mcc_chart(
+        reports, f"Experiment {experiment_id}: MCC with 90% CIs"))
+    (out_dir / CONFIG_SNAPSHOT).write_text(render_snapshot(settings, seed))
+    info = {
+        "experiment": experiment_id,
+        "seed": seed,
+        "source_subset": SOURCE_SUBSET,
+        "target_subsets": targets,
+        "caches": {p.name: _file_hash(p) for p in caches},
+        "checkpoints": {p.name: _file_hash(p) for p in checkpoints},
+    }
+    (out_dir / RUN_INFO).write_text(json.dumps(info, indent=2, sort_keys=True)
+                                    + "\n")
     return reports
 
 

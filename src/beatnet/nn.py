@@ -70,12 +70,18 @@ class NetworkConfig:
                 raise ShapeMismatch(
                     f"conv chain broken: {a.out_channels} out feeds "
                     f"{b.in_channels} in")
-        if len(self.fc_sizes) != 3 or self.fc_sizes[-1] != 2:
-            raise ShapeMismatch(f"fc_sizes must be 3 widths ending in 2, "
-                                f"got {self.fc_sizes}")
+        if (len(self.fc_sizes) != 3 or self.fc_sizes[-1] != 2
+                or min(self.fc_sizes) < 1):
+            raise ShapeMismatch(f"fc_sizes must be 3 positive widths ending "
+                                f"in 2, got {self.fc_sizes}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise InvalidProbability(f"dropout_p must be in [0, 1), got "
                                      f"{self.dropout_p}")
+        if not self.bn_eps > 0:
+            raise ShapeMismatch(f"bn_eps must be > 0, got {self.bn_eps}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ShapeMismatch(f"bn_momentum must be in [0, 1], got "
+                                f"{self.bn_momentum}")
         if self.pool_kernel != 2:
             raise ShapeMismatch("only pool kernel 2 (stride 2) is supported")
         if self.conv_output_length < 1:

@@ -276,10 +276,11 @@ def save_cache(dataset: LabeledDataset, path) -> None:
         parts.append(pack_str(rec_id))
         parts.append(pack_str(subj))
     parts.append(struct.pack("<I", len(dataset)))
-    parts.append(dataset.record_index.astype("<u4").tobytes())
-    parts.append(dataset.window_index.astype("<u4").tobytes())
-    parts.append(dataset.y.astype(np.uint8).tobytes())
-    parts.append(dataset.X.astype("<f4").tobytes())
+    # contiguous arrays go to the frame as buffers, without a bytes copy
+    parts.append(np.ascontiguousarray(dataset.record_index, "<u4"))
+    parts.append(np.ascontiguousarray(dataset.window_index, "<u4"))
+    parts.append(np.ascontiguousarray(dataset.y, np.uint8))
+    parts.append(np.ascontiguousarray(dataset.X, "<f4"))
     write_framed(path, _CACHE_MAGIC, _CACHE_VERSION, parts)
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .container import read_framed, write_framed
 from .errors import (
+    BeatnetError,
     CorruptCheckpoint,
     EmptyDataset,
     IncompatibleCheckpoint,
@@ -79,6 +80,7 @@ class TrainConfig:
                                 f"{self.batch_size}")
         if self.reduction not in ("mean", "sum"):
             raise ShapeMismatch(f"unknown reduction {self.reduction!r}")
+        AdaDeltaState(rho=self.rho, eps=self.eps, lr=self.lr)  # range checks
 
 
 @dataclass
@@ -215,7 +217,7 @@ def load_checkpoint(path) -> tuple[dict, NetworkConfig]:
         header = json.loads(bytes(header_bytes))
         config = NetworkConfig.from_dict(header["network"])
         declared = [(name, tuple(shape)) for name, shape in header["params"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, BeatnetError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
     if declared != param_layout(config):
         raise CorruptCheckpoint("checkpoint layout does not match its own "

@@ -86,10 +86,6 @@ class BeatAnnotations:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def events(self) -> list[tuple[int, int]]:
-        return list(zip(self.samples.tolist(), self.codes.tolist()))
-
 
 _FORMAT_FIELD_RE = re.compile(r"^(\d+)(x(\d+))?(:(\d+))?(\+(\d+))?$")
 # a decimal float (as float() reads it), optionally "(baseline)"

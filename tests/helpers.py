@@ -8,6 +8,8 @@ every backward pass.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 # --- reference format-212 bit packing (two 12-bit samples per 3 bytes) ---
@@ -160,3 +162,14 @@ def brute_force_labels(n_windows: int, beat_times) -> list[int]:
         hit = any(t0 + 0.10 <= b < t0 + 0.15 for b in beat_times)
         labels.append(1 if hit else 0)
     return labels
+
+
+# --- re-signing a framed cache or checkpoint ---
+
+
+def reframe(path, mutate) -> None:
+    """Apply ``mutate`` to a framed file's payload and re-sign it."""
+    payload = bytearray(path.read_bytes()[:-8])
+    mutate(payload)
+    path.write_bytes(bytes(payload)
+                     + hashlib.blake2b(bytes(payload), digest_size=8).digest())

@@ -1,19 +1,25 @@
 """Command-line interface tests: exit codes, run outputs, determinism."""
 
 import dataclasses
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from beatnet import errors
 from beatnet.cli import main
 from beatnet.config import Settings, load_settings, parse_fraction, \
     render_snapshot
-from beatnet.errors import UsageError
+from beatnet.errors import DataError, NumericError, UsageError
+from beatnet.experiments import build_synthetic_caches
 from beatnet.metrics import reports_from_json
+from beatnet.nn import NetworkConfig, init_params
 from beatnet.segments import load_cache
+from beatnet.train import TrainConfig, save_checkpoint
 
-from helpers import simple_annotation_stream, write_wfdb_record
+from helpers import reframe, simple_annotation_stream, write_wfdb_record
 
 # Small network and short training so end-to-end runs stay fast.
 FAST_INI = """\
@@ -28,6 +34,37 @@ fc_sizes = 16,8,2
 [train]
 epochs = 2
 batch_size = 32
+"""
+
+# render_snapshot(Settings()): every key with its default, in file order.
+DEFAULT_SNAPSHOT = """\
+[data]
+max_record_seconds = 3600.0
+train_fraction = 0.6666666666666666
+beat_codes = N,L,R,B,A,a,J,S,V,r,F,e,j,n,E,f,Q,?
+
+[network]
+conv_channels = 8,16,32,64
+conv_kernels = 7,5,5,3
+fc_sizes = 128,32,2
+dropout_p = 0.5
+bn_eps = 1e-05
+bn_momentum = 0.1
+
+[train]
+epochs = 10
+batch_size = 64
+lr = 0.01
+w_nobeat = 0.06
+w_beat = 0.94
+rho = 0.9
+eps = 1e-06
+reduction = mean
+seed = 0
+
+[evaluate]
+bootstrap_reps = 100
+bootstrap_fraction = 0.25
 """
 
 ALL_FILES = ("reports.csv", "reports.json", "mcc_chart.svg", "config.ini",
@@ -54,18 +91,42 @@ def build_caches(tmp_path, tags="NormalSinus,LongTerm,Arrhythmia,"
 
 def test_settings_defaults():
     assert load_settings(None) == Settings()
+    # the INI defaults are those of the classes that own the values
+    assert Settings().train_config() == TrainConfig()
+    assert Settings().network_config() == NetworkConfig()
+
+
+def test_default_snapshot_pinned():
+    assert render_snapshot(Settings()) == DEFAULT_SNAPSHOT
+    assert render_snapshot(Settings(), seed=4) == DEFAULT_SNAPSHOT.replace(
+        "seed = 0", "seed = 4")
+
+
+def test_readme_example_config_lists_the_defaults(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    assert load_settings(path) == Settings()
+
+    def keys(text):
+        return [line.split(" = ")[0] for line in text.splitlines()
+                if " = " in line]
+
+    assert keys(example) == keys(DEFAULT_SNAPSHOT)
 
 
 def test_settings_parse_and_snapshot_round_trip(tmp_path):
     path = tmp_path / "s.ini"
-    path.write_text("[data]\ntrain_fraction = 2/3\nbeat_codes = N,V\n"
-                    "[train]\nepochs = 3\nlr = 0.5\n"
+    path.write_text("[data]\ntrain_fraction = 2/3\nbeat_codes = N,,V,\n"
+                    "[train]\nepochs = 3\nlr = 1/2\nreduction =  sum\n"
                     "[network]\nfc_sizes = 16,8,2\n")
     s = load_settings(path)
     assert s.train_fraction == pytest.approx(2 / 3)
-    assert s.beat_codes == ("N", "V")
+    assert s.beat_codes == ("N", "V")  # empty tokens are dropped
     assert s.epochs == 3
-    assert s.lr == 0.5
+    assert s.lr == 0.5  # every float key accepts a ratio
+    assert s.reduction == "sum"
     assert s.fc_sizes == (16, 8, 2)
     snap = tmp_path / "snap.ini"
     snap.write_text(render_snapshot(s, seed=7))
@@ -81,6 +142,8 @@ def test_settings_parse_and_snapshot_round_trip(tmp_path):
     "[data]\ntrain_fraction = 1/0\n",
     "[data]\nbeat_codes = ,\n",
     "[network]\nconv_channels = 2;3\n",
+    "[network]\nconv_channels = 8,,32,64\n",
+    "[train]\nlr = fast\n",
 ])
 def test_settings_rejects_bad_files(tmp_path, text):
     path = tmp_path / "bad.ini"
@@ -298,17 +361,35 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # out-of-range values fail when the config file is read
     bad = tmp_path / "bad.ini"
     for text in ("[data]\nmax_record_seconds = -5\n",
+                 "[data]\nmax_record_seconds = 0.1\n",  # under one window
                  "[data]\ntrain_fraction = 3/2\n",
                  "[train]\nepochs = -1\n",
                  "[network]\ndropout_p = 1.5\n",
                  "[evaluate]\nbootstrap_reps = 1\n",
-                 "[evaluate]\nbootstrap_fraction = 0\n"):
+                 "[evaluate]\nbootstrap_fraction = 0\n",
+                 "[train]\nrho = 1.5\n",
+                 "[train]\neps = 0\n",
+                 "[network]\nbn_momentum = 2\n",
+                 "[network]\nbn_eps = 0\n",
+                 "[network]\nfc_sizes = 0,5,2\n",
+                 # keys that only ever had one working value are gone
+                 "[network]\npool_kernel = 2\n",
+                 "[network]\ninput_length = 250\n"):
         bad.write_text(text)
         assert main(["experiment", "--id", "1", "--caches", "x",
                      "--out", str(tmp_path / "o"), "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and str(bad) in err
     assert not (tmp_path / "o").exists()
+    # build-dataset flags that could only write broken or no caches
+    for flags in (["--duration", "-1"], ["--duration", "0.2"],
+                  ["--duration", "inf"], ["--subjects", "0"],
+                  ["--subjects", "-3"], ["--fs", "0"], ["--fs", "nan"]):
+        assert main(["build-dataset", "--out", str(tmp_path / "c"),
+                     *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and flags[0] in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -333,6 +414,44 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["ingest", "--manifest", str(tmp_path / "no-manifest.txt"),
                  "--out", str(tmp_path / "o5")]) == 2
     assert "data error" in capsys.readouterr().err
+
+    # a checkpoint whose checksum holds but whose architecture is invalid
+    net = NetworkConfig()
+    good = tmp_path / "good.hbdl"
+    save_checkpoint(init_params(net, np.random.default_rng(0)), net, good)
+    bad = tmp_path / "bad.hbdl"
+    bad.write_bytes(good.read_bytes())
+
+    def widen_dropout(payload):
+        at = payload.index(b'"dropout_p": 0.5')
+        payload[at:at + 16] = b'"dropout_p": 1.5'
+
+    reframe(bad, widen_dropout)
+    assert main(["evaluate", "--caches", str(caches),
+                 "--subset", "NormalSinus+LongTerm", "--partition", "Test",
+                 "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "o6"), "--config", cfg]) == 2
+    assert "dropout_p" in capsys.readouterr().err
+
+    # records shorter than one window give caches with no segments
+    short = tmp_path / "short"
+    build_synthetic_caches(short, Settings(), duration=0.2)
+    assert main(["evaluate", "--caches", str(short),
+                 "--subset", "NormalSinus+LongTerm", "--partition", "Test",
+                 "--checkpoint", str(good),
+                 "--out", str(tmp_path / "o7"), "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "NormalSinus+LongTerm Test" in err
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__]
+    assert len(classes) > 4
+    for cls in classes:
+        if cls is not errors.BeatnetError:
+            assert issubclass(cls, (UsageError, DataError, NumericError)), \
+                cls.__name__
 
 
 def test_numeric_errors_exit_3(tmp_path, capsys):

@@ -26,6 +26,7 @@ from beatnet.segments import (
 from beatnet.train import load_checkpoint, save_checkpoint
 
 from gradcheck import SMALL_NET
+from helpers import reframe
 
 CACHE_BLAKE2B = "9335046c047c31297a37e37cd26e048f"
 CHECKPOINT_BLAKE2B = "4c86e0dcaf8ab27ad138482899a47591"
@@ -63,14 +64,6 @@ def test_checkpoint_bytes_pinned(tmp_path):
 
 
 # --- the shared frame ---
-
-
-def reframe(path, mutate) -> None:
-    """Apply ``mutate`` to a framed file's payload and re-sign it."""
-    payload = bytearray(path.read_bytes()[:-8])
-    mutate(payload)
-    path.write_bytes(bytes(payload)
-                     + hashlib.blake2b(bytes(payload), digest_size=8).digest())
 
 
 def test_frame_layout(tmp_path):

@@ -250,12 +250,14 @@ def test_decode_channel_out_of_range():
 def test_parse_annotations_empty_stream():
     ann = parse_annotations(b"\x00\x00")
     assert len(ann) == 0
-    assert ann.events == []
+    assert ann.samples.tolist() == []
+    assert ann.codes.tolist() == []
 
 
 def test_parse_annotations_single_event():
     ann = parse_annotations(ann_word(1, 18) + end_marker())
-    assert ann.events == [(18, 1)]
+    assert ann.samples.tolist() == [18]
+    assert ann.codes.tolist() == [1]
     assert ann.samples.dtype == np.int64
     assert ann.codes.dtype == np.int16
 
@@ -263,21 +265,24 @@ def test_parse_annotations_single_event():
 def test_parse_annotations_accumulates_intervals():
     stream = simple_annotation_stream([(18, 1), (118, 5), (200, 1)])
     ann = parse_annotations(stream)
-    assert ann.events == [(18, 1), (118, 5), (200, 1)]
+    assert ann.samples.tolist() == [18, 118, 200]
+    assert ann.codes.tolist() == [1, 5, 1]
 
 
 def test_parse_annotations_skip_extends_interval():
     # one hour at 360 Hz exceeds the 10-bit word interval by far
     stream = skip_block(1296000) + ann_word(1, 5) + end_marker()
     ann = parse_annotations(stream)
-    assert ann.events == [(1296005, 1)]
+    assert ann.samples.tolist() == [1296005]
+    assert ann.codes.tolist() == [1]
 
 
 def test_parse_annotations_negative_skip():
     stream = (ann_word(1, 100) + skip_block(-30) + ann_word(5, 0)
               + end_marker())
     ann = parse_annotations(stream)
-    assert ann.events == [(100, 1), (70, 5)]
+    assert ann.samples.tolist() == [100, 70]
+    assert ann.codes.tolist() == [1, 5]
 
 
 def test_parse_annotations_skip_underflow():
@@ -293,7 +298,8 @@ def test_parse_annotations_field_words_are_skipped():
               + ann_word(62, 2)    # CHN
               + ann_word(5, 20) + end_marker())
     ann = parse_annotations(stream)
-    assert ann.events == [(10, 1), (30, 5)]
+    assert ann.samples.tolist() == [10, 30]
+    assert ann.codes.tolist() == [1, 5]
 
 
 def test_parse_annotations_aux_payload_is_skipped():
@@ -301,14 +307,17 @@ def test_parse_annotations_aux_payload_is_skipped():
         stream = (ann_word(1, 10) + aux_block(payload)
                   + ann_word(5, 20) + end_marker())
         ann = parse_annotations(stream)
-        assert ann.events == [(10, 1), (30, 5)]
+        assert ann.samples.tolist() == [10, 30]
+        assert ann.codes.tolist() == [1, 5]
 
 
 def test_parse_annotations_aux_resembling_terminator():
     # AUX payload bytes may contain zeros; they must not terminate parsing
     stream = (ann_word(1, 10) + aux_block(b"\x00\x00\x00\x00")
               + ann_word(5, 20) + end_marker())
-    assert parse_annotations(stream).events == [(10, 1), (30, 5)]
+    ann = parse_annotations(stream)
+    assert ann.samples.tolist() == [10, 30]
+    assert ann.codes.tolist() == [1, 5]
 
 
 @pytest.mark.parametrize("stream", [
@@ -325,7 +334,9 @@ def test_parse_annotations_truncated(stream):
 
 def test_parse_annotations_trailing_bytes_after_terminator_ignored():
     stream = ann_word(1, 7) + end_marker() + ann_word(5, 3)
-    assert parse_annotations(stream).events == [(7, 1)]
+    ann = parse_annotations(stream)
+    assert ann.samples.tolist() == [7]
+    assert ann.codes.tolist() == [1]
 
 
 # --- beat filtering ---
