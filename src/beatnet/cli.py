@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .chart import render_mcc_chart
 from .config import load_settings, render_snapshot
+from .container import write_text
 from .errors import DataError, NumericError, UsageError
 from .experiments import (
     build_synthetic_caches,
@@ -146,8 +147,8 @@ def _train_like(args, checkpoint_path=None) -> None:
     else:
         params, history = transfer(checkpoint_path, dataset, config)
     save_checkpoint(params, config.network, out / "checkpoint.hbdl")
-    (out / "train_log.csv").write_text(history.to_csv())
-    (out / "config.ini").write_text(render_snapshot(settings, seed))
+    write_text(out / "train_log.csv", history.to_csv())
+    write_text(out / "config.ini", render_snapshot(settings, seed))
     final = history.train_mcc[-1] if len(history) else float("nan")
     print(f"trained {config.epochs} epochs on {len(dataset)} segments "
           f"(final train MCC {final:.3f}); checkpoint in {out}")
@@ -162,9 +163,9 @@ def _cmd_evaluate(args) -> None:
     report = evaluate_dataset(params, net_config, dataset, settings, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "reports.csv").write_text(reports_to_csv([report]))
-    (out / "reports.json").write_text(reports_to_json([report]))
-    (out / "mcc_chart.svg").write_text(render_mcc_chart([report]))
+    write_text(out / "reports.csv", reports_to_csv([report]))
+    write_text(out / "reports.json", reports_to_json([report]))
+    write_text(out / "mcc_chart.svg", render_mcc_chart([report]))
     m = report.metrics["mcc"]
     print(f"{args.subset} {args.partition}: MCC {m.point:.3f} "
           f"[{m.ci_low:.3f}, {m.ci_high:.3f}] over {report.n_segments} "

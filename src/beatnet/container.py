@@ -1,10 +1,12 @@
 """The checksummed file frame shared by dataset caches and checkpoints.
 
 A framed file is: 4 magic bytes, a little-endian u16 format version,
-the body, and an 8-byte blake2b digest of everything before it. Files
-are written to a temporary name in the target directory and renamed
-into place, so an interrupted write never leaves a partial file under
-the final name.
+the body, and an 8-byte blake2b digest of everything before it.
+
+Framed files and the text artifacts of a run (reports, charts, config
+snapshots, logs) alike are written to a temporary name in the target
+directory and renamed into place, so an interrupted write never leaves
+a partial file under the final name.
 """
 
 from __future__ import annotations
@@ -32,25 +34,40 @@ def pack_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def write_framed(path, magic: bytes, version: int, parts) -> None:
-    """Write magic, version, the ``parts`` and the digest.
-
-    Each part is ``bytes`` or a C-contiguous buffer such as a NumPy
-    array, written as its raw bytes.
-    """
+def _write_atomic(path, write) -> None:
+    """Call ``write`` on a binary file handle opened on a temporary name
+    beside ``path``, then rename it to ``path``; on any failure the
+    temporary is removed and an earlier ``path`` stays as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    digest = hashlib.blake2b(digest_size=_DIGEST_BYTES)
     try:
         with open(tmp, "wb") as fh:
-            for part in (magic, struct.pack("<H", version), *parts):
-                digest.update(part)
-                fh.write(part)
-            fh.write(digest.digest())
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically."""
+    _write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
+def write_framed(path, magic: bytes, version: int, parts) -> None:
+    """Write magic, version, the ``parts`` and the digest, atomically.
+
+    Each part is ``bytes`` or a C-contiguous buffer such as a NumPy
+    array, written as its raw bytes.
+    """
+    def write(fh):
+        digest = hashlib.blake2b(digest_size=_DIGEST_BYTES)
+        for part in (magic, struct.pack("<H", version), *parts):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
+
+    _write_atomic(path, write)
 
 
 class FramedReader:

@@ -138,3 +138,7 @@ class MissingCheckpoint(DataError):
 
 class NoReportsFound(DataError):
     """Report consolidation found no evaluation reports."""
+
+
+class MalformedReport(DataError):
+    """A run directory's reports.json or run_info.json cannot be read."""

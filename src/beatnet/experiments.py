@@ -25,9 +25,11 @@ import numpy as np
 
 from .chart import render_mcc_chart
 from .config import Settings, render_snapshot
+from .container import write_text
 from .errors import (
     DataError,
     EmptyDataset,
+    MalformedReport,
     MissingCache,
     MissingCheckpoint,
     NoReportsFound,
@@ -40,6 +42,7 @@ from .records import SUBSET_NAMES, load_manifest, load_record
 from .segments import (
     TEST,
     TRAIN,
+    WINDOW_SECONDS,
     LabeledDataset,
     build_subsets,
     load_cache,
@@ -83,14 +86,22 @@ def load_cache_checked(cache_dir: Path, subset: str,
 
 
 def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
+    """Write every dataset's cache and the stats file, or, when any
+    dataset has no segments, nothing at all."""
+    ordered = [datasets[key] for key in sorted(datasets)]
+    for ds in ordered:
+        if len(ds) == 0:
+            raise EmptyDataset(
+                f"{ds.subset_name} {ds.partition} has no segments: its "
+                f"records are shorter than one {WINDOW_SECONDS} s window; "
+                f"no caches written")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    ordered = [datasets[key] for key in sorted(datasets)]
     for ds in ordered:
         path = cache_file(out_dir, ds.subset_name, ds.partition)
         save_cache(ds, path)
         written.append(path)
-    (out_dir / STATS_FILE).write_text(stats_csv(ordered))
+    write_text(out_dir / STATS_FILE, stats_csv(ordered))
     return written
 
 
@@ -209,15 +220,15 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
             ckpt = out_dir / f"checkpoint{suffix}.hbdl"
             save_checkpoint(params, net_config, ckpt)
             checkpoints.append(ckpt)
-            (out_dir / f"train_log{suffix}.csv").write_text(history.to_csv())
+            write_text(out_dir / f"train_log{suffix}.csv", history.to_csv())
         reports.extend(evaluate_dataset(params, net_config, ds, settings, seed)
                        for ds in datasets)
 
-    (out_dir / REPORTS_CSV).write_text(reports_to_csv(reports))
-    (out_dir / REPORTS_JSON).write_text(reports_to_json(reports))
-    (out_dir / CHART_FILE).write_text(render_mcc_chart(
+    write_text(out_dir / REPORTS_CSV, reports_to_csv(reports))
+    write_text(out_dir / REPORTS_JSON, reports_to_json(reports))
+    write_text(out_dir / CHART_FILE, render_mcc_chart(
         reports, f"Experiment {experiment_id}: MCC with 90% CIs"))
-    (out_dir / CONFIG_SNAPSHOT).write_text(render_snapshot(settings, seed))
+    write_text(out_dir / CONFIG_SNAPSHOT, render_snapshot(settings, seed))
     info = {
         "experiment": experiment_id,
         "seed": seed,
@@ -226,8 +237,8 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
         "caches": {p.name: _file_hash(p) for p in caches},
         "checkpoints": {p.name: _file_hash(p) for p in checkpoints},
     }
-    (out_dir / RUN_INFO).write_text(json.dumps(info, indent=2, sort_keys=True)
-                                    + "\n")
+    write_text(out_dir / RUN_INFO,
+               json.dumps(info, indent=2, sort_keys=True) + "\n")
     return reports
 
 
@@ -246,20 +257,18 @@ def consolidate_reports(run_dir) -> tuple[str, str]:
     csv_lines = ["source,subset,partition,n_segments,metric,point,"
                  "boot_mean,ci_low,ci_high"]
     for path in found:
-        reports = reports_from_json(path.read_text())
+        reports = _read_run_file(path, reports_from_json)
         rel = path.parent.relative_to(run_dir)
         name = str(rel) if str(rel) != "." else run_dir.name
         md.append(f"## {name}")
         md.append("")
         info_path = path.parent / RUN_INFO
         if info_path.exists():
-            info = json.loads(info_path.read_text())
-            md.append(f"Experiment {info.get('experiment', '?')}, "
-                      f"seed {info.get('seed', '?')}.")
+            md.append(_read_run_file(info_path, _run_info_line))
             md.append("")
         snap_path = path.parent / CONFIG_SNAPSHOT
         if snap_path.exists():
-            net_lines = _network_section(snap_path.read_text())
+            net_lines = _read_run_file(snap_path, _network_section)
             if net_lines:
                 md.append("Network: " + "; ".join(net_lines) + ".")
                 md.append("")
@@ -282,6 +291,23 @@ def consolidate_reports(run_dir) -> tuple[str, str]:
     return "\n".join(md) + "\n", "\n".join(csv_lines) + "\n"
 
 
+def _read_run_file(path: Path, parse):
+    """``parse`` applied to a run file's text; a file that cannot be read
+    or parsed raises MalformedReport naming it."""
+    try:
+        return parse(path.read_text())
+    except (OSError, ValueError, DataError) as exc:
+        raise MalformedReport(f"cannot read {path}: {exc}") from exc
+
+
+def _run_info_line(text: str) -> str:
+    info = json.loads(text)
+    if not isinstance(info, dict):
+        raise MalformedReport("not a JSON object")
+    return (f"Experiment {info.get('experiment', '?')}, "
+            f"seed {info.get('seed', '?')}.")
+
+
 def _network_section(snapshot_text: str) -> list[str]:
     lines = []
     in_network = False
@@ -301,6 +327,6 @@ def write_summary(run_dir) -> tuple[Path, Path]:
     run_dir = Path(run_dir)
     md_path = run_dir / "summary.md"
     csv_path = run_dir / "summary.csv"
-    md_path.write_text(md)
-    csv_path.write_text(csv_text)
+    write_text(md_path, md)
+    write_text(csv_path, csv_text)
     return md_path, csv_path

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import EmptyInput, LengthMismatch, MalformedReport
 
 METRIC_NAMES = ("mcc", "precision", "sensitivity", "f1")
 
@@ -202,11 +202,23 @@ def reports_to_json(reports) -> str:
 
 
 def reports_from_json(text: str) -> list[EvalReport]:
-    out = []
-    for item in json.loads(text):
-        metrics = {name: MetricCI(v["point"], v["boot_mean"], v["ci_low"],
-                                  v["ci_high"])
-                   for name, v in item["metrics"].items()}
-        out.append(EvalReport(item["subset"], item["partition"],
-                              item["n_segments"], metrics))
+    """Read :func:`reports_to_json` output back.
+
+    Anything else (text that is not JSON, a missing key or metric, a
+    metric value that is not a number) raises MalformedReport.
+    """
+    try:
+        out = []
+        for item in json.loads(text):
+            metrics = {name: MetricCI(float(v["point"]),
+                                      float(v["boot_mean"]),
+                                      float(v["ci_low"]), float(v["ci_high"]))
+                       for name, v in item["metrics"].items()}
+            missing = [name for name in METRIC_NAMES if name not in metrics]
+            if missing:
+                raise MalformedReport(f"a report lacks metrics {missing}")
+            out.append(EvalReport(item["subset"], item["partition"],
+                                  item["n_segments"], metrics))
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise MalformedReport(f"not a list of reports: {exc!r}") from exc
     return out

@@ -9,7 +9,10 @@ op for inference and is folded into the loss during training.
 Everything is functional: parameters live in a plain dict of float32
 arrays keyed by layer name, and no forward or backward call mutates
 them. BatchNorm's train-mode forward returns candidate running-stat
-updates; committing them is the trainer's job.
+updates; committing them is the trainer's job. :func:`forward` runs the
+trunk (the conv blocks) and the head (flatten onward) together;
+:func:`trunk_features` and :func:`forward_head` run them apart, which
+lets a frozen trunk's features be computed once and reused.
 
 Unconventional but deliberate: BatchNorm comes before the convolution
 inside each block, and there is no ReLU after the final FC layer.
@@ -27,6 +30,7 @@ from .errors import DegenerateBatch, InvalidProbability, ShapeMismatch
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
+EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
 
 
 @dataclass(frozen=True)
@@ -382,33 +386,21 @@ class ForwardCache:
     bn_updates: dict = field(default_factory=dict)
 
 
-def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
-            train: bool, rng: np.random.Generator | None = None,
-            freeze_conv: bool = False,
-            ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on (n, 1, input_length) inputs; returns logits.
-
-    In train mode the cache carries every intermediate needed by
-    :func:`backward` plus candidate BN running-stat updates (empty when
-    ``freeze_conv`` keeps the trunk in eval mode). No parameter is
-    mutated here.
-    """
-    if batch.ndim != 3 or batch.shape[1] != 1 \
-            or batch.shape[2] != config.input_length:
+def _trunk(config: NetworkConfig, params: dict, h: np.ndarray, train: bool,
+           cache: ForwardCache) -> np.ndarray:
+    """The four conv blocks on (n, 1, input_length) inputs; returns the
+    (n, C, L) trunk output and appends its intermediates to ``cache``."""
+    if h.ndim != 3 or h.shape[1] != 1 or h.shape[2] != config.input_length:
         raise ShapeMismatch(
-            f"expected (n, 1, {config.input_length}) input, got "
-            f"{batch.shape}")
-    cache = ForwardCache()
-    conv_train = train and not freeze_conv
-    h = batch
+            f"expected (n, 1, {config.input_length}) input, got {h.shape}")
     for b in range(len(config.conv_blocks)):
         prefix = f"conv{b}"
         y, bn_cache, new_mean, new_var = batchnorm1d_forward(
             h, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
             params[f"{prefix}.bn.running_mean"],
             params[f"{prefix}.bn.running_var"],
-            train=conv_train, eps=config.bn_eps, momentum=config.bn_momentum)
-        if conv_train:
+            train=train, eps=config.bn_eps, momentum=config.bn_momentum)
+        if train:
             cache.bn_updates[f"{prefix}.bn.running_mean"] = new_mean
             cache.bn_updates[f"{prefix}.bn.running_var"] = new_var
         cache.layers.append(("bn", prefix, bn_cache))
@@ -421,10 +413,60 @@ def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
         pre_pool_length = h.shape[2]
         h, idx = maxpool1d_forward(h)
         cache.layers.append(("pool", prefix, (idx, pre_pool_length)))
-    return _forward_head(config, params, h, train, rng, cache)
+    return h
 
 
-def _forward_head(config, params, h, train, rng, cache):
+def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
+            train: bool, rng: np.random.Generator | None = None,
+            ) -> tuple[np.ndarray, ForwardCache]:
+    """Run the whole network on (n, 1, input_length) inputs; returns logits.
+
+    In train mode the cache carries every intermediate needed by
+    :func:`backward` plus candidate BN running-stat updates. No
+    parameter is mutated here. A frozen trunk does not come through
+    here: its features are computed once by :func:`trunk_features` and
+    only :func:`forward_head` runs per batch.
+    """
+    cache = ForwardCache()
+    h = _trunk(config, params, batch, train, cache)
+    return forward_head(config, params, h, train, rng, cache)
+
+
+def trunk_features(config: NetworkConfig, params: dict,
+                   X: np.ndarray) -> np.ndarray:
+    """Eval-mode trunk output, flattened to (n, flatten_width), for
+    (n, input_length) or (n, 1, input_length) data, computed in chunks
+    of ``EVAL_BATCH_ROWS`` rows.
+
+    The input of :func:`forward_head` when the trunk is frozen: eval
+    mode makes each row's features independent of the rest of its
+    batch, so they can be computed once and reused.
+    """
+    if X.ndim == 2:
+        X = X[:, None, :]
+    outs = []
+    for start in range(0, X.shape[0], EVAL_BATCH_ROWS):
+        h = _trunk(config, params, X[start:start + EVAL_BATCH_ROWS], False,
+                   ForwardCache())
+        outs.append(h.reshape(h.shape[0], -1))
+    if not outs:
+        return np.empty((0, config.flatten_width), dtype=np.float32)
+    return np.concatenate(outs)
+
+
+def forward_head(config: NetworkConfig, params: dict, h: np.ndarray,
+                 train: bool, rng: np.random.Generator | None = None,
+                 cache: ForwardCache | None = None,
+                 ) -> tuple[np.ndarray, ForwardCache]:
+    """Flatten, Dropout and the FC layers on trunk outputs; returns logits.
+
+    ``h`` is the (n, C, L) trunk output or its (n, flatten_width)
+    flattening. A head-only ``cache`` (the default, a new one) starts at
+    the flatten entry, so :func:`backward` on it returns FC gradients
+    only, and it never holds BN updates.
+    """
+    if cache is None:
+        cache = ForwardCache()
     n = h.shape[0]
     flat_shape = h.shape
     h = h.reshape(n, -1)
@@ -446,12 +488,13 @@ def _forward_head(config, params, h, train, rng, cache):
 
 
 def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
-             dlogits: np.ndarray, fc_only: bool = False) -> dict:
-    """Gradients of the loss w.r.t. every trainable parameter.
+             dlogits: np.ndarray) -> dict:
+    """Gradients of the loss w.r.t. the parameters the cache covers.
 
-    Walks the cached layers in reverse. With ``fc_only`` (frozen trunk)
-    the walk stops at the flatten step and only FC gradients are
-    returned.
+    Walks the cached layers in reverse. A cache from :func:`forward`
+    yields every trainable parameter; one from :func:`forward_head`
+    alone ends at its flatten entry, so the walk stops there and only
+    FC gradients are returned.
     """
     grads: dict[str, np.ndarray] = {}
     dy = dlogits
@@ -465,8 +508,6 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
         elif kind == "dropout":
             dy = dropout_backward(dy, stored)
         elif kind == "flatten":
-            if fc_only:
-                return grads
             dy = dy.reshape(stored)
         elif kind == "pool":
             idx, input_length = stored
@@ -485,7 +526,7 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
 
 
 def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
-                   batch_size: int = 1024) -> np.ndarray:
+                   batch_size: int = EVAL_BATCH_ROWS) -> np.ndarray:
     """Eval-mode logits for (n, input_length) or (n, 1, input_length) data."""
     if X.ndim == 2:
         X = X[:, None, :]
@@ -500,6 +541,6 @@ def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
 
 
 def predict_labels(config: NetworkConfig, params: dict, X: np.ndarray,
-                   batch_size: int = 1024) -> np.ndarray:
+                   batch_size: int = EVAL_BATCH_ROWS) -> np.ndarray:
     """Hard class decisions (argmax of the logits)."""
     return predict_logits(config, params, X, batch_size).argmax(axis=1)

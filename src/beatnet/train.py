@@ -4,11 +4,18 @@ One run owns its parameter dict exclusively: the loop shuffles segment
 order each epoch with the seeded generator (NumPy PCG64 via
 ``default_rng``; seeds therefore reproduce across machines), walks the
 batches (final short batch included), backpropagates the weighted
-cross-entropy and applies AdaDelta updates. With ``freeze_conv`` the
-convolutional trunk runs in eval mode: its weights, BN parameters and
-BN running statistics all stay exactly as loaded, and only the FC head
-trains. That is the transfer-learning mode; the head fine-tunes from
-the loaded values rather than being re-initialized.
+cross-entropy and applies AdaDelta updates, then scores the epoch with
+an eval-mode pass over the training data.
+
+With ``freeze_conv`` (the transfer-learning mode) the convolutional
+trunk runs in eval mode, so its weights, BN parameters and BN running
+statistics all stay exactly as loaded, and its output for a segment
+never changes. The loop therefore computes the trunk features of the
+whole dataset once, up front, and each batch (and each epoch's scoring
+pass) runs only the FC head on them; the head fine-tunes from the
+loaded values rather than being re-initialized. The batches, the
+dropout draws and so the results are the same as running the frozen
+trunk on every batch.
 
 Checkpoints use the shared frame of :mod:`beatnet.container` (magic
 "HBDL", u16 version, 8-byte checksum trailer). The body is a u32-length
@@ -41,9 +48,11 @@ from .nn import (
     NetworkConfig,
     backward,
     forward,
+    forward_head,
     init_params,
     param_layout,
     predict_labels,
+    trunk_features,
 )
 from .optim import EPS, RHO, AdaDeltaState, adadelta_step
 from .segments import LabeledDataset
@@ -139,7 +148,12 @@ def train(dataset: LabeledDataset, config: TrainConfig,
     else:
         params = _copy_params(init, config.network)
 
-    X = dataset.X[:, None, :]
+    if config.freeze_conv:
+        inputs = trunk_features(config.network, params, dataset.X)
+        step = forward_head
+    else:
+        inputs = dataset.X[:, None, :]
+        step = forward
     y = dataset.y.astype(np.int64)
     state = AdaDeltaState(rho=config.rho, eps=config.eps, lr=config.lr)
     history = TrainHistory()
@@ -150,24 +164,27 @@ def train(dataset: LabeledDataset, config: TrainConfig,
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            xb = X[batch_idx]
             yb = y[batch_idx]
-            logits, cache = forward(config.network, params, xb, train=True,
-                                    rng=rng, freeze_conv=config.freeze_conv)
+            logits, cache = step(config.network, params, inputs[batch_idx],
+                                 train=True, rng=rng)
             loss, dlogits = weighted_cross_entropy(
                 logits, yb, config.weights, config.reduction)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} in epoch {epoch + 1}, batch "
                     f"starting at segment {start}")
-            grads = backward(config.network, params, cache, dlogits,
-                             fc_only=config.freeze_conv)
+            grads = backward(config.network, params, cache, dlogits)
             adadelta_step(params, grads, state)
             for name, value in cache.bn_updates.items():
                 params[name] = value
             loss_sum += loss * (len(batch_idx)
                                 if config.reduction == "mean" else 1.0)
-        preds = predict_labels(config.network, params, X)
+        if config.freeze_conv:
+            logits, _ = forward_head(config.network, params, inputs,
+                                     train=False)
+            preds = logits.argmax(axis=1)
+        else:
+            preds = predict_labels(config.network, params, inputs)
         history.mean_loss.append(loss_sum / n)
         history.train_mcc.append(mcc_from_labels(preds, y))
         history.seconds.append(time.perf_counter() - started)

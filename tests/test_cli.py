@@ -13,10 +13,11 @@ from beatnet.cli import main
 from beatnet.config import Settings, load_settings, parse_fraction, \
     render_snapshot
 from beatnet.errors import DataError, NumericError, UsageError
-from beatnet.experiments import build_synthetic_caches
+from beatnet.experiments import cache_file
 from beatnet.metrics import reports_from_json
 from beatnet.nn import NetworkConfig, init_params
-from beatnet.segments import load_cache
+from beatnet.segments import SEGMENT_LENGTH, TEST, LabeledDataset, \
+    load_cache, save_cache
 from beatnet.train import TrainConfig, save_checkpoint
 
 from helpers import reframe, simple_annotation_stream, write_wfdb_record
@@ -433,15 +434,47 @@ def test_data_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o6"), "--config", cfg]) == 2
     assert "dropout_p" in capsys.readouterr().err
 
-    # records shorter than one window give caches with no segments
+    # a cache with no segments
     short = tmp_path / "short"
-    build_synthetic_caches(short, Settings(), duration=0.2)
+    short.mkdir()
+    save_cache(LabeledDataset(
+        "NormalSinus+LongTerm", TEST,
+        np.empty((0, SEGMENT_LENGTH), np.float32), np.empty(0, np.uint8),
+        np.empty(0, np.uint32), np.empty(0, np.uint32), ()),
+        cache_file(short, "NormalSinus+LongTerm", TEST))
     assert main(["evaluate", "--caches", str(short),
                  "--subset", "NormalSinus+LongTerm", "--partition", "Test",
                  "--checkpoint", str(good),
                  "--out", str(tmp_path / "o7"), "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "NormalSinus+LongTerm Test" in err
+
+    # one window's worth of samples at 250 Hz rounds down to 62, which
+    # holds no window: nothing is written
+    one_window = tmp_path / "one-window"
+    assert main(["build-dataset", "--out", str(one_window),
+                 "--duration", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "has no segments" in err
+    assert not one_window.exists()
+
+    # report on run files it cannot read
+    run = tmp_path / "run"
+    run.mkdir()
+    one_metric = {"point": "high", "boot_mean": 0, "ci_low": 0, "ci_high": 0}
+    for name, text in [("reports.json", '{"x": 1}'),
+                       ("reports.json", "garbage"),
+                       ("reports.json", '[{"metrics": {}}]'),
+                       ("reports.json", json.dumps([{"metrics": dict.fromkeys(
+                           ("mcc", "precision", "sensitivity", "f1"),
+                           one_metric)}])),
+                       ("run_info.json", "[1]")]:
+        if name == "run_info.json":
+            (run / "reports.json").write_text("[]")  # no reports, but valid
+        (run / name).write_text(text)
+        assert main(["report", "--dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(run / name) in err
 
 
 def test_every_error_class_has_an_exit_code():

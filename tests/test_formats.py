@@ -13,23 +13,37 @@ import struct
 import numpy as np
 import pytest
 
-from beatnet.container import pack_str, read_framed, write_framed
+from beatnet.container import pack_str, read_framed, write_framed, \
+    write_text
 from beatnet.errors import CorruptCache, CorruptCheckpoint, VersionMismatch
-from beatnet.nn import init_params
+from beatnet.nn import DEFAULT_CONFIG, init_params
 from beatnet.segments import (
     SEGMENT_LENGTH,
     TRAIN,
     LabeledDataset,
+    build_labeled_dataset,
     load_cache,
     save_cache,
 )
-from beatnet.train import load_checkpoint, save_checkpoint
+from beatnet.synthetic import make_synthetic_records
+from beatnet.train import TrainConfig, load_checkpoint, save_checkpoint, \
+    transfer
 
 from gradcheck import SMALL_NET
 from helpers import reframe
 
 CACHE_BLAKE2B = "9335046c047c31297a37e37cd26e048f"
 CHECKPOINT_BLAKE2B = "4c86e0dcaf8ab27ad138482899a47591"
+
+# A fine-tuned head goes through BLAS GEMMs and the exp/log of the loss,
+# so unlike the two pins above this one assumes the float32 results of
+# the machine it was recorded on (x86-64, OpenBLAS, 1 or 2 threads).
+# It pins the transfer path as a whole: frozen-trunk features, dropout
+# draws, head-only AdaDelta and the per-epoch train-MCC pass.
+TRANSFER_BLAKE2B = "4708f0e77d036b9aca7252e60a6f9289"
+TRANSFER_MEAN_LOSS = [0.6932830532391866, 0.6930174215634664,
+                      0.6929511857032776]
+TRANSFER_TRAIN_MCC = [0.04880953245633801, 0.7308635239791557, 0.0]
 
 
 def seeded_dataset(seed: int = 0) -> LabeledDataset:
@@ -61,6 +75,23 @@ def test_checkpoint_bytes_pinned(tmp_path):
     save_checkpoint(init_params(SMALL_NET, np.random.default_rng(0)),
                     SMALL_NET, path)
     assert file_digest(path) == CHECKPOINT_BLAKE2B
+
+
+def test_transfer_result_pinned(tmp_path):
+    source = tmp_path / "source.hbdl"
+    save_checkpoint(init_params(DEFAULT_CONFIG, np.random.default_rng(1)),
+                    DEFAULT_CONFIG, source)
+    records = make_synthetic_records(n_subjects=3, seed=5)
+    target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
+                                   {r.subject_id for r in records})
+    assert len(target) == 150  # 9 batches of 16, then a short one of 6
+    params, history = transfer(source, target, TrainConfig(
+        epochs=3, batch_size=16, lr=0.1, seed=3))
+    path = tmp_path / "head.hbdl"
+    save_checkpoint(params, DEFAULT_CONFIG, path)
+    assert file_digest(path) == TRANSFER_BLAKE2B
+    assert history.mean_loss == TRANSFER_MEAN_LOSS
+    assert history.train_mcc == TRANSFER_TRAIN_MCC
 
 
 # --- the shared frame ---
@@ -110,6 +141,28 @@ def test_write_is_atomic(tmp_path):
         write_framed(path, b"TEST", 1, parts())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+
+def test_text_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "report.csv"
+    write_text(path, "old\n")
+    assert path.read_bytes() == b"old\n"
+
+    # fails while writing: a lone surrogate has no UTF-8 encoding
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "new \ud800\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    # fails after writing, at the rename
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("beatnet.container.os.replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_text(path, "new\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 def test_cache_with_non_utf8_string_is_corrupt(tmp_path):

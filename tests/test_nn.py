@@ -12,6 +12,7 @@ from beatnet.nn import (
     DEFAULT_CONFIG,
     ConvBlockSpec,
     NetworkConfig,
+    backward,
     batchnorm1d_forward,
     conv1d_forward,
     conv_part_keys,
@@ -19,6 +20,7 @@ from beatnet.nn import (
     dropout_forward,
     fc_part_keys,
     forward,
+    forward_head,
     init_params,
     linear_forward,
     maxpool1d_backward,
@@ -30,6 +32,7 @@ from beatnet.nn import (
     relu_forward,
     softmax,
     trainable_keys,
+    trunk_features,
 )
 
 
@@ -343,13 +346,49 @@ def test_forward_train_reports_bn_updates_without_committing():
                               params["conv0.bn.running_mean"])
 
 
-def test_forward_freeze_conv_keeps_bn_frozen():
+def test_forward_head_keeps_bn_frozen():
     rng = np.random.default_rng(12)
     params = init_params(DEFAULT_CONFIG, rng)
-    x = rng.normal(size=(4, 1, 250)).astype(np.float32)
-    _, cache = forward(DEFAULT_CONFIG, params, x, train=True,
-                       rng=np.random.default_rng(1), freeze_conv=True)
+    h = rng.normal(size=(4, DEFAULT_CONFIG.flatten_width)).astype(np.float32)
+    logits, cache = forward_head(DEFAULT_CONFIG, params, h, train=True,
+                                 rng=np.random.default_rng(1))
     assert cache.bn_updates == {}
+    # a head-only cache ends at flatten, so backward yields FC grads only
+    grads = backward(DEFAULT_CONFIG, params, cache, np.ones_like(logits))
+    assert set(grads) == {k for k in trainable_keys(DEFAULT_CONFIG)
+                          if k.startswith("fc")}
+
+
+def _forward_features(params, X):
+    """The flattened eval-mode trunk output inside ``forward``: the input
+    the first FC layer cached (dropout is the identity in eval mode)."""
+    _, cache = forward(DEFAULT_CONFIG, params, X[:, None, :], train=False)
+    return next(stored for kind, name, stored in cache.layers
+                if (kind, name) == ("fc", "fc0"))
+
+
+@pytest.mark.parametrize("n", [1024, 2050])
+def test_trunk_features_equal_forward_trunk(n):
+    rng = np.random.default_rng(15)
+    params = init_params(DEFAULT_CONFIG, rng)
+    X = rng.normal(size=(n, 250)).astype(np.float32)
+    features = trunk_features(DEFAULT_CONFIG, params, X)
+    assert features.shape == (n, DEFAULT_CONFIG.flatten_width)
+    # the training batches of 64 rows, and the whole input at once
+    np.testing.assert_array_equal(features, np.concatenate(
+        [_forward_features(params, X[i:i + 64]) for i in range(0, n, 64)]))
+    np.testing.assert_array_equal(features, _forward_features(params, X))
+    # the head on the features gives the logits of the whole network
+    np.testing.assert_array_equal(
+        forward_head(DEFAULT_CONFIG, params, features[:64], train=False)[0],
+        forward(DEFAULT_CONFIG, params, X[:64, None, :], train=False)[0])
+
+
+def test_trunk_features_of_no_rows():
+    params = init_params(DEFAULT_CONFIG, np.random.default_rng(16))
+    features = trunk_features(DEFAULT_CONFIG, params,
+                              np.empty((0, 250), dtype=np.float32))
+    assert features.shape == (0, DEFAULT_CONFIG.flatten_width)
 
 
 def test_forward_rejects_wrong_length():
