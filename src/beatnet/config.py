@@ -21,7 +21,7 @@ from .nn import BN_EPS, BN_MOMENTUM, ConvBlockSpec, NetworkConfig
 from .optim import EPS, LR, RHO
 from .segments import MAX_RECORD_SECONDS, WINDOW_SECONDS
 from .train import TrainConfig
-from .wfdb_io import DEFAULT_BEAT_SYMBOLS
+from .wfdb_io import DEFAULT_BEAT_SYMBOLS, resolve_beat_codes
 
 
 def parse_fraction(text: str) -> float:
@@ -135,7 +135,7 @@ def load_settings(path: str | Path | None = None) -> Settings:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise UsageError(f"malformed config {path}: {exc}") from exc
@@ -157,6 +157,7 @@ def load_settings(path: str | Path | None = None) -> Settings:
     try:
         settings = Settings(**values)
         settings.train_config()  # runs the network and training checks
+        resolve_beat_codes(settings.beat_codes)  # known mnemonics only
         if not settings.max_record_seconds >= WINDOW_SECONDS:
             raise UsageError(f"max_record_seconds must be >= "
                              f"{WINDOW_SECONDS} (one window), got "

@@ -71,17 +71,16 @@ def write_framed(path, magic: bytes, version: int, parts) -> None:
 
 
 class FramedReader:
-    """Cursor over a framed file's body; every overrun raises ``error``."""
+    """Cursor over a framed file's body; every overrun raises DataError."""
 
-    def __init__(self, body: memoryview, error: type[DataError], path):
+    def __init__(self, body: memoryview, path):
         self.body = body
-        self.error = error
         self.path = path
         self.pos = 0
 
     def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.body):
-            raise self.error(f"{self.path} is truncated")
+            raise DataError(f"{self.path} is truncated")
         out = self.body[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -94,38 +93,36 @@ class FramedReader:
         try:
             return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
-            raise self.error(f"{self.path} holds a string that is not "
-                             f"UTF-8: {exc}") from exc
+            raise DataError(f"{self.path} holds a string that is not "
+                            f"UTF-8: {exc}") from exc
 
     def finish(self) -> None:
         """Fail unless the whole body has been consumed."""
         if self.pos != len(self.body):
-            raise self.error(f"{len(self.body) - self.pos} trailing bytes "
-                             f"in {self.path}")
+            raise DataError(f"{len(self.body) - self.pos} trailing bytes "
+                            f"in {self.path}")
 
 
-def read_framed(path, magic: bytes, version: int, error: type[DataError],
-                version_error: type[DataError] | None = None) -> FramedReader:
+def read_framed(path, magic: bytes, version: int) -> FramedReader:
     """Check a framed file and return a reader positioned after its version.
 
-    Unreadable, short, checksum-damaged or foreign files raise ``error``;
-    a version other than ``version`` raises ``version_error`` (default
-    ``error``).
+    Unreadable, short, checksum-damaged or foreign files, and a version
+    other than ``version``, raise DataError.
     """
     try:
         data = memoryview(Path(path).read_bytes())
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if len(data) < len(magic) + 2 + _DIGEST_BYTES:
-        raise error(f"{path} is too small")
+        raise DataError(f"{path} is too small")
     payload = data[:-_DIGEST_BYTES]
     if _checksum(payload) != data[-_DIGEST_BYTES:]:
-        raise error(f"checksum mismatch in {path}")
-    reader = FramedReader(payload, error, path)
+        raise DataError(f"checksum mismatch in {path}")
+    reader = FramedReader(payload, path)
     if reader.take(len(magic)) != magic:
-        raise error(f"bad magic in {path}")
+        raise DataError(f"bad magic in {path}")
     (found,) = reader.unpack("<H")
     if found != version:
-        raise (version_error or error)(
-            f"{path} has format version {found}, expected {version}")
+        raise DataError(f"{path} has format version {found}, "
+                        f"expected {version}")
     return reader

@@ -26,15 +26,7 @@ import numpy as np
 from .chart import render_mcc_chart
 from .config import Settings, render_snapshot
 from .container import write_text
-from .errors import (
-    DataError,
-    EmptyDataset,
-    MalformedReport,
-    MissingCache,
-    MissingCheckpoint,
-    NoReportsFound,
-    UsageError,
-)
+from .errors import DataError, UsageError
 from .metrics import EvalReport, build_report, reports_from_json, \
     reports_to_csv, reports_to_json
 from .nn import predict_labels
@@ -76,22 +68,25 @@ def load_cache_checked(cache_dir: Path, subset: str,
                         partition: str) -> LabeledDataset:
     path = cache_file(cache_dir, subset, partition)
     if not path.exists():
-        raise MissingCache(f"no cache for {subset} {partition} at {path}; "
-                           f"run ingest or build-dataset first")
+        raise DataError(f"no cache for {subset} {partition} at {path}; "
+                        f"run ingest or build-dataset first")
     ds = load_cache(path)
     if ds.subset_name != subset or ds.partition != partition:
-        raise MissingCache(f"cache {path} holds {ds.subset_name} "
-                           f"{ds.partition}, expected {subset} {partition}")
+        raise DataError(f"cache {path} holds {ds.subset_name} "
+                        f"{ds.partition}, expected {subset} {partition}")
     return ds
 
 
 def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
-    """Write every dataset's cache and the stats file, or, when any
-    dataset has no segments, nothing at all."""
+    """Write every dataset's cache and the stats file, or, when there is
+    no dataset or any dataset has no segments, nothing at all."""
+    if not datasets:
+        raise DataError("no records to build a dataset from; no caches "
+                        "written")
     ordered = [datasets[key] for key in sorted(datasets)]
     for ds in ordered:
         if len(ds) == 0:
-            raise EmptyDataset(
+            raise DataError(
                 f"{ds.subset_name} {ds.partition} has no segments: its "
                 f"records are shorter than one {WINDOW_SECONDS} s window; "
                 f"no caches written")
@@ -117,7 +112,7 @@ def run_ingest(manifest_path, out_dir, settings: Settings) -> list[Path]:
         try:
             records.append(load_record(source, root, settings.beat_codes))
         except DataError as exc:
-            raise type(exc)(f"record {source.record_id!r}: {exc}") from exc
+            raise DataError(f"record {source.record_id!r}: {exc}") from exc
     datasets = build_subsets(records, settings.train_fraction, settings.seed,
                              settings.max_record_seconds)
     return _write_caches(datasets, Path(out_dir))
@@ -141,8 +136,8 @@ def _file_hash(path: Path) -> str:
 def evaluate_dataset(params, net_config, dataset: LabeledDataset,
                      settings: Settings, seed: int) -> EvalReport:
     if len(dataset) == 0:
-        raise EmptyDataset(f"{dataset.subset_name} {dataset.partition} has "
-                           f"no segments to evaluate")
+        raise DataError(f"{dataset.subset_name} {dataset.partition} has "
+                        f"no segments to evaluate")
     preds = predict_labels(net_config, params, dataset.X)
     return build_report(preds, dataset.y.astype(np.int64),
                         dataset.subset_name, dataset.partition,
@@ -189,16 +184,16 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
         checkpoints = []
     else:
         if checkpoint is None:
-            raise MissingCheckpoint(
+            raise DataError(
                 f"experiment {experiment_id} needs the experiment-1 "
                 f"checkpoint (--checkpoint)")
         checkpoint = Path(checkpoint)
         if not checkpoint.exists():
-            raise MissingCheckpoint(f"checkpoint {checkpoint} does not exist")
+            raise DataError(f"checkpoint {checkpoint} does not exist")
         partitions = (TEST,) if experiment_id == 2 else (TRAIN, TEST)
         targets = _present_targets(cache_dir, partitions)
         if not targets:
-            raise MissingCache(f"no target subset caches in {cache_dir}")
+            raise DataError(f"no target subset caches in {cache_dir}")
         checkpoints = [checkpoint]
     if experiment_id == 2:
         params, net_config = load_checkpoint(checkpoint)
@@ -245,13 +240,13 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
 def consolidate_reports(run_dir) -> tuple[str, str]:
     """Merge every reports.json under ``run_dir`` into one summary.
 
-    Returns (markdown, csv) and raises NoReportsFound when the scan
+    Returns (markdown, csv) and raises DataError when the scan
     comes up empty. Sections are ordered by directory name.
     """
     run_dir = Path(run_dir)
     found = sorted(run_dir.glob(f"**/{REPORTS_JSON}"))
     if not found:
-        raise NoReportsFound(f"no {REPORTS_JSON} anywhere under {run_dir}")
+        raise DataError(f"no {REPORTS_JSON} anywhere under {run_dir}")
 
     md = ["# Beat detection results", ""]
     csv_lines = ["source,subset,partition,n_segments,metric,point,"
@@ -293,17 +288,17 @@ def consolidate_reports(run_dir) -> tuple[str, str]:
 
 def _read_run_file(path: Path, parse):
     """``parse`` applied to a run file's text; a file that cannot be read
-    or parsed raises MalformedReport naming it."""
+    or parsed raises DataError naming it."""
     try:
         return parse(path.read_text())
     except (OSError, ValueError, DataError) as exc:
-        raise MalformedReport(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def _run_info_line(text: str) -> str:
     info = json.loads(text)
     if not isinstance(info, dict):
-        raise MalformedReport("not a JSON object")
+        raise DataError("not a JSON object")
     return (f"Experiment {info.get('experiment', '?')}, "
             f"seed {info.get('seed', '?')}.")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, ShapeMismatch
+from .errors import DataError
 
 W_NOBEAT = 0.06
 W_BEAT = 0.94
@@ -27,8 +27,8 @@ class ClassWeights:
 
     def __post_init__(self):
         if self.w_nobeat <= 0 or self.w_beat <= 0:
-            raise ShapeMismatch(f"class weights must be > 0, got "
-                                f"({self.w_nobeat}, {self.w_beat})")
+            raise DataError(f"class weights must be > 0, got "
+                            f"({self.w_nobeat}, {self.w_beat})")
 
     def per_sample(self, labels: np.ndarray, dtype=np.float64) -> np.ndarray:
         return np.where(labels == 1, dtype(self.w_beat),
@@ -47,18 +47,18 @@ def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     produced.
     """
     if logits.ndim != 2 or logits.shape[1] != 2:
-        raise ShapeMismatch(f"expected (n, 2) logits, got {logits.shape}")
+        raise DataError(f"expected (n, 2) logits, got {logits.shape}")
     n = logits.shape[0]
     if n == 0:
-        raise EmptyBatch("cannot compute a loss over zero samples")
+        raise DataError("cannot compute a loss over zero samples")
     labels = np.asarray(labels)
     if labels.shape != (n,):
-        raise ShapeMismatch(f"labels shape {labels.shape} does not match "
-                            f"{n} logit rows")
+        raise DataError(f"labels shape {labels.shape} does not match "
+                        f"{n} logit rows")
     if not np.isin(labels, (0, 1)).all():
-        raise ShapeMismatch("labels must be 0 (NO_BEAT) or 1 (BEAT)")
+        raise DataError("labels must be 0 (NO_BEAT) or 1 (BEAT)")
     if reduction not in ("mean", "sum"):
-        raise ShapeMismatch(f"unknown reduction {reduction!r}")
+        raise DataError(f"unknown reduction {reduction!r}")
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

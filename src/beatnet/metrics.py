@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, MalformedReport
+from .errors import DataError
 
 METRIC_NAMES = ("mcc", "precision", "sensitivity", "f1")
 
@@ -36,7 +36,7 @@ class ConfusionCounts:
 
     def __post_init__(self):
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise LengthMismatch("confusion counts must be non-negative")
+            raise DataError("confusion counts must be non-negative")
 
     @property
     def total(self) -> int:
@@ -48,10 +48,10 @@ def confusion(predicted: np.ndarray, true: np.ndarray) -> ConfusionCounts:
     predicted = np.asarray(predicted)
     true = np.asarray(true)
     if predicted.shape != true.shape or predicted.ndim != 1:
-        raise LengthMismatch(f"predictions {predicted.shape} vs labels "
-                             f"{true.shape}")
+        raise DataError(f"predictions {predicted.shape} vs labels "
+                        f"{true.shape}")
     if predicted.size == 0:
-        raise EmptyInput("cannot tally zero predictions")
+        raise DataError("cannot tally zero predictions")
     p = predicted.astype(bool)
     t = true.astype(bool)
     return ConfusionCounts(tp=int(np.count_nonzero(p & t)),
@@ -95,12 +95,12 @@ def mcc_from_labels(predicted: np.ndarray, true: np.ndarray) -> float:
 
 def _resample_size(n: int, fraction: float) -> int:
     if not 0.0 < fraction <= 1.0:
-        raise EmptyInput(f"resample fraction must be in (0, 1], got "
-                         f"{fraction}")
+        raise DataError(f"resample fraction must be in (0, 1], got "
+                        f"{fraction}")
     m = int(math.floor(fraction * n + 0.5))
     if m < 1:
-        raise EmptyInput(f"resampling {fraction:.0%} of {n} samples draws "
-                         f"nothing")
+        raise DataError(f"resampling {fraction:.0%} of {n} samples draws "
+                        f"nothing")
     return m
 
 
@@ -118,9 +118,9 @@ def bootstrap_metrics(predicted: np.ndarray, true: np.ndarray,
     predicted = np.asarray(predicted)
     true = np.asarray(true)
     if predicted.size == 0:
-        raise EmptyInput("cannot bootstrap zero samples")
+        raise DataError("cannot bootstrap zero samples")
     if n_rep < 2:
-        raise EmptyInput(f"need at least 2 repetitions, got {n_rep}")
+        raise DataError(f"need at least 2 repetitions, got {n_rep}")
     n = predicted.size
     m = _resample_size(n, fraction)
     vals = {name: np.empty(n_rep, dtype=np.float64) for name in METRIC_NAMES}
@@ -181,8 +181,8 @@ def reports_to_csv(reports) -> str:
         for name in METRIC_NAMES:
             m = r.metrics[name]
             lines.append(f"{r.subset_name},{r.partition},{r.n_segments},"
-                         f"{name},{m.point:.6f},{m.boot_mean:.6f},"
-                         f"{m.ci_low:.6f},{m.ci_high:.6f}")
+                        f"{name},{m.point:.6f},{m.boot_mean:.6f},"
+                        f"{m.ci_low:.6f},{m.ci_high:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -205,7 +205,7 @@ def reports_from_json(text: str) -> list[EvalReport]:
     """Read :func:`reports_to_json` output back.
 
     Anything else (text that is not JSON, a missing key or metric, a
-    metric value that is not a number) raises MalformedReport.
+    metric value that is not a number) raises DataError.
     """
     try:
         out = []
@@ -216,9 +216,9 @@ def reports_from_json(text: str) -> list[EvalReport]:
                        for name, v in item["metrics"].items()}
             missing = [name for name in METRIC_NAMES if name not in metrics]
             if missing:
-                raise MalformedReport(f"a report lacks metrics {missing}")
+                raise DataError(f"a report lacks metrics {missing}")
             out.append(EvalReport(item["subset"], item["partition"],
                                   item["n_segments"], metrics))
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise MalformedReport(f"not a list of reports: {exc!r}") from exc
+        raise DataError(f"not a list of reports: {exc!r}") from exc
     return out

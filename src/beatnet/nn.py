@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateBatch, InvalidProbability, ShapeMismatch
+from .errors import DataError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
@@ -43,11 +43,11 @@ class ConvBlockSpec:
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
-            raise ShapeMismatch(f"channel counts must be >= 1, got "
-                                f"{self.in_channels}->{self.out_channels}")
+            raise DataError(f"channel counts must be >= 1, got "
+                            f"{self.in_channels}->{self.out_channels}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ShapeMismatch(f"kernel size must be odd and >= 1, got "
-                                f"{self.kernel_size}")
+            raise DataError(f"kernel size must be odd and >= 1, got "
+                            f"{self.kernel_size}")
 
 
 @dataclass(frozen=True)
@@ -65,32 +65,32 @@ class NetworkConfig:
 
     def __post_init__(self):
         if len(self.conv_blocks) != 4:
-            raise ShapeMismatch(f"expected exactly 4 conv blocks, got "
-                                f"{len(self.conv_blocks)}")
+            raise DataError(f"expected exactly 4 conv blocks, got "
+                            f"{len(self.conv_blocks)}")
         if self.conv_blocks[0].in_channels != 1:
-            raise ShapeMismatch("first conv block must take 1 input channel")
+            raise DataError("first conv block must take 1 input channel")
         for a, b in zip(self.conv_blocks, self.conv_blocks[1:]):
             if b.in_channels != a.out_channels:
-                raise ShapeMismatch(
+                raise DataError(
                     f"conv chain broken: {a.out_channels} out feeds "
                     f"{b.in_channels} in")
         if (len(self.fc_sizes) != 3 or self.fc_sizes[-1] != 2
                 or min(self.fc_sizes) < 1):
-            raise ShapeMismatch(f"fc_sizes must be 3 positive widths ending "
-                                f"in 2, got {self.fc_sizes}")
+            raise DataError(f"fc_sizes must be 3 positive widths ending "
+                            f"in 2, got {self.fc_sizes}")
         if not 0.0 <= self.dropout_p < 1.0:
-            raise InvalidProbability(f"dropout_p must be in [0, 1), got "
-                                     f"{self.dropout_p}")
+            raise DataError(f"dropout_p must be in [0, 1), got "
+                            f"{self.dropout_p}")
         if not self.bn_eps > 0:
-            raise ShapeMismatch(f"bn_eps must be > 0, got {self.bn_eps}")
+            raise DataError(f"bn_eps must be > 0, got {self.bn_eps}")
         if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ShapeMismatch(f"bn_momentum must be in [0, 1], got "
-                                f"{self.bn_momentum}")
+            raise DataError(f"bn_momentum must be in [0, 1], got "
+                            f"{self.bn_momentum}")
         if self.pool_kernel != 2:
-            raise ShapeMismatch("only pool kernel 2 (stride 2) is supported")
+            raise DataError("only pool kernel 2 (stride 2) is supported")
         if self.conv_output_length < 1:
-            raise ShapeMismatch(f"input length {self.input_length} pools "
-                                f"away to nothing")
+            raise DataError(f"input length {self.input_length} pools "
+                            f"away to nothing")
 
     @property
     def conv_output_length(self) -> int:
@@ -117,6 +117,10 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
+        sizes = [*(v for b in d["conv_blocks"] for v in b), *d["fc_sizes"],
+                 d["pool_kernel"], d["input_length"]]
+        if not all(type(v) is int for v in sizes):
+            raise DataError(f"layer sizes must be integers, got {sizes}")
         return cls(
             conv_blocks=tuple(ConvBlockSpec(*b) for b in d["conv_blocks"]),
             fc_sizes=tuple(d["fc_sizes"]),
@@ -193,9 +197,9 @@ def init_params(config: NetworkConfig,
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 cross-correlation: (n,Cin,L) -> (n,Cout,L)."""
     if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatch(f"conv1d input {x.shape} vs weights {w.shape}")
+        raise DataError(f"conv1d input {x.shape} vs weights {w.shape}")
     if b.shape != (w.shape[0],):
-        raise ShapeMismatch(f"conv1d bias {b.shape} vs {w.shape[0]} channels")
+        raise DataError(f"conv1d bias {b.shape} vs {w.shape[0]} channels")
     n, c_in, length = x.shape
     c_out, _, k = w.shape
     pad = (k - 1) // 2
@@ -213,8 +217,8 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     n, c_in, length = x.shape
     c_out, _, k = w.shape
     if dy.shape != (n, c_out, length):
-        raise ShapeMismatch(f"conv1d gradient {dy.shape}, expected "
-                            f"{(n, c_out, length)}")
+        raise DataError(f"conv1d gradient {dy.shape}, expected "
+                        f"{(n, c_out, length)}")
     pad = (k - 1) // 2
 
     db = dy.sum(axis=(0, 2))
@@ -247,13 +251,13 @@ def batchnorm1d_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     and returns them unchanged.
     """
     if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
-        raise ShapeMismatch(f"batchnorm input {x.shape} vs "
-                            f"{gamma.shape[0]} channels")
+        raise DataError(f"batchnorm input {x.shape} vs "
+                        f"{gamma.shape[0]} channels")
     n, c, length = x.shape
     if train:
         count = n * length
         if count < 2:
-            raise DegenerateBatch(
+            raise DataError(
                 f"batch statistics need >= 2 values per channel, got {count}")
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
@@ -277,8 +281,8 @@ def batchnorm1d_backward(dy: np.ndarray, cache,
     """Gradients (dx, dgamma, dbeta) for batchnorm1d_forward."""
     xhat, inv_std, gamma, train = cache
     if dy.shape != xhat.shape:
-        raise ShapeMismatch(f"batchnorm gradient {dy.shape}, expected "
-                            f"{xhat.shape}")
+        raise DataError(f"batchnorm gradient {dy.shape}, expected "
+                        f"{xhat.shape}")
     dgamma = (dy * xhat).sum(axis=(0, 2))
     dbeta = dy.sum(axis=(0, 2))
     dxhat = dy * gamma[None, :, None]
@@ -310,7 +314,7 @@ def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (0 or 1, first index on ties) for the backward pass.
     """
     if x.ndim != 3:
-        raise ShapeMismatch(f"maxpool expects (n, c, length), got {x.shape}")
+        raise DataError(f"maxpool expects (n, c, length), got {x.shape}")
     n, c, length = x.shape
     half = length // 2
     v = x[:, :, :2 * half].reshape(n, c, half, 2)
@@ -333,17 +337,17 @@ def maxpool1d_backward(dy: np.ndarray, idx: np.ndarray,
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """y = x W^T + b over (n, in) inputs."""
     if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatch(f"linear input {x.shape} vs weights {w.shape}")
+        raise DataError(f"linear input {x.shape} vs weights {w.shape}")
     if b.shape != (w.shape[0],):
-        raise ShapeMismatch(f"linear bias {b.shape} vs {w.shape[0]} outputs")
+        raise DataError(f"linear bias {b.shape} vs {w.shape[0]} outputs")
     return x @ w.T + b
 
 
 def linear_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if dy.shape != (x.shape[0], w.shape[0]):
-        raise ShapeMismatch(f"linear gradient {dy.shape}, expected "
-                            f"{(x.shape[0], w.shape[0])}")
+        raise DataError(f"linear gradient {dy.shape}, expected "
+                        f"{(x.shape[0], w.shape[0])}")
     return dy @ w, dy.T @ x, dy.sum(axis=0)
 
 
@@ -353,8 +357,8 @@ def dropout_forward(x: np.ndarray, p: float, train: bool,
     """Inverted dropout: zero with probability p, scale survivors by
     1/(1-p). Identity in eval mode or at p = 0 (no random draw)."""
     if not 0.0 <= p < 1.0:
-        raise InvalidProbability(f"dropout probability must be in [0, 1), "
-                                 f"got {p}")
+        raise DataError(f"dropout probability must be in [0, 1), "
+                        f"got {p}")
     if not train or p == 0.0:
         return x, None
     if rng is None:
@@ -391,7 +395,7 @@ def _trunk(config: NetworkConfig, params: dict, h: np.ndarray, train: bool,
     """The four conv blocks on (n, 1, input_length) inputs; returns the
     (n, C, L) trunk output and appends its intermediates to ``cache``."""
     if h.ndim != 3 or h.shape[1] != 1 or h.shape[2] != config.input_length:
-        raise ShapeMismatch(
+        raise DataError(
             f"expected (n, 1, {config.input_length}) input, got {h.shape}")
     for b in range(len(config.conv_blocks)):
         prefix = f"conv{b}"
@@ -471,8 +475,8 @@ def forward_head(config: NetworkConfig, params: dict, h: np.ndarray,
     flat_shape = h.shape
     h = h.reshape(n, -1)
     if h.shape[1] != config.flatten_width:
-        raise ShapeMismatch(f"flatten width {h.shape[1]} != configured "
-                            f"{config.flatten_width}")
+        raise DataError(f"flatten width {h.shape[1]} != configured "
+                        f"{config.flatten_width}")
     cache.layers.append(("flatten", "", flat_shape))
     h, mask = dropout_forward(h, config.dropout_p, train, rng)
     cache.layers.append(("dropout", "", mask))
@@ -521,7 +525,7 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
             grads[f"{name}.bn.gamma"] = dgamma
             grads[f"{name}.bn.beta"] = dbeta
         else:  # pragma: no cover - layer kinds are fixed above
-            raise ShapeMismatch(f"unknown cached layer kind {kind!r}")
+            raise DataError(f"unknown cached layer kind {kind!r}")
     return grads
 
 

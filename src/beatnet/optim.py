@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ShapeMismatch
+from .errors import DataError, NumericError
 
 RHO = 0.9
 EPS = 1e-6
@@ -30,9 +30,9 @@ class AdaDeltaState:
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
-            raise ShapeMismatch(f"rho must be in [0, 1), got {self.rho}")
+            raise DataError(f"rho must be in [0, 1), got {self.rho}")
         if self.eps <= 0:
-            raise ShapeMismatch(f"eps must be > 0, got {self.eps}")
+            raise DataError(f"eps must be > 0, got {self.eps}")
 
 
 def adadelta_step(params: dict[str, np.ndarray],
@@ -47,13 +47,13 @@ def adadelta_step(params: dict[str, np.ndarray],
     """
     for name, g in grads.items():
         if name not in params:
-            raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
+            raise DataError(f"gradient for unknown parameter {name!r}")
         x = params[name]
         if g.shape != x.shape:
-            raise ShapeMismatch(f"{name}: gradient shape {g.shape} vs "
-                                f"parameter shape {x.shape}")
+            raise DataError(f"{name}: gradient shape {g.shape} vs "
+                            f"parameter shape {x.shape}")
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient for {name!r}")
+            raise NumericError(f"non-finite gradient for {name!r}")
         g = g.astype(x.dtype, copy=False)
         if name not in state.sq_grad:
             state.sq_grad[name] = np.zeros_like(x)

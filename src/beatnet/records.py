@@ -28,12 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import wfdb_io
-from .errors import (
-    DataError,
-    ManifestError,
-    NonMonotonicTime,
-    SchemaMismatch,
-)
+from .errors import DataError
 
 # Subset each record tag contributes to; two tags pool into one subset.
 SUBSET_OF_TAG = {
@@ -65,8 +60,9 @@ class EcgRecord:
         if self.dataset_tag not in DATASET_TAGS:
             raise DataError(f"unknown dataset tag {self.dataset_tag!r} "
                             f"(expected one of {DATASET_TAGS})")
-        if self.fs <= 0:
-            raise DataError(f"fs must be > 0, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise DataError(f"record {self.record_id}: sampling rate must "
+                            f"be finite and > 0, got {self.fs}")
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise DataError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.samples)):
@@ -78,7 +74,7 @@ class EcgRecord:
                     f"record {self.record_id}: beat index outside "
                     f"[0, {self.samples.size})")
             if not np.all(np.diff(beats) > 0):
-                raise NonMonotonicTime(
+                raise DataError(
                     f"record {self.record_id}: beat indices not strictly "
                     f"increasing")
 
@@ -118,11 +114,11 @@ def _csv_column_index(name: str, header_row: list[str] | None,
     try:
         idx = int(name)
     except ValueError:
-        raise SchemaMismatch(f"column {name!r} not found in CSV header "
-                             f"{header_row}") from None
+        raise DataError(f"column {name!r} not found in CSV header "
+                        f"{header_row}") from None
     if not 0 <= idx < n_cols:
-        raise SchemaMismatch(f"column index {idx} out of range for "
-                             f"{n_cols}-column CSV")
+        raise DataError(f"column index {idx} out of range for "
+                        f"{n_cols}-column CSV")
     return idx
 
 
@@ -138,20 +134,20 @@ def ingest_csv(csv_text: str, schema: CsvSchema, fs: float,
     When ``schema.time_col`` is set, its values must be strictly
     increasing; the column is only validated, sampling is uniform at fs.
     """
-    if fs <= 0:
-        raise SchemaMismatch(f"fs must be > 0, got {fs}")
+    if not 0 < fs < np.inf:
+        raise DataError(f"fs must be a finite rate > 0, got {fs}")
     if schema.marker_col is not None and beat_times is not None:
-        raise SchemaMismatch("beats given twice: marker column and time file")
+        raise DataError("beats given twice: marker column and time file")
 
     rows = [row for row in csv.reader(io.StringIO(csv_text)) if row]
     header_row = None
     if schema.has_header:
         if not rows:
-            raise SchemaMismatch("CSV is empty")
+            raise DataError("CSV is empty")
         header_row = [c.strip() for c in rows[0]]
         rows = rows[1:]
     if not rows:
-        raise SchemaMismatch("CSV has no data rows")
+        raise DataError("CSV has no data rows")
 
     n_cols = len(rows[0])
     v_idx = _csv_column_index(schema.value_col, header_row, n_cols)
@@ -165,18 +161,18 @@ def ingest_csv(csv_text: str, schema: CsvSchema, fs: float,
     marks: list[int] = []
     for i, row in enumerate(rows):
         if len(row) != n_cols:
-            raise SchemaMismatch(
+            raise DataError(
                 f"row {i + 1} has {len(row)} columns, expected {n_cols}")
         try:
             values[i] = float(row[v_idx])
         except ValueError:
-            raise SchemaMismatch(
+            raise DataError(
                 f"row {i + 1}: non-numeric sample value {row[v_idx]!r}") from None
         if times is not None:
             try:
                 times[i] = float(row[t_idx])
             except ValueError:
-                raise SchemaMismatch(
+                raise DataError(
                     f"row {i + 1}: non-numeric time {row[t_idx]!r}") from None
         if m_idx is not None:
             cell = row[m_idx].strip()
@@ -184,12 +180,12 @@ def ingest_csv(csv_text: str, schema: CsvSchema, fs: float,
                 marks.append(i)
 
     if times is not None and len(times) > 1 and not np.all(np.diff(times) > 0):
-        raise NonMonotonicTime("CSV time column is not strictly increasing")
+        raise DataError("CSV time column is not strictly increasing")
 
     if beat_times is not None:
         bt = np.asarray(beat_times, dtype=np.float64)
         if bt.size and not np.all(np.diff(bt) > 0):
-            raise NonMonotonicTime("beat times are not strictly increasing")
+            raise DataError("beat times are not strictly increasing")
         beats = np.round(bt * fs).astype(np.int64)
         # rounding may merge two beats closer than one sample; keep one
         beats = np.unique(beats)
@@ -231,53 +227,53 @@ def parse_manifest(text: str) -> list[RecordSource]:
         kv = {}
         for token in line.split():
             if "=" not in token:
-                raise ManifestError(
+                raise DataError(
                     f"line {line_no}: token {token!r} is not key=value")
             key, value = token.split("=", 1)
             if key in kv:
-                raise ManifestError(f"line {line_no}: duplicate key {key!r}")
+                raise DataError(f"line {line_no}: duplicate key {key!r}")
             kv[key] = value
         unknown = set(kv) - _COMMON_KEYS - _WFDB_KEYS - _CSV_KEYS
         if unknown:
-            raise ManifestError(
+            raise DataError(
                 f"line {line_no}: unknown keys {sorted(unknown)}")
         for req in ("record", "subject", "tag"):
             if req not in kv:
-                raise ManifestError(f"line {line_no}: missing {req}=")
+                raise DataError(f"line {line_no}: missing {req}=")
         if kv["tag"] not in DATASET_TAGS:
-            raise ManifestError(
+            raise DataError(
                 f"line {line_no}: unknown tag {kv['tag']!r} "
                 f"(expected one of {DATASET_TAGS})")
         if kv["record"] in seen_ids:
-            raise ManifestError(
+            raise DataError(
                 f"line {line_no}: duplicate record id {kv['record']!r}")
         seen_ids.add(kv["record"])
 
         if "hea" in kv:
             if "csv" in kv:
-                raise ManifestError(
+                raise DataError(
                     f"line {line_no}: record is both WFDB (hea=) and CSV (csv=)")
             if "ann" not in kv:
-                raise ManifestError(f"line {line_no}: WFDB record needs ann=")
+                raise DataError(f"line {line_no}: WFDB record needs ann=")
             try:
                 channel = int(kv.get("channel", "0"))
             except ValueError:
-                raise ManifestError(
+                raise DataError(
                     f"line {line_no}: channel must be an integer") from None
             sources.append(RecordSource(
                 kv["record"], kv["subject"], kv["tag"], "wfdb",
                 paths={"hea": kv["hea"], "ann": kv["ann"]}, channel=channel))
         elif "csv" in kv:
             if "fs" not in kv or "value_col" not in kv:
-                raise ManifestError(
+                raise DataError(
                     f"line {line_no}: CSV record needs fs= and value_col=")
             try:
                 fs = float(kv["fs"])
             except ValueError:
-                raise ManifestError(f"line {line_no}: fs must be numeric") from None
+                raise DataError(f"line {line_no}: fs must be numeric") from None
             header_flag = kv.get("header", "true").lower()
             if header_flag not in ("true", "false"):
-                raise ManifestError(
+                raise DataError(
                     f"line {line_no}: header= must be true or false")
             schema = CsvSchema(
                 value_col=kv["value_col"],
@@ -291,7 +287,7 @@ def parse_manifest(text: str) -> list[RecordSource]:
                 kv["record"], kv["subject"], kv["tag"], "csv",
                 paths=paths, fs=fs, schema=schema))
         else:
-            raise ManifestError(
+            raise DataError(
                 f"line {line_no}: record needs either hea= or csv=")
     return sources
 
@@ -304,9 +300,9 @@ def load_manifest(manifest_path: str | Path) -> tuple[list[RecordSource], Path]:
     """
     manifest_path = Path(manifest_path)
     try:
-        text = manifest_path.read_text()
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {manifest_path}: {exc}") from exc
+        text = manifest_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
     root_env = os.environ.get(DATA_ROOT_ENV)
     root = Path(root_env) if root_env else manifest_path.parent
     return parse_manifest(text), root
@@ -318,6 +314,14 @@ def _read_bytes(root: Path, rel: str, what: str) -> bytes:
         return path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_text(root: Path, rel: str, what: str) -> str:
+    try:
+        return _read_bytes(root, rel, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file {root / rel} is not UTF-8 text: "
+                        f"{exc}") from exc
 
 
 def load_record(source: RecordSource, root: Path,
@@ -335,10 +339,10 @@ def load_record(source: RecordSource, root: Path,
         dat_bytes = _read_bytes(root, dat_rel, "signal")
         samples = wfdb_io.decode_signal(dat_bytes, header, source.channel)
         ann_bytes = _read_bytes(root, source.paths["ann"], "annotation")
-        annotations = wfdb_io.parse_annotations(ann_bytes, header.fs)
+        annotations = wfdb_io.parse_annotations(ann_bytes)
         beats = wfdb_io.filter_beats(annotations, beat_codes)
         if not np.all(np.diff(beats) > 0):
-            raise NonMonotonicTime(
+            raise DataError(
                 f"record {source.record_id}: decoded beat indices not "
                 f"strictly increasing")
         # clip rare annotations that point past the signal end
@@ -347,26 +351,26 @@ def load_record(source: RecordSource, root: Path,
                          source.dataset_tag, header.fs, samples, beats)
 
     if source.kind == "csv":
-        csv_bytes = _read_bytes(root, source.paths["csv"], "CSV")
+        csv_text = _read_text(root, source.paths["csv"], "CSV")
         beat_times = None
         if "beats" in source.paths:
-            beats_bytes = _read_bytes(root, source.paths["beats"], "beat-times")
-            lines = [ln.strip() for ln in beats_bytes.decode().splitlines()]
+            beats_text = _read_text(root, source.paths["beats"], "beat-times")
+            lines = [ln.strip() for ln in beats_text.splitlines()]
             lines = [ln for ln in lines if ln and not ln.startswith("#")]
             try:
                 beat_times = np.asarray([float(ln) for ln in lines],
                                         dtype=np.float64)
             except ValueError as exc:
-                raise SchemaMismatch(
+                raise DataError(
                     f"record {source.record_id}: non-numeric beat time "
                     f"({exc})") from exc
-        return ingest_csv(csv_bytes.decode(), source.schema, source.fs,
+        return ingest_csv(csv_text, source.schema, source.fs,
                           record_id=source.record_id,
                           subject_id=source.subject_id,
                           dataset_tag=source.dataset_tag,
                           beat_times=beat_times)
 
-    raise ManifestError(f"unknown record source kind {source.kind!r}")
+    raise DataError(f"unknown record source kind {source.kind!r}")
 
 
 def load_records(manifest_path: str | Path, tags=None,
@@ -377,6 +381,6 @@ def load_records(manifest_path: str | Path, tags=None,
         wanted = set(tags)
         unknown = wanted - set(DATASET_TAGS)
         if unknown:
-            raise ManifestError(f"unknown tags requested: {sorted(unknown)}")
+            raise DataError(f"unknown tags requested: {sorted(unknown)}")
         sources = [s for s in sources if s.dataset_tag in wanted]
     return [load_record(s, root, beat_codes) for s in sources]

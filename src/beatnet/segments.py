@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CorruptCache,
-    DataError,
-    SegmentTooShort,
-    TooFewSubjects,
-)
+from .errors import DataError
 from .container import pack_str, read_framed, write_framed
 from .records import SUBSET_NAMES, SUBSET_OF_TAG, EcgRecord
 
@@ -64,10 +59,10 @@ def resample_linear(samples: np.ndarray, fs_in: float,
     """
     samples = np.asarray(samples)
     if samples.size < 2:
-        raise SegmentTooShort(
+        raise DataError(
             f"need at least 2 samples to interpolate, got {samples.size}")
     if fs_in <= 0:
-        raise SegmentTooShort(f"fs must be > 0, got {fs_in}")
+        raise DataError(f"fs must be > 0, got {fs_in}")
     xp = np.arange(samples.size, dtype=np.float64) / fs_in
     x = np.arange(n_out, dtype=np.float64) / RESAMPLE_HZ
     return np.interp(x, xp, samples.astype(np.float64)).astype(np.float32)
@@ -120,7 +115,7 @@ def split_subjects(subject_ids, train_fraction: float = 2 / 3,
     ids = sorted(set(subject_ids))
     n = len(ids)
     if n < 2:
-        raise TooFewSubjects(f"need at least 2 subjects to split, got {n}")
+        raise DataError(f"need at least 2 subjects to split, got {n}")
     if not 0 < train_fraction < 1:
         raise DataError(f"train_fraction must be in (0, 1), "
                         f"got {train_fraction}")
@@ -285,14 +280,14 @@ def save_cache(dataset: LabeledDataset, path) -> None:
 
 
 def load_cache(path) -> LabeledDataset:
-    """Read a cache file back; any structural damage raises CorruptCache."""
-    rd = read_framed(path, _CACHE_MAGIC, _CACHE_VERSION, CorruptCache)
+    """Read a cache file back; any structural damage raises DataError."""
+    rd = read_framed(path, _CACHE_MAGIC, _CACHE_VERSION)
     seg_len, part_code = rd.unpack("<HB")
     if seg_len != SEGMENT_LENGTH:
-        raise CorruptCache(f"cache segment length {seg_len} != "
-                           f"{SEGMENT_LENGTH}")
+        raise DataError(f"cache segment length {seg_len} != "
+                        f"{SEGMENT_LENGTH} in {path}")
     if part_code >= len(PARTITIONS):
-        raise CorruptCache(f"bad partition code {part_code}")
+        raise DataError(f"bad partition code {part_code} in {path}")
     subset_name = rd.take_str()
     (n_subjects,) = rd.unpack("<H")
     subjects = frozenset(rd.take_str() for _ in range(n_subjects))
@@ -309,4 +304,5 @@ def load_cache(path) -> LabeledDataset:
         return LabeledDataset(subset_name, PARTITIONS[part_code], X, y,
                               record_index, window_index, table, subjects)
     except DataError as exc:
-        raise CorruptCache(f"cache content inconsistent: {exc}") from exc
+        raise DataError(f"cache content inconsistent in {path}: "
+                        f"{exc}") from exc

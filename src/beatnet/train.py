@@ -33,15 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .container import read_framed, write_framed
-from .errors import (
-    BeatnetError,
-    CorruptCheckpoint,
-    EmptyDataset,
-    IncompatibleCheckpoint,
-    NumericError,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from .errors import DataError, NumericError
 from .loss import ClassWeights, weighted_cross_entropy
 from .metrics import mcc_from_labels
 from .nn import (
@@ -83,12 +75,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ShapeMismatch(f"epochs must be >= 0, got {self.epochs}")
+            raise DataError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ShapeMismatch(f"batch_size must be >= 1, got "
-                                f"{self.batch_size}")
+            raise DataError(f"batch_size must be >= 1, got "
+                            f"{self.batch_size}")
         if self.reduction not in ("mean", "sum"):
-            raise ShapeMismatch(f"unknown reduction {self.reduction!r}")
+            raise DataError(f"unknown reduction {self.reduction!r}")
         AdaDeltaState(rho=self.rho, eps=self.eps, lr=self.lr)  # range checks
 
 
@@ -117,17 +109,17 @@ def _copy_params(init: dict, config: NetworkConfig) -> dict:
     layout = param_layout(config)
     missing = [name for name, _ in layout if name not in init]
     if missing:
-        raise ShapeMismatch(f"initial parameters missing {missing}")
+        raise DataError(f"initial parameters missing {missing}")
     extra = set(init) - {name for name, _ in layout}
     if extra:
-        raise ShapeMismatch(f"initial parameters have unknown keys "
-                            f"{sorted(extra)}")
+        raise DataError(f"initial parameters have unknown keys "
+                        f"{sorted(extra)}")
     out = {}
     for name, shape in layout:
         arr = np.asarray(init[name], dtype=np.float32)
         if arr.shape != shape:
-            raise ShapeMismatch(f"{name}: shape {arr.shape}, config wants "
-                                f"{shape}")
+            raise DataError(f"{name}: shape {arr.shape}, config wants "
+                            f"{shape}")
         out[name] = arr.copy()
     return out
 
@@ -141,7 +133,7 @@ def train(dataset: LabeledDataset, config: TrainConfig,
     """
     n = len(dataset)
     if n == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
+        raise DataError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.seed)
     if init is None:
         params = init_params(config.network, rng)
@@ -200,7 +192,7 @@ def transfer(checkpoint_path, dataset: LabeledDataset,
     """
     params, net_config = load_checkpoint(checkpoint_path)
     if net_config != config.network:
-        raise IncompatibleCheckpoint(
+        raise DataError(
             f"checkpoint architecture {net_config.to_dict()} differs from "
             f"configured {config.network.to_dict()}")
     return train(dataset, replace(config, freeze_conv=True), init=params)
@@ -218,29 +210,31 @@ def save_checkpoint(params: dict, config: NetworkConfig, path) -> None:
     for name, shape in layout:
         arr = np.asarray(params[name], dtype=np.float32)
         if arr.shape != shape:
-            raise ShapeMismatch(f"{name}: shape {arr.shape} does not match "
-                                f"layout {shape}")
+            raise DataError(f"{name}: shape {arr.shape} does not match "
+                            f"layout {shape}")
         parts.append(arr.astype("<f4").tobytes())
     write_framed(path, _CKPT_MAGIC, _CKPT_VERSION, parts)
 
 
 def load_checkpoint(path) -> tuple[dict, NetworkConfig]:
     """Read a checkpoint back; returns (params, architecture)."""
-    rd = read_framed(path, _CKPT_MAGIC, _CKPT_VERSION, CorruptCheckpoint,
-                     VersionMismatch)
+    rd = read_framed(path, _CKPT_MAGIC, _CKPT_VERSION)
     (header_len,) = rd.unpack("<I")
     header_bytes = rd.take(header_len)
     try:
         header = json.loads(bytes(header_bytes))
         config = NetworkConfig.from_dict(header["network"])
         declared = [(name, tuple(shape)) for name, shape in header["params"]]
-    except (ValueError, KeyError, TypeError, BeatnetError) as exc:
-        raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
-    if declared != param_layout(config):
-        raise CorruptCheckpoint("checkpoint layout does not match its own "
-                                "architecture header")
+    except (ValueError, KeyError, TypeError, RecursionError,
+            DataError) as exc:
+        raise DataError(f"unreadable checkpoint header in {path}: "
+                        f"{exc}") from exc
+    layout = param_layout(config)
+    if declared != layout:
+        raise DataError(f"checkpoint layout in {path} does not match its "
+                        f"own architecture header")
     params = {}
-    for name, shape in declared:
+    for name, shape in layout:
         raw = rd.take(4 * int(np.prod(shape)))
         params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     rd.finish()

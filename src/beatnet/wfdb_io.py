@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChannelOutOfRange,
-    MalformedHeader,
-    NegativeTime,
-    TruncatedData,
-    TruncatedStream,
-    UnsupportedFormat,
-)
+from .errors import DataError
 
 SUPPORTED_FORMATS = (212, 16)
 
@@ -101,16 +94,16 @@ def _parse_format_field(field: str) -> int:
     """
     m = _FORMAT_FIELD_RE.match(field)
     if m is None:
-        raise MalformedHeader(f"unparseable signal format field {field!r}")
+        raise DataError(f"unparseable signal format field {field!r}")
     code = int(m.group(1))
     spf = int(m.group(3)) if m.group(3) else 1
     skew = int(m.group(5)) if m.group(5) else 0
     offset = int(m.group(7)) if m.group(7) else 0
     if code not in SUPPORTED_FORMATS:
-        raise UnsupportedFormat(f"signal format {code} not supported "
-                                f"(supported: {SUPPORTED_FORMATS})")
+        raise DataError(f"signal format {code} not supported "
+                        f"(supported: {SUPPORTED_FORMATS})")
     if spf != 1 or skew != 0 or offset != 0:
-        raise UnsupportedFormat(
+        raise DataError(
             f"format modifiers in {field!r} (samples/frame, skew or byte "
             f"offset) are not supported")
     return code
@@ -128,14 +121,14 @@ def _parse_gain_field(field: str) -> tuple[float, int | None, str]:
     baseline = None
     m = _GAIN_FIELD_RE.match(field)
     if m is None:
-        raise MalformedHeader(f"unparseable gain field {field!r}")
+        raise DataError(f"unparseable gain field {field!r}")
     gain = float(m.group(1))
     if m.group(3) is not None:
         baseline = int(m.group(3))
     if gain == 0.0:
         gain = DEFAULT_GAIN
     if gain < 0:
-        raise MalformedHeader(f"negative gain {gain}")
+        raise DataError(f"negative gain {gain}")
     return gain, baseline, units
 
 
@@ -148,33 +141,33 @@ def parse_header(header_text: str) -> WfdbHeader:
     lines = [ln.strip() for ln in header_text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise MalformedHeader("empty header")
+        raise DataError("empty header")
 
     rec_tokens = lines[0].split()
     if len(rec_tokens) < 4:
-        raise MalformedHeader(
+        raise DataError(
             f"record line needs name, n_signals, fs and n_samples; "
             f"got {lines[0]!r}")
     name = rec_tokens[0]
     if "/" in name:
-        raise UnsupportedFormat(f"multi-segment record {name!r} not supported")
+        raise DataError(f"multi-segment record {name!r} not supported")
     try:
         n_signals = int(rec_tokens[1])
         # fs may carry a counter frequency after '/': "360/21600(0)"
         fs = float(rec_tokens[2].split("/", 1)[0])
         n_samples = int(rec_tokens[3])
     except ValueError as exc:
-        raise MalformedHeader(f"non-numeric record line field: {exc}") from exc
+        raise DataError(f"non-numeric record line field: {exc}") from exc
     if n_signals < 1:
-        raise MalformedHeader(f"n_signals must be >= 1, got {n_signals}")
-    if fs <= 0:
-        raise MalformedHeader(f"fs must be > 0, got {fs}")
+        raise DataError(f"n_signals must be >= 1, got {n_signals}")
+    if not 0 < fs < np.inf:
+        raise DataError(f"fs must be a finite rate > 0, got {fs}")
     if n_samples < 1:
-        raise MalformedHeader(f"n_samples must be >= 1, got {n_samples}")
+        raise DataError(f"n_samples must be >= 1, got {n_samples}")
 
     sig_lines = lines[1:]
     if len(sig_lines) < n_signals:
-        raise MalformedHeader(
+        raise DataError(
             f"header declares {n_signals} signals but has "
             f"{len(sig_lines)} signal lines")
 
@@ -182,7 +175,7 @@ def parse_header(header_text: str) -> WfdbHeader:
     for ln in sig_lines[:n_signals]:
         tokens = ln.split()
         if len(tokens) < 2:
-            raise MalformedHeader(f"signal line too short: {ln!r}")
+            raise DataError(f"signal line too short: {ln!r}")
         file_name = tokens[0]
         fmt = _parse_format_field(tokens[1])
         gain, baseline, units = DEFAULT_GAIN, None, "mV"
@@ -193,7 +186,7 @@ def parse_header(header_text: str) -> WfdbHeader:
             try:
                 adc_zero = int(tokens[4])
             except ValueError as exc:
-                raise MalformedHeader(f"non-numeric ADC zero in {ln!r}") from exc
+                raise DataError(f"non-numeric ADC zero in {ln!r}") from exc
         if baseline is None:
             baseline = adc_zero
         description = " ".join(tokens[8:]) if len(tokens) > 8 else ""
@@ -212,7 +205,7 @@ def _decode_212(raw: bytes, total: int) -> np.ndarray:
     """
     need = (3 * total + 1) // 2
     if len(raw) < need:
-        raise TruncatedData(
+        raise DataError(
             f"format 212 needs {need} bytes for {total} samples, "
             f"file has {len(raw)}")
     groups = (total + 1) // 2
@@ -273,7 +266,7 @@ def decode_signal(raw_bytes: bytes, header: WfdbHeader, channel: int) -> np.ndar
     with exactly ``header.n_samples`` values.
     """
     if not 0 <= channel < header.n_signals:
-        raise ChannelOutOfRange(
+        raise DataError(
             f"channel {channel} not in record with {header.n_signals} signals")
     spec = header.signals[channel]
     group = [i for i, s in enumerate(header.signals)
@@ -287,12 +280,12 @@ def decode_signal(raw_bytes: bytes, header: WfdbHeader, channel: int) -> np.ndar
     elif spec.format_code == 16:
         need = 2 * total
         if len(raw_bytes) < need:
-            raise TruncatedData(
+            raise DataError(
                 f"format 16 needs {need} bytes for {total} samples, "
                 f"file has {len(raw_bytes)}")
         adc = np.frombuffer(raw_bytes, dtype="<i2", count=total).astype(np.int32)
     else:  # unreachable via parse_header, defensive for hand-built headers
-        raise UnsupportedFormat(f"signal format {spec.format_code}")
+        raise DataError(f"signal format {spec.format_code}")
 
     adc_ch = adc[pos::n_group]
     mv = (adc_ch - np.int32(spec.baseline)).astype(np.float32)
@@ -300,7 +293,7 @@ def decode_signal(raw_bytes: bytes, header: WfdbHeader, channel: int) -> np.ndar
     return mv
 
 
-def parse_annotations(raw_bytes: bytes, fs: float | None = None) -> BeatAnnotations:
+def parse_annotations(raw_bytes: bytes) -> BeatAnnotations:
     """Decode a MIT annotation byte stream into cumulative sample indices.
 
     The stream is a sequence of little-endian 16-bit words: the top 6 bits
@@ -309,14 +302,10 @@ def parse_annotations(raw_bytes: bytes, fs: float | None = None) -> BeatAnnotati
     word first, each word little-endian) and the annotation itself follows
     in the next word. NUM/SUB/CHN field words and AUX payloads attach to
     the preceding event and are skipped. A zero word terminates the stream.
-
-    ``fs`` is accepted for callers that convert indices to seconds; it is
-    not needed for decoding.
     """
-    del fs
     n = len(raw_bytes)
     if n % 2 != 0:
-        raise TruncatedStream("annotation stream has an odd byte count")
+        raise DataError("annotation stream has an odd byte count")
 
     samples: list[int] = []
     codes: list[int] = []
@@ -333,7 +322,7 @@ def parse_annotations(raw_bytes: bytes, fs: float | None = None) -> BeatAnnotati
             break
         if code == _SKIP:
             if i + 4 > n:
-                raise TruncatedStream("SKIP interval cut short")
+                raise DataError("SKIP interval cut short")
             interval = ((raw_bytes[i] << 16) | (raw_bytes[i + 1] << 24)
                         | raw_bytes[i + 2] | (raw_bytes[i + 3] << 8))
             if interval >= 1 << 31:
@@ -346,17 +335,17 @@ def parse_annotations(raw_bytes: bytes, fs: float | None = None) -> BeatAnnotati
         elif code == _AUX:
             aux_bytes = delta + (delta & 1)  # payload is word-padded
             if i + aux_bytes > n:
-                raise TruncatedStream("AUX payload cut short")
+                raise DataError("AUX payload cut short")
             i += aux_bytes
         else:
             t += delta
             if t < 0:
-                raise NegativeTime(
+                raise DataError(
                     f"cumulative sample index {t} after SKIP underflow")
             samples.append(t)
             codes.append(code)
     if not terminated:
-        raise TruncatedStream("annotation stream ended without a zero word")
+        raise DataError("annotation stream ended without a zero word")
 
     return BeatAnnotations(np.asarray(samples, dtype=np.int64),
                            np.asarray(codes, dtype=np.int16))
@@ -368,7 +357,7 @@ def resolve_beat_codes(beat_codes) -> frozenset[int]:
     for item in beat_codes:
         if isinstance(item, str):
             if item not in SYMBOL_TO_CODE:
-                raise ValueError(f"unknown annotation mnemonic {item!r}")
+                raise DataError(f"unknown annotation mnemonic {item!r}")
             out.add(SYMBOL_TO_CODE[item])
         else:
             out.add(int(item))
@@ -383,6 +372,6 @@ def filter_beats(annotations: BeatAnnotations, beat_code_set) -> np.ndarray:
     """
     codes = resolve_beat_codes(beat_code_set)
     if not codes:
-        raise ValueError("beat code set must be non-empty")
+        raise DataError("beat code set must be non-empty")
     mask = np.isin(annotations.codes, np.asarray(sorted(codes), dtype=np.int16))
     return annotations.samples[mask].copy()

@@ -375,8 +375,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  "[network]\nfc_sizes = 0,5,2\n",
                  # keys that only ever had one working value are gone
                  "[network]\npool_kernel = 2\n",
-                 "[network]\ninput_length = 250\n"):
-        bad.write_text(text)
+                 "[network]\ninput_length = 250\n",
+                 "[data]\nbeat_codes = N,ZZ\n",  # no such annotation
+                 "[data]\nbeat_codes = N,\xff\n"):  # not UTF-8 text
+        bad.write_bytes(text.encode("latin-1"))
         assert main(["experiment", "--id", "1", "--caches", "x",
                      "--out", str(tmp_path / "o"), "--config", str(bad)]) == 1
         err = capsys.readouterr().err
@@ -432,7 +434,9 @@ def test_data_errors_exit_2(tmp_path, capsys):
                  "--subset", "NormalSinus+LongTerm", "--partition", "Test",
                  "--checkpoint", str(bad),
                  "--out", str(tmp_path / "o6"), "--config", cfg]) == 2
-    assert "dropout_p" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dropout_p" in err
+    assert f"unreadable checkpoint header in {bad}" in err
 
     # a cache with no segments
     short = tmp_path / "short"
@@ -476,15 +480,57 @@ def test_data_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "data error" in err and str(run / name) in err
 
+    # ingest inputs that name a bad rate, hold bytes that are not UTF-8,
+    # or list no record; each names the input and writes nothing
+    src = tmp_path / "src"
+    src.mkdir()
+    for name, fs in (("rn", float("nan")), ("ri", float("inf"))):
+        write_wfdb_record(src, name, fs, [[0] * 500],
+                          annotation_bytes=simple_annotation_stream([]))
+    (src / "w.csv").write_text("0.0\n" * 500)
+    (src / "w.beats").write_text("0.5\n")
+    (src / "latin.csv").write_bytes(b"caf\xe9\n0.0\n")
+    (src / "latin.beats").write_bytes(b"# caf\xe9\n0.5\n")
+    manifest = src / "manifest.txt"
 
-def test_every_error_class_has_an_exit_code():
-    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
-               if cls.__module__ == errors.__name__]
-    assert len(classes) > 4
-    for cls in classes:
-        if cls is not errors.BeatnetError:
-            assert issubclass(cls, (UsageError, DataError, NumericError)), \
-                cls.__name__
+    def csv_line(fs="250", csv="w.csv", beats="w.beats"):
+        return (f"record=w subject=p tag=BaselineFlexComp csv={csv} fs={fs} "
+                f"value_col=0 beats={beats} header=false\n").encode()
+
+    out = tmp_path / "o8"
+    for text, where in [
+            (b"record=rn subject=s tag=Arrhythmia hea=rn.hea ann=rn.atr\n",
+             "record 'rn': fs must be a finite rate > 0, got nan"),
+            (b"record=ri subject=s tag=Arrhythmia hea=ri.hea ann=ri.atr\n",
+             "record 'ri': fs must be a finite rate > 0, got inf"),
+            (csv_line(fs="nan"),
+             "record 'w': fs must be a finite rate > 0, got nan"),
+            (b"# caf\xe9\n", str(manifest)),
+            (csv_line(csv="latin.csv"), str(src / "latin.csv")),
+            (csv_line(beats="latin.beats"), str(src / "latin.beats")),
+            (b"# no records\n", "no records to build a dataset from")]:
+        manifest.write_bytes(text)
+        assert main(["ingest", "--manifest", str(manifest),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and where in err
+        assert not out.exists()
+
+
+def test_every_error_class_has_an_exit_code(monkeypatch):
+    classes = {name for name, cls in inspect.getmembers(errors,
+                                                        inspect.isclass)
+               if cls.__module__ == errors.__name__}
+    assert classes == {"BeatnetError", "UsageError", "DataError",
+                       "NumericError"}
+    for code, cls in enumerate((UsageError, DataError, NumericError), 1):
+        assert issubclass(cls, errors.BeatnetError)
+
+        def fail(args, cls=cls):
+            raise cls("x")
+
+        monkeypatch.setattr("beatnet.cli._cmd_report", fail)
+        assert main(["report", "--dir", "x"]) == code
 
 
 def test_numeric_errors_exit_3(tmp_path, capsys):

@@ -8,6 +8,7 @@ must update the digests, and bump the version in the file header.
 """
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from beatnet.container import pack_str, read_framed, write_framed, \
     write_text
-from beatnet.errors import CorruptCache, CorruptCheckpoint, VersionMismatch
+from beatnet.errors import DataError
 from beatnet.nn import DEFAULT_CONFIG, init_params
 from beatnet.segments import (
     SEGMENT_LENGTH,
@@ -103,7 +104,7 @@ def test_frame_layout(tmp_path):
     raw = path.read_bytes()
     payload = b"TEST" + struct.pack("<H", 3) + b"ab" + b"\x03\x00h\xc3\xa9"
     assert raw == payload + hashlib.blake2b(payload, digest_size=8).digest()
-    rd = read_framed(path, b"TEST", 3, CorruptCache)
+    rd = read_framed(path, b"TEST", 3)
     assert bytes(rd.take(2)) == b"ab"
     assert rd.take_str() == "hé"
     rd.finish()
@@ -112,20 +113,20 @@ def test_frame_layout(tmp_path):
 def test_frame_errors(tmp_path):
     path = tmp_path / "f.bin"
     write_framed(path, b"TEST", 3, [b"abc"])
-    with pytest.raises(VersionMismatch):
-        read_framed(path, b"TEST", 4, CorruptCheckpoint, VersionMismatch)
-    with pytest.raises(CorruptCache):
-        read_framed(path, b"TEST", 4, CorruptCache)
-    with pytest.raises(CorruptCache):
-        read_framed(path, b"ELSE", 3, CorruptCache)
-    rd = read_framed(path, b"TEST", 3, CorruptCache)
-    with pytest.raises(CorruptCache):
+    with pytest.raises(DataError, match="has format version 3, expected 4"):
+        read_framed(path, b"TEST", 4)
+    with pytest.raises(DataError, match="has format version 3, expected 2"):
+        read_framed(path, b"TEST", 2)
+    with pytest.raises(DataError, match="bad magic"):
+        read_framed(path, b"ELSE", 3)
+    rd = read_framed(path, b"TEST", 3)
+    with pytest.raises(DataError, match="3 trailing bytes"):
         rd.finish()  # three body bytes left
-    with pytest.raises(CorruptCache):
+    with pytest.raises(DataError, match="is truncated"):
         rd.take(4)
     (tmp_path / "short").write_bytes(b"TEST\x03")
-    with pytest.raises(CorruptCache):
-        read_framed(tmp_path / "short", b"TEST", 3, CorruptCache)
+    with pytest.raises(DataError, match="is too small"):
+        read_framed(tmp_path / "short", b"TEST", 3)
 
 
 def test_write_is_atomic(tmp_path):
@@ -175,7 +176,7 @@ def test_cache_with_non_utf8_string_is_corrupt(tmp_path):
         payload[name_at] = 0xFF
 
     reframe(path, damage)
-    with pytest.raises(CorruptCache):
+    with pytest.raises(DataError, match="holds a string that is not UTF-8"):
         load_cache(path)
 
 
@@ -183,7 +184,7 @@ def test_cache_version_gate(tmp_path):
     path = tmp_path / "pin.hbds"
     save_cache(seeded_dataset(), path)
     reframe(path, lambda p: p.__setitem__(slice(4, 6), struct.pack("<H", 2)))
-    with pytest.raises(CorruptCache):
+    with pytest.raises(DataError, match="has format version 2, expected 1"):
         load_cache(path)
 
 
@@ -192,5 +193,29 @@ def test_checkpoint_trailing_bytes_are_corrupt(tmp_path):
     save_checkpoint(init_params(SMALL_NET, np.random.default_rng(0)),
                     SMALL_NET, path)
     reframe(path, lambda p: p.extend(b"\x00" * 4))
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(DataError, match="4 trailing bytes"):
         load_checkpoint(path)
+
+
+def test_inconsistent_cache_and_checkpoint_errors_name_the_file(tmp_path):
+    cache = tmp_path / "pin.hbds"
+    save_cache(seeded_dataset(), cache)
+    # the last four payload bytes are the last sample of X
+    reframe(cache, lambda p: p.__setitem__(slice(-4, None),
+                                           struct.pack("<f", np.nan)))
+    with pytest.raises(DataError, match=f"cache content inconsistent in "
+                       f"{re.escape(str(cache))}: .*non-finite"):
+        load_cache(cache)
+
+    ckpt = tmp_path / "pin.hbdl"
+    save_checkpoint(init_params(SMALL_NET, np.random.default_rng(0)),
+                    SMALL_NET, ckpt)
+
+    def misdeclare(payload):
+        at = payload.index(b'["fc2.bias", [2]]')
+        payload[at:at + 17] = b'["fc2.bias", [3]]'
+
+    reframe(ckpt, misdeclare)
+    with pytest.raises(DataError, match=f"checkpoint layout in "
+                       f"{re.escape(str(ckpt))} does not match"):
+        load_checkpoint(ckpt)

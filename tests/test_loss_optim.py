@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beatnet.errors import EmptyBatch, NonFiniteGradient, ShapeMismatch
+from beatnet.errors import DataError, NumericError
 from beatnet.loss import ClassWeights, weighted_cross_entropy
 from beatnet.optim import AdaDeltaState, adadelta_step
 
@@ -110,18 +110,18 @@ def test_loss_gradient_sums_to_zero_per_sample():
 
 
 def test_loss_errors():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(DataError, match="loss over zero samples"):
         weighted_cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=int))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"expected \(n, 2\) logits"):
         weighted_cross_entropy(np.zeros((3, 3)), np.zeros(3, dtype=int))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="labels must be 0"):
         weighted_cross_entropy(np.zeros((3, 2)), np.array([0, 1, 2]))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="does not match 3 logit rows"):
         weighted_cross_entropy(np.zeros((3, 2)), np.zeros(2, dtype=int))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="unknown reduction 'median'"):
         weighted_cross_entropy(np.zeros((2, 2)), np.zeros(2, dtype=int),
                                reduction="median")
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="class weights must be > 0"):
         ClassWeights(0.0, 1.0)
 
 
@@ -204,16 +204,16 @@ def test_adadelta_skips_frozen_keys():
 
 def test_adadelta_errors():
     state = AdaDeltaState()
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="a: gradient shape"):
         adadelta_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, state)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="gradient for unknown parameter"):
         adadelta_step({"a": np.zeros(2)}, {"zzz": np.zeros(2)}, state)
-    with pytest.raises(NonFiniteGradient):
+    with pytest.raises(NumericError, match="non-finite gradient for 'a'"):
         adadelta_step({"a": np.zeros(2)}, {"a": np.array([1.0, np.nan])},
                       state)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"rho must be in \[0, 1\)"):
         AdaDeltaState(rho=1.0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="eps must be > 0"):
         AdaDeltaState(eps=0.0)
 
 

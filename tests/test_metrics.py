@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beatnet.errors import EmptyInput, LengthMismatch
+from beatnet.errors import DataError
 from beatnet.metrics import (
     BOOTSTRAP_FRACTION,
     BOOTSTRAP_REPS,
@@ -52,9 +52,9 @@ def test_confusion_perfect_and_inverted():
 
 
 def test_confusion_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match=r"predictions \(3,\) vs labels"):
         confusion(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="cannot tally zero predictions"):
         confusion(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
 
@@ -144,7 +144,7 @@ def test_all_metrics_keys():
 
 
 def test_counts_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="counts must be non-negative"):
         ConfusionCounts(-1, 0, 0, 0)
 
 
@@ -216,11 +216,11 @@ def test_bootstrap_resample_size_quarter():
 
 def test_bootstrap_errors():
     one = np.array([1])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="cannot bootstrap zero samples"):
         bootstrap_metrics(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match=r"resample fraction .*, got 0\.0"):
         bootstrap_metrics(one, one, fraction=0.0)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match=r"resample fraction .*, got 1\.5"):
         bootstrap_metrics(one, one, fraction=1.5)
 
 

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from beatnet.errors import (
-    DegenerateBatch,
-    InvalidProbability,
-    ShapeMismatch,
-)
+from beatnet.errors import DataError
 from beatnet.nn import (
     DEFAULT_CONFIG,
     ConvBlockSpec,
@@ -79,7 +75,7 @@ def test_conv_output_shape_and_dtype():
 
 
 def test_conv_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="conv1d input"):
         conv1d_forward(np.zeros((2, 3, 10)), np.zeros((4, 2, 3)), np.zeros(4))
 
 
@@ -125,7 +121,7 @@ def test_batchnorm_running_stats_momentum_blend():
 
 
 def test_batchnorm_degenerate_batch():
-    with pytest.raises(DegenerateBatch):
+    with pytest.raises(DataError, match="batch statistics need >= 2"):
         batchnorm1d_forward(np.zeros((1, 1, 1)), np.ones(1), np.zeros(1),
                             np.zeros(1), np.ones(1), train=True)
 
@@ -181,7 +177,7 @@ def test_linear_identity_and_bias():
     x = np.arange(6.0).reshape(2, 3)
     y = linear_forward(x, np.eye(3), np.array([1.0, 0.0, -1.0]))
     np.testing.assert_allclose(y, x + np.array([1.0, 0.0, -1.0]))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="linear input"):
         linear_forward(x, np.eye(4), np.zeros(4))
 
 
@@ -210,7 +206,7 @@ def test_dropout_statistics():
 def test_dropout_requires_rng_in_train_mode():
     with pytest.raises(ValueError):
         dropout_forward(np.ones((2, 2)), 0.5, train=True)
-    with pytest.raises(InvalidProbability):
+    with pytest.raises(DataError, match="dropout probability must be in"):
         dropout_forward(np.ones((2, 2)), 1.0, train=True)
 
 
@@ -255,20 +251,20 @@ def test_config_round_trip():
 
 
 def test_config_validation():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="expected exactly 4 conv blocks"):
         NetworkConfig(conv_blocks=(ConvBlockSpec(1, 8, 7),))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="conv chain broken"):
         NetworkConfig(conv_blocks=(
             ConvBlockSpec(1, 8, 7), ConvBlockSpec(4, 16, 5),   # broken chain
             ConvBlockSpec(16, 32, 5), ConvBlockSpec(32, 64, 3)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="fc_sizes must be 3 positive"):
         NetworkConfig(fc_sizes=(128, 32, 3))    # must end with 2 classes
-    with pytest.raises(ShapeMismatch):
-        ConvBlockSpec(1, 8, 4)                   # even kernel
-    with pytest.raises(InvalidProbability):
+    with pytest.raises(DataError, match="kernel size must be odd"):
+        ConvBlockSpec(1, 8, 4)
+    with pytest.raises(DataError, match=r"dropout_p must be in \[0, 1\)"):
         NetworkConfig(dropout_p=1.0)
-    with pytest.raises(ShapeMismatch):
-        NetworkConfig(input_length=8)            # pools away to nothing
+    with pytest.raises(DataError, match="pools away to nothing"):
+        NetworkConfig(input_length=8)
 
 
 def test_param_layout_shapes():
@@ -394,7 +390,7 @@ def test_trunk_features_of_no_rows():
 def test_forward_rejects_wrong_length():
     rng = np.random.default_rng(13)
     params = init_params(DEFAULT_CONFIG, rng)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"expected \(n, 1, 250\) input"):
         forward(DEFAULT_CONFIG, params, rng.normal(size=(2, 1, 100)),
                 train=False)
 

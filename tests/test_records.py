@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from beatnet.errors import (
-    DataError,
-    ManifestError,
-    NonMonotonicTime,
-    SchemaMismatch,
-)
+from beatnet.errors import DataError
 from beatnet.records import (
     DATA_ROOT_ENV,
     DATASET_TAGS,
@@ -69,15 +64,18 @@ def test_record_rejects_beats_outside_signal():
 
 
 def test_record_rejects_non_increasing_beats():
-    with pytest.raises(NonMonotonicTime):
+    with pytest.raises(DataError,
+                       match=": beat indices not strictly increasing"):
         make_record(beat_samples=np.array([10, 10], dtype=np.int64))
-    with pytest.raises(NonMonotonicTime):
+    with pytest.raises(DataError,
+                       match=": beat indices not strictly increasing"):
         make_record(beat_samples=np.array([10, 5], dtype=np.int64))
 
 
 def test_record_rejects_bad_fs():
-    with pytest.raises(DataError):
-        make_record(fs=0.0)
+    for fs in (0.0, np.nan, np.inf):
+        with pytest.raises(DataError, match="sampling rate must be finite"):
+            make_record(fs=fs)
 
 
 # --- CSV ingestion ---
@@ -115,43 +113,45 @@ def test_ingest_csv_beat_times_merge_on_rounding():
 
 
 def test_ingest_csv_both_beat_sources_rejected():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="beats given twice"):
         ingest_csv("0.0\n", CsvSchema("0", marker_col="1", has_header=False),
                    fs=10.0, beat_times=np.array([0.1]))
 
 
 def test_ingest_csv_missing_column():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="column 'ecg' not found"):
         ingest_csv("a,b\n1,2\n", CsvSchema("ecg"), fs=10.0)
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="column index 5 out of range"):
         ingest_csv("1,2\n", CsvSchema("5", has_header=False), fs=10.0)
 
 
 def test_ingest_csv_ragged_row():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="row 2 has 1 columns, expected 2"):
         ingest_csv("a,b\n1,2\n3\n", CsvSchema("a"), fs=10.0)
 
 
 def test_ingest_csv_non_numeric_value():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="row 2: non-numeric sample value"):
         ingest_csv("a\n1\nx\n", CsvSchema("a"), fs=10.0)
 
 
 def test_ingest_csv_empty():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="CSV is empty"):
         ingest_csv("", CsvSchema("a"), fs=10.0)
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="CSV has no data rows"):
         ingest_csv("a,b\n", CsvSchema("a"), fs=10.0)
 
 
 def test_ingest_csv_time_column_must_increase():
     text = "t,v\n0.0,1\n0.2,2\n0.1,3\n"
-    with pytest.raises(NonMonotonicTime):
+    with pytest.raises(DataError,
+                       match="CSV time column is not strictly increasing"):
         ingest_csv(text, CsvSchema("v", time_col="t"), fs=10.0)
 
 
 def test_ingest_csv_unsorted_beat_times():
-    with pytest.raises(NonMonotonicTime):
+    with pytest.raises(DataError,
+                       match="beat times are not strictly increasing"):
         ingest_csv("0.0\n0.0\n", CsvSchema("0", has_header=False), fs=10.0,
                    beat_times=np.array([0.2, 0.1]))
 
@@ -183,35 +183,54 @@ def test_parse_manifest_good():
     assert csv2.schema.marker_col is None
 
 
-@pytest.mark.parametrize("line", [
-    "record=1 subject=1 tag=Arrhythmia",                      # no source
-    "record=1 subject=1 tag=Arrhythmia hea=a.hea",            # missing ann
-    "record=1 subject=1 tag=Arrhythmia csv=a.csv fs=10",      # no value_col
-    "record=1 subject=1 tag=Arrhythmia csv=a.csv value_col=0",  # no fs
-    "record=1 subject=1 hea=a.hea ann=a.atr",                 # missing tag
-    "record=1 subject=1 tag=Nope hea=a.hea ann=a.atr",        # unknown tag
-    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr extra=1",
-    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr channel=x",
-    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr csv=a.csv fs=1 value_col=0",
-    "record=1 record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr",
-    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr junk",
-    "record=1 subject=1 tag=Arrhythmia csv=a.csv fs=ten value_col=0",
-    "record=1 subject=1 tag=Arrhythmia csv=a.csv fs=1 value_col=0 header=maybe",
-])
+# manifest line -> a phrase only its raise site emits
+BAD_MANIFEST_LINES = {
+    "record=1 subject=1 tag=Arrhythmia":
+        "record needs either hea= or csv=",
+    "record=1 subject=1 tag=Arrhythmia hea=a.hea":
+        "WFDB record needs ann=",
+    "record=1 subject=1 tag=Arrhythmia csv=a.csv fs=10":  # no value_col
+        "CSV record needs fs= and value_col=",
+    "record=1 subject=1 tag=Arrhythmia csv=a.csv value_col=0":  # no fs
+        "CSV record needs fs= and value_col=",
+    "record=1 subject=1 hea=a.hea ann=a.atr":
+        "missing tag=",
+    "record=1 subject=1 tag=Nope hea=a.hea ann=a.atr":
+        "unknown tag 'Nope'",
+    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr extra=1":
+        r"unknown keys \['extra'\]",
+    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr channel=x":
+        "channel must be an integer",
+    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr csv=a.csv fs=1 "
+    "value_col=0":
+        r"record is both WFDB \(hea=\) and CSV",
+    "record=1 record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr":
+        "duplicate key 'record'",
+    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr junk":
+        "token 'junk' is not key=value",
+    "record=1 subject=1 tag=Arrhythmia csv=a.csv fs=ten value_col=0":
+        "fs must be numeric",
+    "record=1 subject=1 tag=Arrhythmia csv=a.csv fs=1 value_col=0 "
+    "header=maybe":
+        "header= must be true or false",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_MANIFEST_LINES))
 def test_parse_manifest_bad_lines(line):
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match=f"line 1: {BAD_MANIFEST_LINES[line]}"):
         parse_manifest(line + "\n")
 
 
 def test_parse_manifest_duplicate_record_ids():
     text = ("record=1 subject=a tag=Arrhythmia hea=a.hea ann=a.atr\n"
             "record=1 subject=b tag=Arrhythmia hea=b.hea ann=b.atr\n")
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match="line 2: duplicate record id '1'"):
         parse_manifest(text)
 
 
 def test_load_manifest_missing_file(tmp_path):
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match="cannot read manifest .*nope"):
         load_manifest(tmp_path / "nope.manifest")
 
 
@@ -311,7 +330,7 @@ def test_load_csv_record_bad_beats_file(tmp_path):
     manifest.write_text(
         "record=w subject=p tag=BaselineComfTech csv=w.csv fs=25 "
         "value_col=0 beats=w.beats header=false\n")
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(DataError, match="record w: non-numeric beat time"):
         load_records(manifest)
 
 
@@ -346,7 +365,7 @@ def test_load_records_tag_filter(tmp_path):
     assert len(load_records(manifest)) == 2
     only = load_records(manifest, tags=["Arrhythmia"])
     assert [r.record_id for r in only] == ["b"]
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match="unknown tags requested"):
         load_records(manifest, tags=["NotATag"])
 
 

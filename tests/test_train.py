@@ -1,19 +1,13 @@
 """Training loop, transfer learning and checkpoint persistence tests."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from beatnet.errors import (
-    CorruptCheckpoint,
-    EmptyDataset,
-    IncompatibleCheckpoint,
-    NumericError,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from beatnet.errors import DataError, NumericError
 from beatnet.nn import (
     ConvBlockSpec,
     NetworkConfig,
@@ -33,6 +27,8 @@ from beatnet.train import (
     train,
     transfer,
 )
+
+from helpers import reframe
 
 # Small architecture (same block structure, fewer channels) so the
 # training-behavior tests stay fast.
@@ -104,14 +100,14 @@ def test_train_empty_dataset():
     records = make_synthetic_records(n_subjects=2, seed=2)
     empty = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
                                   set())
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DataError, match="cannot train on an empty dataset"):
         train(empty, TrainConfig(epochs=1, network=SMALL_NET))
 
 
 def test_train_rejects_negative_epochs_and_bad_batch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="epochs must be >= 0"):
         TrainConfig(epochs=-1)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="batch_size must be >= 1"):
         TrainConfig(batch_size=0)
 
 
@@ -168,7 +164,7 @@ def test_transfer_freezes_trunk_and_matches_checkpoint_arch(tmp_path):
         conv_blocks=(ConvBlockSpec(1, 2, 3), ConvBlockSpec(2, 3, 3),
                      ConvBlockSpec(3, 4, 3), ConvBlockSpec(4, 4, 3)),
         fc_sizes=(8, 4, 2))
-    with pytest.raises(IncompatibleCheckpoint):
+    with pytest.raises(DataError, match="checkpoint architecture .* differs"):
         transfer(ckpt, target, TrainConfig(epochs=1, network=other_net))
 
 
@@ -219,12 +215,12 @@ def test_checkpoint_detects_damage(tmp_path):
         bad = bytearray(raw)
         bad[flip_at] ^= 0x01
         (tmp_path / "bad").write_bytes(bytes(bad))
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(DataError, match="checksum mismatch"):
             load_checkpoint(tmp_path / "bad")
     (tmp_path / "bad").write_bytes(bytes(raw[: len(raw) // 2]))
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(DataError, match="checksum mismatch"):
         load_checkpoint(tmp_path / "bad")
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(DataError, match="cannot read .*never-written"):
         load_checkpoint(tmp_path / "never-written")
 
 
@@ -236,7 +232,27 @@ def test_checkpoint_version_gate(tmp_path):
     payload[4:6] = struct.pack("<H", 2)  # future format version
     payload += hashlib.blake2b(bytes(payload), digest_size=8).digest()
     path.write_bytes(bytes(payload))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(DataError, match="has format version 2, expected 1"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_float_layer_sizes_are_corrupt(tmp_path):
+    path = tmp_path / "w.hbdl"
+    save_checkpoint(init_params(SMALL_NET, np.random.default_rng(11)),
+                    SMALL_NET, path)
+
+    def floats_for_sizes(payload):
+        (n,) = struct.unpack("<I", payload[6:10])
+        header = json.loads(bytes(payload[10:10 + n]))
+        blocks = header["network"]["conv_blocks"]
+        blocks[0][1] = blocks[1][0] = float(blocks[0][1])
+        for entry in header["params"]:
+            entry[1] = [float(d) for d in entry[1]]
+        raw = json.dumps(header, sort_keys=True).encode()
+        payload[6:10 + n] = struct.pack("<I", len(raw)) + raw
+
+    reframe(path, floats_for_sizes)
+    with pytest.raises(DataError, match="layer sizes must be integers"):
         load_checkpoint(path)
 
 
@@ -247,7 +263,7 @@ def test_checkpoint_requires_layout_match(tmp_path):
         save_checkpoint(params, SMALL_NET, tmp_path / "w")
     params = init_params(SMALL_NET, np.random.default_rng(12))
     params["fc2.bias"] = np.zeros(7, dtype=np.float32)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="fc2.bias: shape .* does not match"):
         save_checkpoint(params, SMALL_NET, tmp_path / "w")
 
 

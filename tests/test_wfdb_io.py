@@ -7,14 +7,7 @@ helpers.py, which share no code with the vectorized decoders.
 import numpy as np
 import pytest
 
-from beatnet.errors import (
-    ChannelOutOfRange,
-    MalformedHeader,
-    NegativeTime,
-    TruncatedData,
-    TruncatedStream,
-    UnsupportedFormat,
-)
+from beatnet.errors import DataError
 from beatnet.wfdb_io import (
     DEFAULT_BEAT_SYMBOLS,
     DEFAULT_GAIN,
@@ -103,36 +96,48 @@ def test_parse_header_counter_frequency_and_comments():
     assert hdr.n_samples == 99
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "# only a comment\n",
-    "X 1 250\n",                        # record line too short
-    "X one 250 1000\nX.dat 16\n",       # non-numeric n_signals
-    "X 0 250 1000\n",                   # no signals
-    "X 1 0 1000\nX.dat 16\n",           # fs must be positive
-    "X 1 250 0\nX.dat 16\n",            # empty record
-    "X 2 250 10\nX.dat 16\n",           # fewer signal lines than declared
-    "X 1 250 10\nX.dat\n",              # signal line too short
-    "X 1 250 10\nX.dat 16 bogus\n",     # unparseable gain
-    "X 1 250 10\nX.dat 16 1e+e\n",      # gain the pattern once let through
-    "X 1 250 10\nX.dat 16 --5(0)/mV\n",
-])
+# header text -> a phrase only its raise site emits
+MALFORMED_HEADERS = {
+    "": "empty header",
+    "# only a comment\n": "empty header",
+    "X 1 250\n": "record line needs name",  # record line too short
+    "X one 250 1000\nX.dat 16\n": "non-numeric record line field",
+    "X 0 250 1000\n": "n_signals must be >= 1",
+    "X 1 0 1000\nX.dat 16\n": "fs must be a finite rate > 0, got 0",
+    "X 1 nan 1000\nX.dat 16\n": "fs must be a finite rate > 0, got nan",
+    "X 1 inf 1000\nX.dat 16\n": "fs must be a finite rate > 0, got inf",
+    "X 1 250 0\nX.dat 16\n": "n_samples must be >= 1",  # empty record
+    "X 2 250 10\nX.dat 16\n": "declares 2 signals but has 1 signal lines",
+    "X 1 250 10\nX.dat\n": "signal line too short",
+    "X 1 250 10\nX.dat 16 bogus\n": "unparseable gain field 'bogus'",
+    # a gain the pattern once let through
+    "X 1 250 10\nX.dat 16 1e+e\n": r"unparseable gain field '1e\+e'",
+    "X 1 250 10\nX.dat 16 --5(0)/mV\n": "unparseable gain field '--5",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_HEADERS))
 def test_parse_header_malformed(text):
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match=MALFORMED_HEADERS[text]):
         parse_header(text)
 
 
-@pytest.mark.parametrize("text", [
-    "X/3 2 250 1000\nX.dat 16\n",       # multi-segment record
-    "X 1 250 10\nX.dat 8\n",            # 8-bit first differences
-    "X 1 250 10\nX.dat 80\n",
-    "X 1 250 10\nX.dat 310\n",
-    "X 1 250 10\nX.dat 212x2\n",        # samples-per-frame modifier
-    "X 1 250 10\nX.dat 212:1\n",        # skew modifier
-    "X 1 250 10\nX.dat 212+8\n",        # byte-offset modifier
-])
+UNSUPPORTED_HEADERS = {
+    "X/3 2 250 1000\nX.dat 16\n": "multi-segment record 'X/3'",
+    # 8-bit first differences
+    "X 1 250 10\nX.dat 8\n": "signal format 8 not supported",
+    "X 1 250 10\nX.dat 80\n": "signal format 80 not supported",
+    "X 1 250 10\nX.dat 310\n": "signal format 310 not supported",
+    # samples-per-frame, skew and byte-offset modifiers
+    "X 1 250 10\nX.dat 212x2\n": "format modifiers in '212x2'",
+    "X 1 250 10\nX.dat 212:1\n": "format modifiers in '212:1'",
+    "X 1 250 10\nX.dat 212+8\n": r"format modifiers in '212\+8'",
+}
+
+
+@pytest.mark.parametrize("text", list(UNSUPPORTED_HEADERS))
 def test_parse_header_unsupported(text):
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(DataError, match=UNSUPPORTED_HEADERS[text]):
         parse_header(text)
 
 
@@ -228,19 +233,19 @@ def test_decode_channels_in_separate_files():
 def test_decode_truncated_data():
     hdr = header_for(4)
     raw = ref_pack_212([1, 2, 3, 4])
-    with pytest.raises(TruncatedData):
+    with pytest.raises(DataError, match="format 212 needs 6 bytes"):
         decode_signal(raw[:-1], hdr, 0)
     hdr16 = header_for(4, fmt=16)
-    with pytest.raises(TruncatedData):
+    with pytest.raises(DataError, match="format 16 needs 8 bytes"):
         decode_signal(ref_pack_16([1, 2, 3, 4])[:-1], hdr16, 0)
 
 
 def test_decode_channel_out_of_range():
     hdr = header_for(2, n_signals=2)
     raw = ref_pack_212([1, 2, 3, 4])
-    with pytest.raises(ChannelOutOfRange):
+    with pytest.raises(DataError, match="channel 2 not in record"):
         decode_signal(raw, hdr, 2)
-    with pytest.raises(ChannelOutOfRange):
+    with pytest.raises(DataError, match="channel -1 not in record"):
         decode_signal(raw, hdr, -1)
 
 
@@ -287,7 +292,7 @@ def test_parse_annotations_negative_skip():
 
 def test_parse_annotations_skip_underflow():
     stream = skip_block(-50) + ann_word(1, 10) + end_marker()
-    with pytest.raises(NegativeTime):
+    with pytest.raises(DataError, match="cumulative sample index -40"):
         parse_annotations(stream)
 
 
@@ -320,15 +325,18 @@ def test_parse_annotations_aux_resembling_terminator():
     assert ann.codes.tolist() == [1, 5]
 
 
-@pytest.mark.parametrize("stream", [
-    b"",                                  # no terminator at all
-    ann_word(1, 5),                       # events but no terminator
-    ann_word(1, 5) + b"\x00",             # odd byte count
-    ann_word(59, 0) + b"\x01\x02",        # SKIP interval cut short
-    ann_word(63, 6) + b"ab" + end_marker(),  # AUX payload cut short
-])
+TRUNCATED_STREAMS = {
+    b"": "ended without a zero word",  # no terminator at all
+    ann_word(1, 5): "ended without a zero word",  # events, no terminator
+    ann_word(1, 5) + b"\x00": "odd byte count",
+    ann_word(59, 0) + b"\x01\x02": "SKIP interval cut short",
+    ann_word(63, 6) + b"ab" + end_marker(): "AUX payload cut short",
+}
+
+
+@pytest.mark.parametrize("stream", list(TRUNCATED_STREAMS))
 def test_parse_annotations_truncated(stream):
-    with pytest.raises(TruncatedStream):
+    with pytest.raises(DataError, match=TRUNCATED_STREAMS[stream]):
         parse_annotations(stream)
 
 
@@ -361,9 +369,10 @@ def test_filter_beats_integer_codes():
 
 def test_filter_beats_empty_set_rejected():
     ann = parse_annotations(end_marker())
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="beat code set must be non-empty"):
         filter_beats(ann, set())
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError,
+                       match="unknown annotation mnemonic 'not-a-symbol'"):
         resolve_beat_codes(["not-a-symbol"])
 
 
