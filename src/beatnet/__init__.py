@@ -19,7 +19,7 @@ from .metrics import (
 )
 from .nn import ConvBlockSpec, NetworkConfig, forward, init_params
 from .optim import AdaDeltaState, adadelta_step
-from .records import CsvSchema, EcgRecord, ingest_csv, load_records
+from .records import CsvSchema, EcgRecord, ingest_csv
 from .segments import (
     BEAT,
     NO_BEAT,
@@ -50,8 +50,8 @@ __all__ = [
     "TrainConfig", "WfdbHeader", "adadelta_step", "build_report",
     "build_subsets", "confusion", "decode_signal", "filter_beats",
     "forward", "ingest_csv", "init_params", "label_window", "load_cache",
-    "load_checkpoint", "load_records", "mcc", "parse_annotations",
-    "parse_header", "precision_sensitivity_f1", "resample_linear",
-    "save_cache", "save_checkpoint", "split_subjects", "train", "transfer",
+    "load_checkpoint", "mcc", "parse_annotations", "parse_header",
+    "precision_sensitivity_f1", "resample_linear", "save_cache",
+    "save_checkpoint", "split_subjects", "train", "transfer",
     "weighted_cross_entropy",
 ]

@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .chart import render_mcc_chart
-from .config import load_settings, render_snapshot
+from .config import Settings, load_settings, render_snapshot
 from .container import write_text
 from .errors import DataError, NumericError, UsageError
 from .experiments import (
@@ -46,11 +47,9 @@ def _build_parser() -> _Parser:
                                  "with a small 1-D CNN")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True):
+    def add_common(p):
         p.add_argument("--config", help="INI settings file")
-        if seed:
-            p.add_argument("--seed", type=int,
-                           help="override the [train] seed")
+        p.add_argument("--seed", type=int, help="override the [train] seed")
 
     p = sub.add_parser("ingest", help="decode manifest records into caches")
     p.add_argument("--manifest", required=True)
@@ -106,15 +105,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_ingest(args) -> None:
+def _settings(args) -> Settings:
+    """The --config settings, with --seed in place of their seed."""
     settings = load_settings(args.config)
-    written = run_ingest(args.manifest, args.out, settings)
+    if args.seed is not None:
+        settings = replace(settings, seed=args.seed)
+    return settings
+
+
+def _cmd_ingest(args) -> None:
+    written = run_ingest(args.manifest, args.out, _settings(args))
     print(f"wrote {len(written)} caches to {args.out}")
 
 
 def _cmd_build_dataset(args) -> None:
-    settings = load_settings(args.config)
-    seed = settings.seed if args.seed is None else args.seed
+    settings = _settings(args)
     tags = tuple(t.strip() for t in args.tags.split(",") if t.strip())
     if not tags:
         raise UsageError("--tags must name at least one dataset tag")
@@ -130,37 +135,35 @@ def _cmd_build_dataset(args) -> None:
     if not 0 < args.fs < math.inf:
         raise UsageError(f"--fs must be a finite rate > 0, got {args.fs}")
     written = build_synthetic_caches(args.out, settings, args.subjects,
-                                     args.duration, args.fs, seed, tags)
+                                     args.duration, args.fs, tags=tags)
     print(f"wrote {len(written)} synthetic caches to {args.out}")
 
 
 def _train_like(args, checkpoint_path=None) -> None:
-    settings = load_settings(args.config)
-    seed = settings.seed if args.seed is None else args.seed
+    settings = _settings(args)
     dataset = load_cache_checked(Path(args.caches), args.subset,
                                   args.partition)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = settings.train_config(seed)
+    config = settings.train_config()
     if checkpoint_path is None:
         params, history = train(dataset, config)
     else:
         params, history = transfer(checkpoint_path, dataset, config)
     save_checkpoint(params, config.network, out / "checkpoint.hbdl")
     write_text(out / "train_log.csv", history.to_csv())
-    write_text(out / "config.ini", render_snapshot(settings, seed))
+    write_text(out / "config.ini", render_snapshot(settings))
     final = history.train_mcc[-1] if len(history) else float("nan")
     print(f"trained {config.epochs} epochs on {len(dataset)} segments "
           f"(final train MCC {final:.3f}); checkpoint in {out}")
 
 
 def _cmd_evaluate(args) -> None:
-    settings = load_settings(args.config)
-    seed = settings.seed if args.seed is None else args.seed
+    settings = _settings(args)
     dataset = load_cache_checked(Path(args.caches), args.subset,
                                   args.partition)
     params, net_config = load_checkpoint(args.checkpoint)
-    report = evaluate_dataset(params, net_config, dataset, settings, seed)
+    report = evaluate_dataset(params, net_config, dataset, settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "reports.csv", reports_to_csv([report]))
@@ -173,9 +176,8 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    settings = load_settings(args.config)
-    reports = run_experiment(args.id, args.caches, args.out, settings,
-                             args.seed, args.checkpoint)
+    reports = run_experiment(args.id, args.caches, args.out, _settings(args),
+                             checkpoint=args.checkpoint)
     for r in reports:
         m = r.metrics["mcc"]
         print(f"{r.subset_name} {r.partition}: MCC {m.point:.3f} "

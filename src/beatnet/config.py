@@ -5,13 +5,15 @@ Every knob has a default matching the protocol this package implements;
 into the text written to each run directory, so a run records exactly
 what it used even where the user's file was silent. Each value is read
 by the type of its default: floats (which may be written as ratios,
-"2/3"), integers, strings, and comma-separated lists.
+"2/3", and must be finite), integers, strings, and comma-separated
+lists.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BeatnetError, UsageError
@@ -25,16 +27,20 @@ from .wfdb_io import DEFAULT_BEAT_SYMBOLS, resolve_beat_codes
 
 
 def parse_fraction(text: str) -> float:
-    """Parse a float like "0.25" or a ratio like "2/3"."""
+    """Parse a finite float like "0.25" or a ratio like "2/3"."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
+            value = float(num) / float(den)
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse {text!r} as a number or ratio: "
                          f"{exc}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"{text!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,11 @@ class Settings:
             dropout_p=self.dropout_p, bn_eps=self.bn_eps,
             bn_momentum=self.bn_momentum)
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs, batch_size=self.batch_size,
             weights=ClassWeights(self.w_nobeat, self.w_beat), lr=self.lr,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             network=self.network_config(), rho=self.rho, eps=self.eps,
             reduction=self.reduction)
 
@@ -176,18 +182,22 @@ def load_settings(path: str | Path | None = None) -> Settings:
     return settings
 
 
-def render_snapshot(settings: Settings, seed: int | None = None) -> str:
+def section_items(settings: Settings, section: str) -> list[tuple[str, str]]:
+    """(key, value text) pairs of one section, as the snapshot writes
+    them."""
+    return [(key, _format_value(getattr(settings, key)))
+            for key in _SCHEMA[section]]
+
+
+def render_snapshot(settings: Settings) -> str:
     """INI text with every effective value materialized.
 
-    ``seed`` (e.g. a --seed override) replaces the [train] seed when
-    given. The output parses back into an equal Settings object.
+    The output parses back into an equal Settings object.
     """
-    if seed is not None:
-        settings = replace(settings, seed=seed)
     blocks = []
-    for section, keys in _SCHEMA.items():
+    for section in _SCHEMA:
         lines = [f"[{section}]"]
-        lines.extend(f"{key} = {_format_value(getattr(settings, key))}"
-                     for key in keys)
+        lines.extend(f"{key} = {text}"
+                     for key, text in section_items(settings, section))
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)

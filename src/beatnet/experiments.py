@@ -19,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .chart import render_mcc_chart
-from .config import Settings, render_snapshot
+from .config import Settings, load_settings, render_snapshot, section_items
 from .container import write_text
 from .errors import DataError, UsageError
 from .metrics import EvalReport, build_report, reports_from_json, \
@@ -107,6 +108,9 @@ def run_ingest(manifest_path, out_dir, settings: Settings) -> list[Path]:
     message; nothing is skipped silently.
     """
     sources, root = load_manifest(manifest_path)
+    if not sources:
+        raise DataError(f"manifest {manifest_path} lists no record; no "
+                        f"caches written")
     records = []
     for source in sources:
         try:
@@ -120,9 +124,10 @@ def run_ingest(manifest_path, out_dir, settings: Settings) -> list[Path]:
 
 def build_synthetic_caches(out_dir, settings: Settings, n_subjects: int = 4,
                            duration: float = 12.5, fs: float = 250.0,
-                           seed: int = 0,
+                           seed: int | None = None,
                            tags=("NormalSinus", "LongTerm")) -> list[Path]:
     """Synthetic stand-in for ingest: same cache layout, generated data."""
+    seed = settings.seed if seed is None else seed
     records = make_synthetic_records(n_subjects, duration, fs, seed, tags)
     datasets = build_subsets(records, settings.train_fraction, seed,
                              settings.max_record_seconds)
@@ -134,7 +139,7 @@ def _file_hash(path: Path) -> str:
 
 
 def evaluate_dataset(params, net_config, dataset: LabeledDataset,
-                     settings: Settings, seed: int) -> EvalReport:
+                     settings: Settings) -> EvalReport:
     if len(dataset) == 0:
         raise DataError(f"{dataset.subset_name} {dataset.partition} has "
                         f"no segments to evaluate")
@@ -142,7 +147,7 @@ def evaluate_dataset(params, net_config, dataset: LabeledDataset,
     return build_report(preds, dataset.y.astype(np.int64),
                         dataset.subset_name, dataset.partition,
                         settings.bootstrap_reps, settings.bootstrap_fraction,
-                        seed)
+                        settings.seed)
 
 
 def _present_targets(cache_dir: Path, partitions) -> list[str]:
@@ -161,12 +166,12 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
                    checkpoint=None) -> list[EvalReport]:
     """Run one experiment end to end; returns its reports.
 
-    ``checkpoint`` (the experiment-1 output) is required for experiments
-    2 and 3. Target subsets without caches are skipped so the protocol
-    runs on whichever datasets are actually present; having none at all
-    is an error. Every experiment walks the same loop over its subsets
-    and their partitions; they differ only in where a subset's
-    parameters come from.
+    ``seed``, when given, replaces ``settings.seed``. ``checkpoint`` (the
+    experiment-1 output) is required for experiments 2 and 3. Target
+    subsets without caches are skipped so the protocol runs on whichever
+    datasets are actually present; having none at all is an error. Every
+    experiment walks the same loop over its subsets and their partitions;
+    they differ only in where a subset's parameters come from.
     """
     if experiment_id not in (1, 2, 3):
         raise UsageError(f"experiment id must be 1, 2 or 3, got "
@@ -174,8 +179,9 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
     cache_dir = Path(cache_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = settings.seed if seed is None else seed
-    config = settings.train_config(seed)
+    if seed is not None:
+        settings = replace(settings, seed=seed)
+    config = settings.train_config()
     net_config = config.network
 
     if experiment_id == 1:
@@ -216,17 +222,17 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
             save_checkpoint(params, net_config, ckpt)
             checkpoints.append(ckpt)
             write_text(out_dir / f"train_log{suffix}.csv", history.to_csv())
-        reports.extend(evaluate_dataset(params, net_config, ds, settings, seed)
+        reports.extend(evaluate_dataset(params, net_config, ds, settings)
                        for ds in datasets)
 
     write_text(out_dir / REPORTS_CSV, reports_to_csv(reports))
     write_text(out_dir / REPORTS_JSON, reports_to_json(reports))
     write_text(out_dir / CHART_FILE, render_mcc_chart(
         reports, f"Experiment {experiment_id}: MCC with 90% CIs"))
-    write_text(out_dir / CONFIG_SNAPSHOT, render_snapshot(settings, seed))
+    write_text(out_dir / CONFIG_SNAPSHOT, render_snapshot(settings))
     info = {
         "experiment": experiment_id,
-        "seed": seed,
+        "seed": settings.seed,
         "source_subset": SOURCE_SUBSET,
         "target_subsets": targets,
         "caches": {p.name: _file_hash(p) for p in caches},
@@ -263,10 +269,8 @@ def consolidate_reports(run_dir) -> tuple[str, str]:
             md.append("")
         snap_path = path.parent / CONFIG_SNAPSHOT
         if snap_path.exists():
-            net_lines = _read_run_file(snap_path, _network_section)
-            if net_lines:
-                md.append("Network: " + "; ".join(net_lines) + ".")
-                md.append("")
+            md.append(_network_line(snap_path))
+            md.append("")
         md.append("| subset | partition | segments | MCC [90% CI] | +p | "
                   "Se | F1 |")
         md.append("|---|---|---|---|---|---|---|")
@@ -303,17 +307,14 @@ def _run_info_line(text: str) -> str:
             f"seed {info.get('seed', '?')}.")
 
 
-def _network_section(snapshot_text: str) -> list[str]:
-    lines = []
-    in_network = False
-    for line in snapshot_text.splitlines():
-        line = line.strip()
-        if line.startswith("["):
-            in_network = line == "[network]"
-            continue
-        if in_network and line:
-            lines.append(line.replace(" = ", "="))
-    return lines
+def _network_line(snapshot: Path) -> str:
+    """The [network] values of a run's config snapshot, on one line."""
+    try:
+        settings = load_settings(snapshot)
+    except UsageError as exc:
+        raise DataError(f"cannot read {snapshot}: {exc}") from exc
+    return ("Network: " + "; ".join(f"{key}={text}" for key, text in
+                                    section_items(settings, "network")) + ".")
 
 
 def write_summary(run_dir) -> tuple[Path, Path]:

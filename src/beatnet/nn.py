@@ -3,8 +3,8 @@
 Architecture: four convolutional blocks, each BatchNorm -> Conv1d
 (same padding, stride 1) -> ReLU -> MaxPool (kernel 2, stride 2), then
 flatten, Dropout, and three fully connected layers with ReLU between
-them; the final layer emits two logits. SoftMax exists as a standalone
-op for inference and is folded into the loss during training.
+them; the final layer emits two logits. SoftMax is folded into the loss
+(:mod:`beatnet.loss`); inference takes the argmax of the logits.
 
 Everything is functional: parameters live in a plain dict of float32
 arrays keyed by layer name, and no forward or backward call mutates
@@ -132,8 +132,6 @@ class NetworkConfig:
         )
 
 
-DEFAULT_CONFIG = NetworkConfig()
-
 _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 
 
@@ -152,23 +150,6 @@ def param_layout(config: NetworkConfig) -> list[tuple[str, tuple]]:
         layout.append((f"fc{i}.bias", (out_width,)))
         in_width = out_width
     return layout
-
-
-def trainable_keys(config: NetworkConfig) -> list[str]:
-    """Parameter names the optimizer updates (running stats excluded)."""
-    return [name for name, _ in param_layout(config)
-            if "running_" not in name]
-
-
-def conv_part_keys(config: NetworkConfig) -> list[str]:
-    """All conv-block entries, BN running stats included."""
-    return [name for name, _ in param_layout(config)
-            if name.startswith("conv")]
-
-
-def fc_part_keys(config: NetworkConfig) -> list[str]:
-    return [name for name, _ in param_layout(config)
-            if name.startswith("fc")]
 
 
 def init_params(config: NetworkConfig,
@@ -372,13 +353,6 @@ def dropout_backward(dy: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return dy if mask is None else dy * mask
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise probabilities, computed with max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # whole-network forward / backward
 
@@ -529,14 +503,15 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
     return grads
 
 
-def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
-                   batch_size: int = EVAL_BATCH_ROWS) -> np.ndarray:
-    """Eval-mode logits for (n, input_length) or (n, 1, input_length) data."""
+def predict_logits(config: NetworkConfig, params: dict,
+                   X: np.ndarray) -> np.ndarray:
+    """Eval-mode logits for (n, input_length) or (n, 1, input_length) data,
+    computed in chunks of ``EVAL_BATCH_ROWS`` rows."""
     if X.ndim == 2:
         X = X[:, None, :]
     outs = []
-    for start in range(0, X.shape[0], batch_size):
-        logits, _ = forward(config, params, X[start:start + batch_size],
+    for start in range(0, X.shape[0], EVAL_BATCH_ROWS):
+        logits, _ = forward(config, params, X[start:start + EVAL_BATCH_ROWS],
                             train=False)
         outs.append(logits)
     if not outs:
@@ -544,7 +519,7 @@ def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
     return np.concatenate(outs)
 
 
-def predict_labels(config: NetworkConfig, params: dict, X: np.ndarray,
-                   batch_size: int = EVAL_BATCH_ROWS) -> np.ndarray:
+def predict_labels(config: NetworkConfig, params: dict,
+                   X: np.ndarray) -> np.ndarray:
     """Hard class decisions (argmax of the logits)."""
-    return predict_logits(config, params, X, batch_size).argmax(axis=1)
+    return predict_logits(config, params, X).argmax(axis=1)

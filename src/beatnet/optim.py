@@ -33,6 +33,8 @@ class AdaDeltaState:
             raise DataError(f"rho must be in [0, 1), got {self.rho}")
         if self.eps <= 0:
             raise DataError(f"eps must be > 0, got {self.eps}")
+        if not self.lr > 0:
+            raise DataError(f"lr must be > 0, got {self.lr}")
 
 
 def adadelta_step(params: dict[str, np.ndarray],

@@ -44,6 +44,8 @@ SUBSET_NAMES = tuple(dict.fromkeys(SUBSET_OF_TAG.values()))
 
 DATA_ROOT_ENV = "BEATNET_DATA_ROOT"
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class EcgRecord:
@@ -139,7 +141,11 @@ def ingest_csv(csv_text: str, schema: CsvSchema, fs: float,
     if schema.marker_col is not None and beat_times is not None:
         raise DataError("beats given twice: marker column and time file")
 
-    rows = [row for row in csv.reader(io.StringIO(csv_text)) if row]
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"CSV line {reader.line_num}: {exc}") from None
     header_row = None
     if schema.has_header:
         if not rows:
@@ -164,10 +170,14 @@ def ingest_csv(csv_text: str, schema: CsvSchema, fs: float,
             raise DataError(
                 f"row {i + 1} has {len(row)} columns, expected {n_cols}")
         try:
-            values[i] = float(row[v_idx])
+            value = float(row[v_idx])
         except ValueError:
             raise DataError(
                 f"row {i + 1}: non-numeric sample value {row[v_idx]!r}") from None
+        if not abs(value) <= _FLOAT32_MAX:  # false for nan too
+            raise DataError(f"row {i + 1}: sample value {row[v_idx]!r} is "
+                            f"not a finite float32")
+        values[i] = value
         if times is not None:
             try:
                 times[i] = float(row[t_idx])
@@ -179,13 +189,22 @@ def ingest_csv(csv_text: str, schema: CsvSchema, fs: float,
             if cell not in ("", "0", "0.0"):
                 marks.append(i)
 
-    if times is not None and len(times) > 1 and not np.all(np.diff(times) > 0):
+    # increasing order is checked by comparison: a difference can overflow
+    if times is not None and not np.all(times[1:] > times[:-1]):
         raise DataError("CSV time column is not strictly increasing")
 
     if beat_times is not None:
         bt = np.asarray(beat_times, dtype=np.float64)
-        if bt.size and not np.all(np.diff(bt) > 0):
+        if not np.all(np.isfinite(bt)):
+            raise DataError(f"bad beat time {bt[~np.isfinite(bt)][0]}: not "
+                            f"a finite number of seconds")
+        if not np.all(bt[1:] > bt[:-1]):
             raise DataError("beat times are not strictly increasing")
+        duration = len(values) / fs
+        if bt.size and not 0 <= bt[0] <= bt[-1] < duration:
+            raise DataError(f"bad beat time: beats from {bt[0]} to {bt[-1]} "
+                            f"s are not all within the record's "
+                            f"[0, {duration}) s")
         beats = np.round(bt * fs).astype(np.int64)
         # rounding may merge two beats closer than one sample; keep one
         beats = np.unique(beats)
@@ -371,16 +390,3 @@ def load_record(source: RecordSource, root: Path,
                           beat_times=beat_times)
 
     raise DataError(f"unknown record source kind {source.kind!r}")
-
-
-def load_records(manifest_path: str | Path, tags=None,
-                 beat_codes=wfdb_io.DEFAULT_BEAT_SYMBOLS) -> list[EcgRecord]:
-    """Load all manifest records, optionally restricted to a tag set."""
-    sources, root = load_manifest(manifest_path)
-    if tags is not None:
-        wanted = set(tags)
-        unknown = wanted - set(DATASET_TAGS)
-        if unknown:
-            raise DataError(f"unknown tags requested: {sorted(unknown)}")
-        sources = [s for s in sources if s.dataset_tag in wanted]
-    return [load_record(s, root, beat_codes) for s in sources]

@@ -50,12 +50,12 @@ def label_window(t0: float, beats: np.ndarray) -> int:
     return BEAT if hi > lo else NO_BEAT
 
 
-def resample_linear(samples: np.ndarray, fs_in: float,
-                    n_out: int = SEGMENT_LENGTH) -> np.ndarray:
+def resample_linear(samples: np.ndarray, fs_in: float) -> np.ndarray:
     """Resample onto a 1000 Hz grid by linear interpolation.
 
-    Output k is the input evaluated at k/1000 s from the first sample;
-    queries past the last sample clamp to its value.
+    Returns ``SEGMENT_LENGTH`` values: output k is the input evaluated at
+    k/1000 s from the first sample; queries past the last sample clamp
+    to its value.
     """
     samples = np.asarray(samples)
     if samples.size < 2:
@@ -64,7 +64,7 @@ def resample_linear(samples: np.ndarray, fs_in: float,
     if fs_in <= 0:
         raise DataError(f"fs must be > 0, got {fs_in}")
     xp = np.arange(samples.size, dtype=np.float64) / fs_in
-    x = np.arange(n_out, dtype=np.float64) / RESAMPLE_HZ
+    x = np.arange(SEGMENT_LENGTH, dtype=np.float64) / RESAMPLE_HZ
     return np.interp(x, xp, samples.astype(np.float64)).astype(np.float32)
 
 
@@ -76,18 +76,15 @@ def window_count(duration: float, max_duration: float = MAX_RECORD_SECONDS) -> i
     return int(usable / WINDOW_SECONDS + 1e-9)
 
 
-def segment_arrays(record: EcgRecord, beats: np.ndarray | None = None,
+def segment_arrays(record: EcgRecord,
                    max_duration: float = MAX_RECORD_SECONDS,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Window, label and resample one record.
 
     Returns (X, y): X is (n_windows, 250) float32, y is (n_windows,)
-    uint8 of BEAT/NO_BEAT labels. ``beats`` defaults to the record's own
-    beat times (seconds).
+    uint8 of BEAT/NO_BEAT labels from the record's own beat times.
     """
-    if beats is None:
-        beats = record.beat_times
-    beats = np.asarray(beats, dtype=np.float64)
+    beats = record.beat_times
     n_windows = window_count(record.duration, max_duration)
     n = record.samples.size
     fs = record.fs

@@ -31,7 +31,6 @@ SYMBOL_TO_CODE = {
     "[": 32, "]": 33, "e": 34, "n": 35, "@": 36, "x": 37, "f": 38,
     "(": 39, ")": 40, "r": 41,
 }
-CODE_TO_SYMBOL = {code: sym for sym, code in SYMBOL_TO_CODE.items()}
 
 # Default set of annotation mnemonics counted as heart beats. Configurable
 # wherever a beat code set is accepted; paced beats ('/') are not included

@@ -99,7 +99,7 @@ def test_settings_defaults():
 
 def test_default_snapshot_pinned():
     assert render_snapshot(Settings()) == DEFAULT_SNAPSHOT
-    assert render_snapshot(Settings(), seed=4) == DEFAULT_SNAPSHOT.replace(
+    assert render_snapshot(Settings(seed=4)) == DEFAULT_SNAPSHOT.replace(
         "seed = 0", "seed = 4")
 
 
@@ -130,7 +130,7 @@ def test_settings_parse_and_snapshot_round_trip(tmp_path):
     assert s.reduction == "sum"
     assert s.fc_sizes == (16, 8, 2)
     snap = tmp_path / "snap.ini"
-    snap.write_text(render_snapshot(s, seed=7))
+    snap.write_text(render_snapshot(dataclasses.replace(s, seed=7)))
     back = load_settings(snap)
     assert back.seed == 7
     assert back == dataclasses.replace(s, seed=7)
@@ -227,6 +227,38 @@ def test_ingest_command(tmp_path, monkeypatch, capsys):
     assert "r1" in capsys.readouterr().err
 
 
+def test_ingest_seed_flag_matches_config_seed(tmp_path, monkeypatch):
+    monkeypatch.delenv("BEATNET_DATA_ROOT", raising=False)
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = []
+    for i in range(6):
+        (data / f"p{i}.csv").write_text(
+            "".join(f"{np.sin(k / 7 + i):.4f}\n" for k in range(500)))
+        (data / f"p{i}.beats").write_text("0.6\n1.1\n")
+        lines.append(f"record=w{i} subject=p{i} tag=BaselineFlexComp "
+                     f"csv=p{i}.csv fs=250 value_col=0 beats=p{i}.beats "
+                     f"header=false\n")
+    manifest = data / "manifest.txt"
+    manifest.write_text("".join(lines))
+    seeded = tmp_path / "seed3.ini"
+    seeded.write_text("[train]\nseed = 3\n")
+
+    def ingest(name, *flags):
+        out = tmp_path / name
+        assert main(["ingest", "--manifest", str(manifest), "--out",
+                     str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    by_flag = ingest("flag", "--seed", "3")
+    assert by_flag == ingest("config", "--config", str(seeded))
+    assert by_flag != ingest("default")
+    # seeds 0 and 3 put different subjects in Test
+    test_subjects = [load_cache(tmp_path / name / "baselineflexcomp.test.hbds"
+                                ).subject_ids for name in ("flag", "default")]
+    assert test_subjects[0] != test_subjects[1]
+
+
 # --- experiment protocol ---
 
 
@@ -280,6 +312,9 @@ def test_experiment_pipeline(tmp_path):
     md = (runs / "summary.md").read_text()
     assert "## exp1" in md and "## exp3" in md
     assert "| NormalSinus+LongTerm | Train |" in md
+    assert ("Network: conv_channels=2,3,4,4; conv_kernels=3,3,3,3; "
+            "fc_sizes=16,8,2; dropout_p=0.5; bn_eps=1e-05; "
+            "bn_momentum=0.1.") in md
     csv_lines = (runs / "summary.csv").read_text().splitlines()
     assert csv_lines[0].startswith("source,subset,partition,")
     # 4 metrics per report: (2 + 2 + 4) reports -> 32 rows
@@ -377,6 +412,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  "[network]\npool_kernel = 2\n",
                  "[network]\ninput_length = 250\n",
                  "[data]\nbeat_codes = N,ZZ\n",  # no such annotation
+                 # every float must be finite, and lr positive
+                 "[train]\nlr = nan\n",
+                 "[train]\nlr = -1\n",
+                 "[train]\nlr = 0\n",
+                 "[train]\neps = nan\n",
+                 "[train]\nw_beat = nan\n",
+                 "[train]\nw_nobeat = inf\n",
                  "[data]\nbeat_codes = N,\xff\n"):  # not UTF-8 text
         bad.write_bytes(text.encode("latin-1"))
         assert main(["experiment", "--id", "1", "--caches", "x",
@@ -472,8 +514,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
                        ("reports.json", json.dumps([{"metrics": dict.fromkeys(
                            ("mcc", "precision", "sensitivity", "f1"),
                            one_metric)}])),
-                       ("run_info.json", "[1]")]:
-        if name == "run_info.json":
+                       ("run_info.json", "[1]"),
+                       # a snapshot with a key this version does not know
+                       ("config.ini", "[network]\npool_kernel = 2\n")]:
+        for stale in run.iterdir():
+            stale.unlink()
+        if name != "reports.json":
             (run / "reports.json").write_text("[]")  # no reports, but valid
         (run / name).write_text(text)
         assert main(["report", "--dir", str(run)]) == 2
@@ -481,7 +527,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert "data error" in err and str(run / name) in err
 
     # ingest inputs that name a bad rate, hold bytes that are not UTF-8,
-    # or list no record; each names the input and writes nothing
+    # an oversized CSV field or a bad beat time, or list no record; each
+    # names the input and writes nothing
     src = tmp_path / "src"
     src.mkdir()
     for name, fs in (("rn", float("nan")), ("ri", float("inf"))):
@@ -491,6 +538,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
     (src / "w.beats").write_text("0.5\n")
     (src / "latin.csv").write_bytes(b"caf\xe9\n0.0\n")
     (src / "latin.beats").write_bytes(b"# caf\xe9\n0.5\n")
+    (src / "huge.csv").write_text("1" * 200_000 + "\n")
+    (src / "inf.beats").write_text("inf\n")
     manifest = src / "manifest.txt"
 
     def csv_line(fs="250", csv="w.csv", beats="w.beats"):
@@ -508,7 +557,10 @@ def test_data_errors_exit_2(tmp_path, capsys):
             (b"# caf\xe9\n", str(manifest)),
             (csv_line(csv="latin.csv"), str(src / "latin.csv")),
             (csv_line(beats="latin.beats"), str(src / "latin.beats")),
-            (b"# no records\n", "no records to build a dataset from")]:
+            (csv_line(csv="huge.csv"),
+             "record 'w': CSV line 1: field larger than field limit"),
+            (csv_line(beats="inf.beats"), "record 'w': bad beat time inf"),
+            (b"# no records\n", f"manifest {manifest} lists no record")]:
         manifest.write_bytes(text)
         assert main(["ingest", "--manifest", str(manifest),
                      "--out", str(out)]) == 2

@@ -17,7 +17,7 @@ import pytest
 from beatnet.container import pack_str, read_framed, write_framed, \
     write_text
 from beatnet.errors import DataError
-from beatnet.nn import DEFAULT_CONFIG, init_params
+from beatnet.nn import NetworkConfig, init_params
 from beatnet.segments import (
     SEGMENT_LENGTH,
     TRAIN,
@@ -80,8 +80,8 @@ def test_checkpoint_bytes_pinned(tmp_path):
 
 def test_transfer_result_pinned(tmp_path):
     source = tmp_path / "source.hbdl"
-    save_checkpoint(init_params(DEFAULT_CONFIG, np.random.default_rng(1)),
-                    DEFAULT_CONFIG, source)
+    save_checkpoint(init_params(NetworkConfig(), np.random.default_rng(1)),
+                    NetworkConfig(), source)
     records = make_synthetic_records(n_subjects=3, seed=5)
     target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
                                    {r.subject_id for r in records})
@@ -89,7 +89,7 @@ def test_transfer_result_pinned(tmp_path):
     params, history = transfer(source, target, TrainConfig(
         epochs=3, batch_size=16, lr=0.1, seed=3))
     path = tmp_path / "head.hbdl"
-    save_checkpoint(params, DEFAULT_CONFIG, path)
+    save_checkpoint(params, NetworkConfig(), path)
     assert file_digest(path) == TRANSFER_BLAKE2B
     assert history.mean_loss == TRANSFER_MEAN_LOSS
     assert history.train_mcc == TRANSFER_TRAIN_MCC

@@ -1,5 +1,7 @@
 """Property tests: arbitrary bytes reach the decoders and loaders, and
-the only error they may raise is DataError.
+arbitrary text the manifest, CSV and INI readers. The only error bytes,
+manifests and CSV records may raise is DataError; an INI file may raise
+only UsageError. NumPy warnings count as failures too.
 
 Runs are derandomized, so every run draws the same examples.
 """
@@ -7,8 +9,10 @@ Runs are derandomized, so every run draws the same examples.
 import numpy as np
 import pytest
 
-from beatnet.errors import DataError
+from beatnet.config import Settings, load_settings, render_snapshot
+from beatnet.errors import DataError, UsageError
 from beatnet.nn import init_params
+from beatnet.records import CsvSchema, ingest_csv, parse_manifest
 from beatnet.segments import build_labeled_dataset, load_cache, save_cache
 from beatnet.synthetic import make_synthetic_records
 from beatnet.train import load_checkpoint, save_checkpoint
@@ -24,6 +28,7 @@ example, given, settings = (hypothesis.example, hypothesis.given,
 
 FUZZ = settings(derandomize=True, deadline=None, database=None,
                 max_examples=150)
+pytestmark = pytest.mark.filterwarnings("error")
 
 # A valid two-signal header, one token per entry, and tokens to put in
 # its place: edited copies get past the record line into the numeric and
@@ -124,3 +129,120 @@ def test_load_checkpoint_raises_only_data_errors(framed_files, whole, at,
     path.write_bytes((framed_files / "good.hbdl").read_bytes())
     reframe(path, lambda p: splice(p, whole, at, chunk))
     only_data_errors(load_checkpoint, path)
+
+
+# Text inputs: arbitrary text, and valid inputs with some values or
+# tokens replaced, which get past the syntax into the value checks.
+NUMBERS = ["", "0", "1", "-1", "2/3", "1/0", "nan", "inf", "-inf", "1e999",
+           "1e300", "-1e39", "1e-320", "x"]
+ONE_LINE = st.text(st.characters(blacklist_characters="\r\n"), max_size=10)
+
+SNAPSHOT_LINES = render_snapshot(Settings()).splitlines()
+VALUE_LINES = [i for i, line in enumerate(SNAPSHOT_LINES) if " = " in line]
+
+
+def edited_snapshot(edits):
+    lines = list(SNAPSHOT_LINES)
+    for at, value in edits:
+        i = VALUE_LINES[at % len(VALUE_LINES)]
+        lines[i] = f"{lines[i].split(' = ')[0]} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+INI_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.tuples(st.integers(min_value=0), st.one_of(
+        st.sampled_from(NUMBERS + ["8,16,32,64", "7,5,5,3", "128,32,2",
+                                   "0,5,2", "1,2", "N,V", "N,ZZ", ",", "sum",
+                                   "9" * 5000, "%(x)s"]),
+        ONE_LINE)), min_size=1, max_size=4).map(edited_snapshot))
+
+MANIFEST_TOKENS = (
+    "record=a subject=s tag=Arrhythmia hea=a.hea ann=a.atr channel=0 \n "
+    "record=b subject=t tag=BaselineFlexComp csv=b.csv fs=250 value_col=v "
+    "time_col=t marker_col=m beats=b.beats header=true").split(" ")
+
+
+def edited_manifest(edits):
+    """The lines above with tokens replaced, or, for an edit starting
+    with "=", the value of a key=value token."""
+    tokens = list(MANIFEST_TOKENS)
+    for at, token in edits:
+        i = at % len(tokens)
+        tokens[i] = (tokens[i].split("=")[0] + token if token[:1] == "="
+                     else token)
+    return " ".join(tokens)
+
+
+MANIFEST_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.tuples(st.integers(min_value=0), st.one_of(
+        st.sampled_from(["", "\n", "#", "=", "x", "record=a", "subject=",
+                         "tag=Nope", "hea=b.hea", "csv=a.csv", "key=a=b"]
+                        + [f"={v}" for v in NUMBERS + ["a", "true"]]),
+        ONE_LINE.map("=".__add__))), min_size=1, max_size=4)
+    .map(edited_manifest))
+
+CSV_ROWS = ("t,v,m", "0,0.1,0", "0.1,0.2,1", "0.2,0.3,0", "0.3,0.4,0")
+CSV_SCHEMAS = st.sampled_from([
+    CsvSchema("v", time_col="t", marker_col="m"),
+    CsvSchema("v", time_col="t"),
+    CsvSchema("1", time_col="0", has_header=False),
+    CsvSchema("0", has_header=False)])
+
+
+def edited_csv(args):
+    """CSV text for ``schema``: the rows above, header only where the
+    schema has one, with cells replaced."""
+    edits, schema = args
+    rows = [row.split(",") for row in CSV_ROWS[0 if schema.has_header
+                                               else 1:]]
+    for at, cell in edits:
+        row = rows[at % len(rows)]
+        row[at // len(rows) % len(row)] = cell
+    return "\n".join(",".join(row) for row in rows) + "\n", schema
+
+
+CSV_INPUTS = st.one_of(
+    st.tuples(st.text(max_size=200), CSV_SCHEMAS),
+    st.tuples(st.lists(st.tuples(st.integers(min_value=0), st.one_of(
+        st.sampled_from(NUMBERS + ["0.05", '"', '"1,2"', "\r", "0,1"]),
+        ONE_LINE)), max_size=4), CSV_SCHEMAS).map(edited_csv))
+BEAT_TIMES = st.one_of(
+    st.none(), st.lists(st.floats(), max_size=4),
+    st.lists(st.floats(-0.1, 0.5), max_size=4, unique=True).map(sorted))
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text")
+
+
+@FUZZ
+@given(INI_TEXT)
+def test_load_settings_raises_only_usage_errors(text_dir, text):
+    path = text_dir / "fuzz.ini"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        load_settings(path)
+    except UsageError:
+        pass
+
+
+@FUZZ
+@given(MANIFEST_TEXT)
+def test_parse_manifest_raises_only_data_errors(text):
+    only_data_errors(parse_manifest, text)
+
+
+@FUZZ
+@given(CSV_INPUTS, st.sampled_from([10.0, 250.0, 1e-300, 1e300]), BEAT_TIMES)
+# a field past the csv module's 131072-character limit
+@example(csv_input=("1" * 200_000, CsvSchema("0", has_header=False)),
+         fs=10.0, beat_times=None)
+def test_ingest_csv_raises_only_data_errors(csv_input, fs, beat_times):
+    text, schema = csv_input
+    if beat_times is not None:
+        beat_times = np.array(beat_times, dtype=np.float64)
+    only_data_errors(ingest_csv, text, schema, fs, "csv", "csv",
+                     "BaselineFlexComp", beat_times)

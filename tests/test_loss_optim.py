@@ -58,6 +58,39 @@ def test_loss_shift_invariance():
     np.testing.assert_allclose(dbase, dshift, atol=1e-9)
 
 
+# With unit weights and the sum reduction, dlogits is p - onehot(label),
+# so the loss's softmax probabilities are dlogits plus the one-hot rows.
+
+
+def loss_softmax(logits):
+    """(loss, probabilities) of ``weighted_cross_entropy`` with label 0."""
+    loss, dlogits = weighted_cross_entropy(
+        logits, np.zeros(len(logits), dtype=np.int64), ClassWeights(1.0, 1.0),
+        reduction="sum")
+    dlogits[:, 0] += 1.0
+    return loss, dlogits
+
+
+def test_loss_softmax_basic_rows():
+    loss, p = loss_softmax(np.array([[0.0, 0.0]]))
+    np.testing.assert_allclose(p, [[0.5, 0.5]])
+    assert abs(loss - math.log(2.0)) < 1e-12
+    loss, p = loss_softmax(np.array([[1000.0, 0.0]]))  # must not overflow
+    assert np.isfinite(loss) and np.all(np.isfinite(p))
+    np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-12)
+
+
+def test_loss_softmax_shift_invariance_and_normalization():
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(50, 2)) * 3
+    loss, p = loss_softmax(z)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(loss, -np.log(p[:, 0]).sum(), rtol=1e-12)
+    shifted_loss, shifted_p = loss_softmax(z + 17.0)
+    np.testing.assert_allclose(shifted_p, p, atol=1e-12)
+    assert abs(shifted_loss - loss) < 1e-9
+
+
 def test_loss_equal_weights_match_unweighted_mean():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(32, 2)) * 2
@@ -174,14 +207,6 @@ def test_adadelta_update_opposes_gradient():
         assert np.all(np.sign(step[nz]) == -np.sign(g[nz]))
 
 
-def test_adadelta_lr_zero_freezes_params():
-    params = {"w": np.array([3.0])}
-    state = AdaDeltaState(lr=0.0)
-    for _ in range(3):
-        adadelta_step(params, {"w": np.array([5.0])}, state)
-    np.testing.assert_array_equal(params["w"], [3.0])
-
-
 def test_adadelta_descends_quadratic():
     # f(x) = x^2, grad 2x: iterates must strictly reduce f
     params = {"x": np.array([2.0])}
@@ -215,6 +240,9 @@ def test_adadelta_errors():
         AdaDeltaState(rho=1.0)
     with pytest.raises(DataError, match="eps must be > 0"):
         AdaDeltaState(eps=0.0)
+    for lr in (0.0, -1.0, float("nan")):
+        with pytest.raises(DataError, match="lr must be > 0"):
+            AdaDeltaState(lr=lr)
 
 
 def test_adadelta_preserves_dtype():

@@ -5,16 +5,13 @@ import pytest
 
 from beatnet.errors import DataError
 from beatnet.nn import (
-    DEFAULT_CONFIG,
     ConvBlockSpec,
     NetworkConfig,
     backward,
     batchnorm1d_forward,
     conv1d_forward,
-    conv_part_keys,
     dropout_backward,
     dropout_forward,
-    fc_part_keys,
     forward,
     forward_head,
     init_params,
@@ -26,10 +23,10 @@ from beatnet.nn import (
     predict_logits,
     relu_backward,
     relu_forward,
-    softmax,
-    trainable_keys,
     trunk_features,
 )
+
+NET = NetworkConfig()  # the default geometry
 
 
 # --- convolution ---
@@ -210,30 +207,11 @@ def test_dropout_requires_rng_in_train_mode():
         dropout_forward(np.ones((2, 2)), 1.0, train=True)
 
 
-# --- softmax ---
-
-
-def test_softmax_basic_rows():
-    p = softmax(np.array([[0.0, 0.0]]))
-    np.testing.assert_allclose(p, [[0.5, 0.5]])
-    p = softmax(np.array([[1000.0, 0.0]]))  # must not overflow
-    assert np.all(np.isfinite(p))
-    np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-12)
-
-
-def test_softmax_shift_invariance_and_normalization():
-    rng = np.random.default_rng(7)
-    z = rng.normal(size=(50, 2)) * 3
-    p = softmax(z)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(softmax(z + 17.0), p, atol=1e-12)
-
-
 # --- network geometry ---
 
 
 def test_default_config_geometry():
-    cfg = DEFAULT_CONFIG
+    cfg = NET
     assert cfg.input_length == 250
     assert cfg.conv_output_length == 15          # 250->125->62->31->15
     assert cfg.flatten_width == 64 * 15
@@ -268,25 +246,29 @@ def test_config_validation():
 
 
 def test_param_layout_shapes():
-    shapes = dict(param_layout(DEFAULT_CONFIG))
+    shapes = dict(param_layout(NET))
     assert shapes["conv0.weight"] == (8, 1, 7)
     assert shapes["conv0.bn.gamma"] == (1,)
     assert shapes["conv3.weight"] == (64, 32, 3)
     assert shapes["fc0.weight"] == (128, 960)
     assert shapes["fc2.weight"] == (2, 32)
     assert shapes["fc2.bias"] == (2,)
-    keys = trainable_keys(DEFAULT_CONFIG)
-    assert all("running_" not in k for k in keys)
-    assert set(conv_part_keys(DEFAULT_CONFIG)) | set(
-        fc_part_keys(DEFAULT_CONFIG)) == {n for n, _ in
-                                          param_layout(DEFAULT_CONFIG)}
+    names = [name for name, _ in param_layout(NET)]
+    assert all(name.startswith(("conv", "fc")) for name in names)
+    # a whole-network backward covers every entry but the running stats
+    rng = np.random.default_rng(9)
+    params = init_params(NET, rng)
+    logits, cache = forward(NET, params, rng.normal(size=(2, 1, 250)),
+                            train=True, rng=rng)
+    grads = backward(NET, params, cache, np.ones_like(logits))
+    assert set(grads) == {name for name in names if "running_" not in name}
 
 
 def test_init_params_distribution_and_determinism():
     rng = np.random.default_rng(8)
-    params = init_params(DEFAULT_CONFIG, rng)
-    assert set(params) == {n for n, _ in param_layout(DEFAULT_CONFIG)}
-    for name, shape in param_layout(DEFAULT_CONFIG):
+    params = init_params(NET, rng)
+    assert set(params) == {n for n, _ in param_layout(NET)}
+    for name, shape in param_layout(NET):
         assert params[name].shape == shape
         assert params[name].dtype == np.float32
     # bounds: fc0 fan-in is 960
@@ -298,7 +280,7 @@ def test_init_params_distribution_and_determinism():
     np.testing.assert_array_equal(params["conv1.bn.gamma"], 1.0)
     np.testing.assert_array_equal(params["conv1.bn.running_var"], 1.0)
 
-    again = init_params(DEFAULT_CONFIG, np.random.default_rng(8))
+    again = init_params(NET, np.random.default_rng(8))
     for k in params:
         np.testing.assert_array_equal(params[k], again[k])
 
@@ -308,22 +290,22 @@ def test_init_params_distribution_and_determinism():
 
 def test_forward_output_shape_and_determinism():
     rng = np.random.default_rng(9)
-    params = init_params(DEFAULT_CONFIG, rng)
+    params = init_params(NET, rng)
     x = rng.normal(size=(5, 1, 250)).astype(np.float32)
-    logits, _ = forward(DEFAULT_CONFIG, params, x, train=False)
+    logits, _ = forward(NET, params, x, train=False)
     assert logits.shape == (5, 2)
     assert np.all(np.isfinite(logits))
-    again, _ = forward(DEFAULT_CONFIG, params, x, train=False)
+    again, _ = forward(NET, params, x, train=False)
     np.testing.assert_array_equal(logits, again)
 
 
 def test_forward_eval_does_not_mutate_params():
     rng = np.random.default_rng(10)
-    params = init_params(DEFAULT_CONFIG, rng)
+    params = init_params(NET, rng)
     before = {k: v.copy() for k, v in params.items()}
     x = rng.normal(size=(3, 1, 250)).astype(np.float32)
-    forward(DEFAULT_CONFIG, params, x, train=False)
-    forward(DEFAULT_CONFIG, params, x, train=True,
+    forward(NET, params, x, train=False)
+    forward(NET, params, x, train=True,
             rng=np.random.default_rng(0))
     for k in params:
         np.testing.assert_array_equal(params[k], before[k])
@@ -331,9 +313,9 @@ def test_forward_eval_does_not_mutate_params():
 
 def test_forward_train_reports_bn_updates_without_committing():
     rng = np.random.default_rng(11)
-    params = init_params(DEFAULT_CONFIG, rng)
+    params = init_params(NET, rng)
     x = rng.normal(size=(4, 1, 250)).astype(np.float32)
-    _, cache = forward(DEFAULT_CONFIG, params, x, train=True,
+    _, cache = forward(NET, params, x, train=True,
                        rng=np.random.default_rng(1))
     assert set(cache.bn_updates) == {
         f"conv{b}.bn.running_{s}" for b in range(4) for s in ("mean", "var")}
@@ -344,21 +326,21 @@ def test_forward_train_reports_bn_updates_without_committing():
 
 def test_forward_head_keeps_bn_frozen():
     rng = np.random.default_rng(12)
-    params = init_params(DEFAULT_CONFIG, rng)
-    h = rng.normal(size=(4, DEFAULT_CONFIG.flatten_width)).astype(np.float32)
-    logits, cache = forward_head(DEFAULT_CONFIG, params, h, train=True,
+    params = init_params(NET, rng)
+    h = rng.normal(size=(4, NET.flatten_width)).astype(np.float32)
+    logits, cache = forward_head(NET, params, h, train=True,
                                  rng=np.random.default_rng(1))
     assert cache.bn_updates == {}
     # a head-only cache ends at flatten, so backward yields FC grads only
-    grads = backward(DEFAULT_CONFIG, params, cache, np.ones_like(logits))
-    assert set(grads) == {k for k in trainable_keys(DEFAULT_CONFIG)
-                          if k.startswith("fc")}
+    grads = backward(NET, params, cache, np.ones_like(logits))
+    assert set(grads) == {name for name, _ in param_layout(NET)
+                          if name.startswith("fc")}
 
 
 def _forward_features(params, X):
     """The flattened eval-mode trunk output inside ``forward``: the input
     the first FC layer cached (dropout is the identity in eval mode)."""
-    _, cache = forward(DEFAULT_CONFIG, params, X[:, None, :], train=False)
+    _, cache = forward(NET, params, X[:, None, :], train=False)
     return next(stored for kind, name, stored in cache.layers
                 if (kind, name) == ("fc", "fc0"))
 
@@ -366,44 +348,44 @@ def _forward_features(params, X):
 @pytest.mark.parametrize("n", [1024, 2050])
 def test_trunk_features_equal_forward_trunk(n):
     rng = np.random.default_rng(15)
-    params = init_params(DEFAULT_CONFIG, rng)
+    params = init_params(NET, rng)
     X = rng.normal(size=(n, 250)).astype(np.float32)
-    features = trunk_features(DEFAULT_CONFIG, params, X)
-    assert features.shape == (n, DEFAULT_CONFIG.flatten_width)
+    features = trunk_features(NET, params, X)
+    assert features.shape == (n, NET.flatten_width)
     # the training batches of 64 rows, and the whole input at once
     np.testing.assert_array_equal(features, np.concatenate(
         [_forward_features(params, X[i:i + 64]) for i in range(0, n, 64)]))
     np.testing.assert_array_equal(features, _forward_features(params, X))
     # the head on the features gives the logits of the whole network
     np.testing.assert_array_equal(
-        forward_head(DEFAULT_CONFIG, params, features[:64], train=False)[0],
-        forward(DEFAULT_CONFIG, params, X[:64, None, :], train=False)[0])
+        forward_head(NET, params, features[:64], train=False)[0],
+        forward(NET, params, X[:64, None, :], train=False)[0])
 
 
 def test_trunk_features_of_no_rows():
-    params = init_params(DEFAULT_CONFIG, np.random.default_rng(16))
-    features = trunk_features(DEFAULT_CONFIG, params,
+    params = init_params(NET, np.random.default_rng(16))
+    features = trunk_features(NET, params,
                               np.empty((0, 250), dtype=np.float32))
-    assert features.shape == (0, DEFAULT_CONFIG.flatten_width)
+    assert features.shape == (0, NET.flatten_width)
 
 
 def test_forward_rejects_wrong_length():
     rng = np.random.default_rng(13)
-    params = init_params(DEFAULT_CONFIG, rng)
+    params = init_params(NET, rng)
     with pytest.raises(DataError, match=r"expected \(n, 1, 250\) input"):
-        forward(DEFAULT_CONFIG, params, rng.normal(size=(2, 1, 100)),
+        forward(NET, params, rng.normal(size=(2, 1, 100)),
                 train=False)
 
 
 def test_predict_logits_accepts_2d_and_batches():
     rng = np.random.default_rng(14)
-    params = init_params(DEFAULT_CONFIG, rng)
+    params = init_params(NET, rng)
     X = rng.normal(size=(2050, 250)).astype(np.float32)
-    logits = predict_logits(DEFAULT_CONFIG, params, X, batch_size=1000)
+    logits = predict_logits(NET, params, X)
     assert logits.shape == (2050, 2)
     # batching must not change results
     np.testing.assert_allclose(
-        logits, predict_logits(DEFAULT_CONFIG, params, X, batch_size=2050),
+        logits, forward(NET, params, X[:, None, :], train=False)[0],
         atol=1e-6)
-    labels = predict_labels(DEFAULT_CONFIG, params, X)
+    labels = predict_labels(NET, params, X)
     np.testing.assert_array_equal(labels, logits.argmax(axis=1))

@@ -12,7 +12,6 @@ from beatnet.records import (
     ingest_csv,
     load_manifest,
     load_record,
-    load_records,
     parse_manifest,
 )
 
@@ -156,6 +155,32 @@ def test_ingest_csv_unsorted_beat_times():
                    beat_times=np.array([0.2, 0.1]))
 
 
+# NumPy warnings are errors here: bad input must end in DataError alone
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300, 1.0, -0.1])
+def test_ingest_csv_bad_beat_time(bad):
+    with pytest.raises(DataError, match="bad beat time"):
+        ingest_csv("0.0\n" * 10, CsvSchema("0", has_header=False), fs=10.0,
+                   beat_times=np.array([bad]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1e300", "-1e39", "inf", "nan"])
+def test_ingest_csv_sample_beyond_float32(value):
+    with pytest.raises(DataError, match=f"row 2: sample value '{value}' is "
+                                        f"not a finite float32"):
+        ingest_csv(f"0.0\n{value}\n", CsvSchema("0", has_header=False),
+                   fs=10.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ingest_csv_oversized_field():
+    with pytest.raises(DataError, match="CSV line 2: field larger than "
+                                        "field limit"):
+        ingest_csv("0.0\n" + "1" * 200_000 + "\n0.0\n",
+                   CsvSchema("0", has_header=False), fs=10.0)
+
+
 # --- manifest parsing ---
 
 
@@ -247,6 +272,12 @@ def beat_stream(indices):
     return bytes(out)
 
 
+def load_all(manifest):
+    """Every record a manifest lists, loaded as ``run_ingest`` loads them."""
+    sources, root = load_manifest(manifest)
+    return [load_record(source, root) for source in sources]
+
+
 def test_load_wfdb_record(tmp_path):
     adc = np.arange(-50, 50, dtype=np.int64)
     write_wfdb_record(tmp_path, "r0", fs=100.0, adc_channels=[adc],
@@ -255,7 +286,7 @@ def test_load_wfdb_record(tmp_path):
     manifest = tmp_path / "corpus.manifest"
     manifest.write_text(
         "record=r0 subject=s0 tag=Arrhythmia hea=r0.hea ann=r0.atr\n")
-    records = load_records(manifest)
+    records = load_all(manifest)
     assert len(records) == 1
     rec = records[0]
     assert rec.fs == 100.0
@@ -272,7 +303,7 @@ def test_load_wfdb_record_second_channel(tmp_path):
     manifest = tmp_path / "m"
     manifest.write_text(
         "record=r1 subject=s tag=Arrhythmia hea=r1.hea ann=r1.atr channel=1\n")
-    rec = load_records(manifest)[0]
+    rec = load_all(manifest)[0]
     np.testing.assert_array_equal(rec.samples, ch1.astype(np.float32))
     assert rec.beat_samples.size == 0
 
@@ -284,7 +315,7 @@ def test_load_wfdb_record_clips_beats_past_signal_end(tmp_path):
     manifest = tmp_path / "m"
     manifest.write_text(
         "record=r2 subject=s tag=Arrhythmia hea=r2.hea ann=r2.atr\n")
-    rec = load_records(manifest)[0]
+    rec = load_all(manifest)[0]
     np.testing.assert_array_equal(rec.beat_samples, [5, 29])
 
 
@@ -296,7 +327,7 @@ def test_load_wfdb_record_channel_out_of_range(tmp_path):
     manifest.write_text(
         "record=r3 subject=s tag=Arrhythmia hea=r3.hea ann=r3.atr channel=5\n")
     with pytest.raises(DataError):
-        load_records(manifest)
+        load_all(manifest)
 
 
 def test_load_wfdb_record_missing_dat(tmp_path):
@@ -308,7 +339,7 @@ def test_load_wfdb_record_missing_dat(tmp_path):
     manifest.write_text(
         "record=r4 subject=s tag=Arrhythmia hea=r4.hea ann=r4.atr\n")
     with pytest.raises(DataError):
-        load_records(manifest)
+        load_all(manifest)
 
 
 def test_load_csv_record_with_beats_file(tmp_path):
@@ -318,7 +349,7 @@ def test_load_csv_record_with_beats_file(tmp_path):
     manifest.write_text(
         "record=w subject=p tag=BaselineComfTech csv=w.csv fs=25 "
         "value_col=0 beats=w.beats header=false\n")
-    rec = load_records(manifest)[0]
+    rec = load_all(manifest)[0]
     assert rec.samples.size == 50
     np.testing.assert_array_equal(rec.beat_samples, [12, 38])
 
@@ -331,7 +362,7 @@ def test_load_csv_record_bad_beats_file(tmp_path):
         "record=w subject=p tag=BaselineComfTech csv=w.csv fs=25 "
         "value_col=0 beats=w.beats header=false\n")
     with pytest.raises(DataError, match="record w: non-numeric beat time"):
-        load_records(manifest)
+        load_all(manifest)
 
 
 def test_data_root_env_overrides_manifest_dir(tmp_path, monkeypatch):
@@ -348,25 +379,9 @@ def test_data_root_env_overrides_manifest_dir(tmp_path, monkeypatch):
     # without the override the files are not next to the manifest
     monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
     with pytest.raises(DataError):
-        load_records(manifest)
+        load_all(manifest)
     monkeypatch.setenv(DATA_ROOT_ENV, str(data_dir))
-    assert len(load_records(manifest)) == 1
-
-
-def test_load_records_tag_filter(tmp_path):
-    for name, tag in (("a", "NormalSinus"), ("b", "Arrhythmia")):
-        write_wfdb_record(tmp_path, name, fs=10.0,
-                          adc_channels=[np.zeros(10, dtype=np.int64)],
-                          annotation_bytes=end_marker())
-    manifest = tmp_path / "m"
-    manifest.write_text(
-        "record=a subject=1 tag=NormalSinus hea=a.hea ann=a.atr\n"
-        "record=b subject=2 tag=Arrhythmia hea=b.hea ann=b.atr\n")
-    assert len(load_records(manifest)) == 2
-    only = load_records(manifest, tags=["Arrhythmia"])
-    assert [r.record_id for r in only] == ["b"]
-    with pytest.raises(DataError, match="unknown tags requested"):
-        load_records(manifest, tags=["NotATag"])
+    assert len(load_all(manifest)) == 1
 
 
 def test_dataset_tags_cover_all_sources():
