@@ -8,6 +8,7 @@ new data by fine-tuning only the head, and evaluate MCC, precision,
 sensitivity and F1 with bootstrap confidence intervals.
 """
 
+from .config import Settings
 from .loss import ClassWeights, weighted_cross_entropy
 from .metrics import (
     ConfusionCounts,
@@ -31,7 +32,7 @@ from .segments import (
     save_cache,
     split_subjects,
 )
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train, transfer
+from .train import load_checkpoint, save_checkpoint, train, transfer
 from .wfdb_io import (
     BeatAnnotations,
     WfdbHeader,
@@ -47,7 +48,7 @@ __all__ = [
     "AdaDeltaState", "BEAT", "BeatAnnotations", "ClassWeights",
     "ConfusionCounts", "ConvBlockSpec", "CsvSchema", "EcgRecord",
     "EvalReport", "LabeledDataset", "NO_BEAT", "NetworkConfig",
-    "TrainConfig", "WfdbHeader", "adadelta_step", "build_report",
+    "Settings", "WfdbHeader", "adadelta_step", "build_report",
     "build_subsets", "confusion", "decode_signal", "filter_beats",
     "forward", "ingest_csv", "init_params", "label_window", "load_cache",
     "load_checkpoint", "mcc", "parse_annotations", "parse_header",

@@ -145,16 +145,16 @@ def _train_like(args, checkpoint_path=None) -> None:
                                   args.partition)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = settings.train_config()
     if checkpoint_path is None:
-        params, history = train(dataset, config)
+        params, history = train(dataset, settings)
     else:
-        params, history = transfer(checkpoint_path, dataset, config)
-    save_checkpoint(params, config.network, out / "checkpoint.hbdl")
+        params, history = transfer(checkpoint_path, dataset, settings)
+    save_checkpoint(params, settings.network_config(),
+                    out / "checkpoint.hbdl")
     write_text(out / "train_log.csv", history.to_csv())
     write_text(out / "config.ini", render_snapshot(settings))
     final = history.train_mcc[-1] if len(history) else float("nan")
-    print(f"trained {config.epochs} epochs on {len(dataset)} segments "
+    print(f"trained {settings.epochs} epochs on {len(dataset)} segments "
           f"(final train MCC {final:.3f}); checkpoint in {out}")
 
 

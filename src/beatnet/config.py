@@ -5,8 +5,11 @@ Every knob has a default matching the protocol this package implements;
 into the text written to each run directory, so a run records exactly
 what it used even where the user's file was silent. Each value is read
 by the type of its default: floats (which may be written as ratios,
-"2/3", and must be finite), integers, strings, and comma-separated
-lists.
+"2/3"), integers, strings, and comma-separated lists.
+
+:class:`Settings` checks every value when it is constructed, so a file
+read by :func:`load_settings`, a ``Settings(...)`` built in code and one
+changed with ``dataclasses.replace`` all pass the same checks.
 """
 
 from __future__ import annotations
@@ -16,18 +19,17 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BeatnetError, UsageError
+from .errors import DataError, UsageError
 from .loss import W_BEAT, W_NOBEAT, ClassWeights
 from .metrics import BOOTSTRAP_FRACTION, BOOTSTRAP_REPS
 from .nn import BN_EPS, BN_MOMENTUM, ConvBlockSpec, NetworkConfig
-from .optim import EPS, LR, RHO
+from .optim import EPS, LR, RHO, AdaDeltaState
 from .segments import MAX_RECORD_SECONDS, WINDOW_SECONDS
-from .train import TrainConfig
 from .wfdb_io import DEFAULT_BEAT_SYMBOLS, resolve_beat_codes
 
 
 def parse_fraction(text: str) -> float:
-    """Parse a finite float like "0.25" or a ratio like "2/3"."""
+    """Parse a float like "0.25" or a ratio like "2/3"."""
     text = text.strip()
     try:
         if "/" in text:
@@ -38,14 +40,17 @@ def parse_fraction(text: str) -> float:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse {text!r} as a number or ratio: "
                          f"{exc}") from exc
-    if not math.isfinite(value):
-        raise UsageError(f"{text!r} is not a finite number")
     return value
 
 
 @dataclass(frozen=True)
 class Settings:
-    """Typed view of one configuration file (or pure defaults)."""
+    """The run configuration: every value a run depends on besides its
+    data, as read from one configuration file (or pure defaults).
+
+    ``epochs`` may be 0, which runs no updates and returns the initial
+    parameters.
+    """
 
     # [data]
     max_record_seconds: float = MAX_RECORD_SECONDS
@@ -72,6 +77,37 @@ class Settings:
     bootstrap_reps: int = BOOTSTRAP_REPS
     bootstrap_fraction: float = BOOTSTRAP_FRACTION
 
+    def __post_init__(self):
+        """Check every value; the types that own a value check it."""
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{key} must be a finite number, got "
+                                 f"{value}")
+        for key, low in (("epochs", 0), ("batch_size", 1), ("seed", 0),
+                         ("bootstrap_reps", 2)):
+            if getattr(self, key) < low:
+                raise UsageError(f"{key} must be >= {low}, got "
+                                 f"{getattr(self, key)}")
+        if self.reduction not in ("mean", "sum"):
+            raise UsageError(f"unknown reduction {self.reduction!r}")
+        if not self.max_record_seconds >= WINDOW_SECONDS:
+            raise UsageError(f"max_record_seconds must be >= "
+                             f"{WINDOW_SECONDS} (one window), got "
+                             f"{self.max_record_seconds}")
+        if not 0 < self.train_fraction < 1:
+            raise UsageError(f"train_fraction must be in (0, 1), got "
+                             f"{self.train_fraction}")
+        if not 0 < self.bootstrap_fraction <= 1:
+            raise UsageError(f"bootstrap_fraction must be in (0, 1], got "
+                             f"{self.bootstrap_fraction}")
+        try:
+            self.network_config()
+            ClassWeights(self.w_nobeat, self.w_beat)
+            AdaDeltaState(rho=self.rho, eps=self.eps, lr=self.lr)
+            resolve_beat_codes(self.beat_codes)
+        except (ValueError, DataError) as exc:
+            raise UsageError(str(exc)) from exc
+
     def network_config(self) -> NetworkConfig:
         if len(self.conv_channels) != 4 or len(self.conv_kernels) != 4:
             raise UsageError("conv_channels and conv_kernels need exactly "
@@ -83,14 +119,6 @@ class Settings:
             conv_blocks=blocks, fc_sizes=self.fc_sizes,
             dropout_p=self.dropout_p, bn_eps=self.bn_eps,
             bn_momentum=self.bn_momentum)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            weights=ClassWeights(self.w_nobeat, self.w_beat), lr=self.lr,
-            seed=self.seed,
-            network=self.network_config(), rho=self.rho, eps=self.eps,
-            reduction=self.reduction)
 
 
 # Section -> keys, in snapshot order; every key is a Settings field.
@@ -132,12 +160,15 @@ def _format_value(value) -> str:
 def load_settings(path: str | Path | None = None) -> Settings:
     """Read settings from an INI file; ``None`` gives pure defaults.
 
-    Unknown sections or keys are usage errors, not silent no-ops, so a
-    typo cannot quietly fall back to a default.
+    Unknown sections (``[DEFAULT]`` included) or keys are usage errors,
+    not silent no-ops, so a typo cannot quietly fall back to a default.
     """
     if path is None:
         return Settings()
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section header can be empty, so "[DEFAULT]" is an ordinary,
+    # unknown section rather than defaults copied into every other one.
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -161,25 +192,9 @@ def load_settings(path: str | Path | None = None) -> Settings:
                 raise UsageError(f"bad value for {key} in config {path}: "
                                  f"{exc}") from exc
     try:
-        settings = Settings(**values)
-        settings.train_config()  # runs the network and training checks
-        resolve_beat_codes(settings.beat_codes)  # known mnemonics only
-        if not settings.max_record_seconds >= WINDOW_SECONDS:
-            raise UsageError(f"max_record_seconds must be >= "
-                             f"{WINDOW_SECONDS} (one window), got "
-                             f"{settings.max_record_seconds}")
-        if not 0 < settings.train_fraction < 1:
-            raise UsageError(f"train_fraction must be in (0, 1), got "
-                             f"{settings.train_fraction}")
-        if settings.bootstrap_reps < 2:
-            raise UsageError(f"bootstrap_reps must be >= 2, got "
-                             f"{settings.bootstrap_reps}")
-        if not 0 < settings.bootstrap_fraction <= 1:
-            raise UsageError(f"bootstrap_fraction must be in (0, 1], got "
-                             f"{settings.bootstrap_fraction}")
-    except (ValueError, BeatnetError) as exc:
+        return Settings(**values)
+    except UsageError as exc:
         raise UsageError(f"bad value in config {path}: {exc}") from exc
-    return settings
 
 
 def section_items(settings: Settings, section: str) -> list[tuple[str, str]]:

@@ -126,10 +126,15 @@ def build_synthetic_caches(out_dir, settings: Settings, n_subjects: int = 4,
                            duration: float = 12.5, fs: float = 250.0,
                            seed: int | None = None,
                            tags=("NormalSinus", "LongTerm")) -> list[Path]:
-    """Synthetic stand-in for ingest: same cache layout, generated data."""
-    seed = settings.seed if seed is None else seed
-    records = make_synthetic_records(n_subjects, duration, fs, seed, tags)
-    datasets = build_subsets(records, settings.train_fraction, seed,
+    """Synthetic stand-in for ingest: same cache layout, generated data.
+
+    ``seed``, when given, replaces ``settings.seed``.
+    """
+    if seed is not None:
+        settings = replace(settings, seed=seed)
+    records = make_synthetic_records(n_subjects, duration, fs, settings.seed,
+                                     tags)
+    datasets = build_subsets(records, settings.train_fraction, settings.seed,
                              settings.max_record_seconds)
     return _write_caches(datasets, Path(out_dir))
 
@@ -181,8 +186,7 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     if seed is not None:
         settings = replace(settings, seed=seed)
-    config = settings.train_config()
-    net_config = config.network
+    net_config = settings.network_config()
 
     if experiment_id == 1:
         partitions = (TRAIN, TEST)
@@ -213,10 +217,11 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
         caches.extend(cache_file(cache_dir, subset, p) for p in partitions)
         if experiment_id != 2:
             if experiment_id == 1:
-                params, history = train(datasets[0], config)
+                params, history = train(datasets[0], settings)
                 suffix = ""
             else:
-                params, history = transfer(checkpoint, datasets[0], config)
+                params, history = transfer(checkpoint, datasets[0],
+                                           settings)
                 suffix = f"_{subset_slug(subset)}"
             ckpt = out_dir / f"checkpoint{suffix}.hbdl"
             save_checkpoint(params, net_config, ckpt)

@@ -63,22 +63,19 @@ class EcgRecord:
             raise DataError(f"unknown dataset tag {self.dataset_tag!r} "
                             f"(expected one of {DATASET_TAGS})")
         if not 0 < self.fs < np.inf:
-            raise DataError(f"record {self.record_id}: sampling rate must "
-                            f"be finite and > 0, got {self.fs}")
+            raise DataError(f"sampling rate must be finite and > 0, got "
+                            f"{self.fs}")
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise DataError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.samples)):
-            raise DataError(f"record {self.record_id}: non-finite sample values")
+            raise DataError("non-finite sample values")
         beats = self.beat_samples
         if beats.size:
             if beats[0] < 0 or beats[-1] >= self.samples.size:
                 raise DataError(
-                    f"record {self.record_id}: beat index outside "
-                    f"[0, {self.samples.size})")
+                    f"beat index outside [0, {self.samples.size})")
             if not np.all(np.diff(beats) > 0):
-                raise DataError(
-                    f"record {self.record_id}: beat indices not strictly "
-                    f"increasing")
+                raise DataError("beat indices not strictly increasing")
 
     @property
     def duration(self) -> float:
@@ -345,14 +342,17 @@ def _read_text(root: Path, rel: str, what: str) -> str:
 
 def load_record(source: RecordSource, root: Path,
                 beat_codes=wfdb_io.DEFAULT_BEAT_SYMBOLS) -> EcgRecord:
-    """Load and decode one record from disk per its manifest entry."""
+    """Load and decode one record from disk per its manifest entry.
+
+    Errors leave the record id to the caller, which names it once.
+    """
     if source.kind == "wfdb":
         header_bytes = _read_bytes(root, source.paths["hea"], "header")
         header = wfdb_io.parse_header(header_bytes.decode("ascii", "replace"))
         if not 0 <= source.channel < header.n_signals:
             raise DataError(
-                f"record {source.record_id}: channel {source.channel} not in "
-                f"record with {header.n_signals} signals")
+                f"channel {source.channel} not in record with "
+                f"{header.n_signals} signals")
         dat_name = header.signals[source.channel].file_name
         dat_rel = str(Path(source.paths["hea"]).parent / dat_name)
         dat_bytes = _read_bytes(root, dat_rel, "signal")
@@ -361,9 +361,7 @@ def load_record(source: RecordSource, root: Path,
         annotations = wfdb_io.parse_annotations(ann_bytes)
         beats = wfdb_io.filter_beats(annotations, beat_codes)
         if not np.all(np.diff(beats) > 0):
-            raise DataError(
-                f"record {source.record_id}: decoded beat indices not "
-                f"strictly increasing")
+            raise DataError("decoded beat indices not strictly increasing")
         # clip rare annotations that point past the signal end
         beats = beats[beats < samples.size]
         return EcgRecord(source.record_id, source.subject_id,
@@ -380,9 +378,7 @@ def load_record(source: RecordSource, root: Path,
                 beat_times = np.asarray([float(ln) for ln in lines],
                                         dtype=np.float64)
             except ValueError as exc:
-                raise DataError(
-                    f"record {source.record_id}: non-numeric beat time "
-                    f"({exc})") from exc
+                raise DataError(f"non-numeric beat time ({exc})") from exc
         return ingest_csv(csv_text, source.schema, source.fs,
                           record_id=source.record_id,
                           subject_id=source.subject_id,

@@ -7,15 +7,16 @@ batches (final short batch included), backpropagates the weighted
 cross-entropy and applies AdaDelta updates, then scores the epoch with
 an eval-mode pass over the training data.
 
-With ``freeze_conv`` (the transfer-learning mode) the convolutional
-trunk runs in eval mode, so its weights, BN parameters and BN running
-statistics all stay exactly as loaded, and its output for a segment
-never changes. The loop therefore computes the trunk features of the
-whole dataset once, up front, and each batch (and each epoch's scoring
-pass) runs only the FC head on them; the head fine-tunes from the
-loaded values rather than being re-initialized. The batches, the
-dropout draws and so the results are the same as running the frozen
-trunk on every batch.
+The parameters a run starts from decide what it trains. With no
+``init`` the whole network trains from a seeded initialisation. With
+``init`` (the transfer-learning mode) only the FC head fine-tunes from
+the given values, and the convolutional trunk runs in eval mode, so its
+weights, BN parameters and BN running statistics all stay exactly as
+given, and its output for a segment never changes. The loop therefore
+computes the trunk features of the whole dataset once, up front, and
+each batch (and each epoch's scoring pass) runs only the FC head on
+them. The batches, the dropout draws and so the results are the same
+as running the frozen trunk on every batch.
 
 Checkpoints use the shared frame of :mod:`beatnet.container` (magic
 "HBDL", u16 version, 8-byte checksum trailer). The body is a u32-length
@@ -28,10 +29,11 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Settings
 from .container import read_framed, write_framed
 from .errors import DataError, NumericError
 from .loss import ClassWeights, weighted_cross_entropy
@@ -46,42 +48,11 @@ from .nn import (
     predict_labels,
     trunk_features,
 )
-from .optim import EPS, RHO, AdaDeltaState, adadelta_step
+from .optim import AdaDeltaState, adadelta_step
 from .segments import LabeledDataset
 
 _CKPT_MAGIC = b"HBDL"
 _CKPT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Everything a training run depends on besides the data itself.
-
-    ``epochs`` may be 0, which runs no updates and returns the initial
-    parameters (useful for checkpoint validation); normal training uses
-    the default 10.
-    """
-
-    epochs: int = 10
-    batch_size: int = 64
-    weights: ClassWeights = ClassWeights()
-    lr: float = 0.01
-    seed: int = 0
-    freeze_conv: bool = False
-    network: NetworkConfig = NetworkConfig()
-    rho: float = RHO
-    eps: float = EPS
-    reduction: str = "mean"
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise DataError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DataError(f"batch_size must be >= 1, got "
-                            f"{self.batch_size}")
-        if self.reduction not in ("mean", "sum"):
-            raise DataError(f"unknown reduction {self.reduction!r}")
-        AdaDeltaState(rho=self.rho, eps=self.eps, lr=self.lr)  # range checks
 
 
 @dataclass
@@ -124,59 +95,59 @@ def _copy_params(init: dict, config: NetworkConfig) -> dict:
     return out
 
 
-def train(dataset: LabeledDataset, config: TrainConfig,
+def train(dataset: LabeledDataset, settings: Settings,
           init: dict | None = None) -> tuple[dict, TrainHistory]:
-    """Train (or fine-tune, when ``init`` is given) on one dataset.
+    """Train from scratch, or fine-tune the FC head of ``init`` with its
+    trunk frozen, on one dataset.
 
     Returns the final parameters and the per-epoch history. The same
-    (dataset, config, init) always produces bitwise-identical results.
+    (dataset, settings, init) always produces bitwise-identical results.
     """
     n = len(dataset)
     if n == 0:
         raise DataError("cannot train on an empty dataset")
-    rng = np.random.default_rng(config.seed)
-    if init is None:
-        params = init_params(config.network, rng)
-    else:
-        params = _copy_params(init, config.network)
-
-    if config.freeze_conv:
-        inputs = trunk_features(config.network, params, dataset.X)
+    network = settings.network_config()
+    weights = ClassWeights(settings.w_nobeat, settings.w_beat)
+    rng = np.random.default_rng(settings.seed)
+    frozen = init is not None
+    if frozen:
+        params = _copy_params(init, network)
+        inputs = trunk_features(network, params, dataset.X)
         step = forward_head
     else:
+        params = init_params(network, rng)
         inputs = dataset.X[:, None, :]
         step = forward
     y = dataset.y.astype(np.int64)
-    state = AdaDeltaState(rho=config.rho, eps=config.eps, lr=config.lr)
+    state = AdaDeltaState(rho=settings.rho, eps=settings.eps, lr=settings.lr)
     history = TrainHistory()
 
-    for epoch in range(config.epochs):
+    for epoch in range(settings.epochs):
         started = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
+        for start in range(0, n, settings.batch_size):
+            batch_idx = order[start:start + settings.batch_size]
             yb = y[batch_idx]
-            logits, cache = step(config.network, params, inputs[batch_idx],
+            logits, cache = step(network, params, inputs[batch_idx],
                                  train=True, rng=rng)
             loss, dlogits = weighted_cross_entropy(
-                logits, yb, config.weights, config.reduction)
+                logits, yb, weights, settings.reduction)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} in epoch {epoch + 1}, batch "
                     f"starting at segment {start}")
-            grads = backward(config.network, params, cache, dlogits)
+            grads = backward(network, params, cache, dlogits)
             adadelta_step(params, grads, state)
             for name, value in cache.bn_updates.items():
                 params[name] = value
             loss_sum += loss * (len(batch_idx)
-                                if config.reduction == "mean" else 1.0)
-        if config.freeze_conv:
-            logits, _ = forward_head(config.network, params, inputs,
-                                     train=False)
+                                if settings.reduction == "mean" else 1.0)
+        if frozen:
+            logits, _ = forward_head(network, params, inputs, train=False)
             preds = logits.argmax(axis=1)
         else:
-            preds = predict_labels(config.network, params, inputs)
+            preds = predict_labels(network, params, inputs)
         history.mean_loss.append(loss_sum / n)
         history.train_mcc.append(mcc_from_labels(preds, y))
         history.seconds.append(time.perf_counter() - started)
@@ -184,18 +155,19 @@ def train(dataset: LabeledDataset, config: TrainConfig,
 
 
 def transfer(checkpoint_path, dataset: LabeledDataset,
-             config: TrainConfig) -> tuple[dict, TrainHistory]:
-    """Fine-tune a saved model's FC head on a new dataset.
+             settings: Settings) -> tuple[dict, TrainHistory]:
+    """Fine-tune a saved model's FC head on a new dataset, its conv
+    trunk frozen.
 
-    The checkpoint's architecture must equal ``config.network``; the
-    conv trunk is frozen regardless of ``config.freeze_conv``.
+    The checkpoint's architecture must equal ``settings.network_config()``.
     """
     params, net_config = load_checkpoint(checkpoint_path)
-    if net_config != config.network:
+    network = settings.network_config()
+    if net_config != network:
         raise DataError(
             f"checkpoint architecture {net_config.to_dict()} differs from "
-            f"configured {config.network.to_dict()}")
-    return train(dataset, replace(config, freeze_conv=True), init=params)
+            f"configured {network.to_dict()}")
+    return train(dataset, settings, init=params)
 
 
 def save_checkpoint(params: dict, config: NetworkConfig, path) -> None:

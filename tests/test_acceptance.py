@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from beatnet.cli import main
+from beatnet.config import Settings
 from beatnet.metrics import (
     bootstrap_metrics,
     confusion,
@@ -31,7 +32,7 @@ from beatnet.segments import (
     build_labeled_dataset,
     split_subjects,
 )
-from beatnet.train import TrainConfig, load_checkpoint, train
+from beatnet.train import load_checkpoint, train
 from beatnet.wfdb_io import WfdbHeader, SignalSpec, decode_signal, \
     encode_212, parse_annotations
 
@@ -258,9 +259,9 @@ def test_criterion_7_desk_scale_training():
                                      chosen_train, max_duration=900.0)
     test_ds = build_labeled_dataset(records, "NormalSinus+LongTerm", TEST,
                                     chosen_test, max_duration=900.0)
-    config = TrainConfig()
-    params, _ = train(train_ds, config)
-    preds = predict_labels(config.network, params, test_ds.X)
+    settings = Settings()
+    params, _ = train(train_ds, settings)
+    preds = predict_labels(settings.network_config(), params, test_ds.X)
     test_mcc = mcc_from_labels(preds, test_ds.y.astype(np.int64))
     elapsed = time.monotonic() - started
     ok = test_mcc >= 0.60 and elapsed < 900
@@ -270,7 +271,6 @@ def test_criterion_7_desk_scale_training():
 
 @needs_full
 def test_criterion_8_full_scale(tmp_path):
-    from beatnet.config import Settings
     from beatnet.experiments import run_experiment
 
     manifest = Path(DATA_ROOT) / "manifest.txt"

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from beatnet.metrics import reports_from_json
 from beatnet.nn import NetworkConfig, init_params
 from beatnet.segments import SEGMENT_LENGTH, TEST, LabeledDataset, \
     load_cache, save_cache
-from beatnet.train import TrainConfig, save_checkpoint
+from beatnet.train import save_checkpoint
 
 from helpers import reframe, simple_annotation_stream, write_wfdb_record
 
@@ -68,6 +69,43 @@ bootstrap_reps = 100
 bootstrap_fraction = 0.25
 """
 
+# Out-of-range values as (section, key, INI text, the same value in code).
+BAD_VALUES = [
+    ("data", "max_record_seconds", "-5", -5.0),
+    ("data", "max_record_seconds", "0.1", 0.1),  # under one window
+    ("data", "train_fraction", "3/2", 1.5),
+    ("train", "epochs", "-1", -1),
+    ("train", "seed", "-2", -2),
+    ("network", "dropout_p", "1.5", 1.5),
+    ("evaluate", "bootstrap_reps", "1", 1),
+    ("evaluate", "bootstrap_fraction", "0", 0.0),
+    ("train", "rho", "1.5", 1.5),
+    ("train", "eps", "0", 0.0),
+    ("network", "bn_momentum", "2", 2.0),
+    ("network", "bn_eps", "0", 0.0),
+    ("network", "fc_sizes", "0,5,2", (0, 5, 2)),
+    ("data", "beat_codes", "N,ZZ", ("N", "ZZ")),  # no such annotation
+    # every float must be finite, and lr positive
+    ("train", "lr", "nan", math.nan),
+    ("train", "lr", "-1", -1.0),
+    ("train", "lr", "0", 0.0),
+    ("train", "eps", "nan", math.nan),
+    ("train", "w_beat", "nan", math.nan),
+    ("train", "w_nobeat", "inf", math.inf),
+]
+# Bad files with no keyword form: removed keys, a [DEFAULT] section and
+# bytes that are not text.
+BAD_FILES_ONLY = [
+    # keys that only ever had one working value are gone
+    "[network]\npool_kernel = 2\n",
+    "[network]\ninput_length = 250\n",
+    # configparser would copy [DEFAULT] into every other section
+    "[DEFAULT]\nepochs = 3\n",
+    "[DEFAULT]\nepochs = 3\n[train]\n",
+    "[DEFAULT]\n",
+    "[data]\nbeat_codes = N,\xff\n",  # not UTF-8 text
+]
+
 ALL_FILES = ("reports.csv", "reports.json", "mcc_chart.svg", "config.ini",
              "run_info.json")
 
@@ -92,9 +130,22 @@ def build_caches(tmp_path, tags="NormalSinus,LongTerm,Arrhythmia,"
 
 def test_settings_defaults():
     assert load_settings(None) == Settings()
-    # the INI defaults are those of the classes that own the values
-    assert Settings().train_config() == TrainConfig()
+    # the INI defaults are those of the class that owns the geometry
     assert Settings().network_config() == NetworkConfig()
+
+
+@pytest.mark.parametrize("section,key,text,value", BAD_VALUES)
+def test_bad_value_rejected_from_file_and_code(tmp_path, section, key, text,
+                                               value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(UsageError, match=f"in config {path}"):
+        load_settings(path)
+    # a Settings built or changed in code passes the same checks
+    with pytest.raises(UsageError):
+        Settings(**{key: value})
+    with pytest.raises(UsageError):
+        dataclasses.replace(Settings(), **{key: value})
 
 
 def test_default_snapshot_pinned():
@@ -259,6 +310,26 @@ def test_ingest_seed_flag_matches_config_seed(tmp_path, monkeypatch):
     assert test_subjects[0] != test_subjects[1]
 
 
+def test_ingest_error_names_the_record_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("BEATNET_DATA_ROOT", raising=False)
+    (tmp_path / "w1.csv").write_text("0.0\n" * 500)
+    (tmp_path / "w1.beats").write_text("soon\n")
+    write_wfdb_record(tmp_path, "r1", 250.0, [[0] * 500],
+                      annotation_bytes=simple_annotation_stream([]))
+    manifest = tmp_path / "manifest.txt"
+    for line, record_id in [
+            ("record=w1 subject=p tag=BaselineFlexComp csv=w1.csv fs=250 "
+             "value_col=0 beats=w1.beats header=false", "w1"),
+            ("record=r1 subject=s tag=Arrhythmia hea=r1.hea ann=r1.atr "
+             "channel=1", "r1")]:
+        manifest.write_text(line + "\n")
+        assert main(["ingest", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: record {record_id!r}: " in err
+        assert err.count(record_id) == 1, err
+
+
 # --- experiment protocol ---
 
 
@@ -396,35 +467,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "usage error" in err
     # out-of-range values fail when the config file is read
     bad = tmp_path / "bad.ini"
-    for text in ("[data]\nmax_record_seconds = -5\n",
-                 "[data]\nmax_record_seconds = 0.1\n",  # under one window
-                 "[data]\ntrain_fraction = 3/2\n",
-                 "[train]\nepochs = -1\n",
-                 "[network]\ndropout_p = 1.5\n",
-                 "[evaluate]\nbootstrap_reps = 1\n",
-                 "[evaluate]\nbootstrap_fraction = 0\n",
-                 "[train]\nrho = 1.5\n",
-                 "[train]\neps = 0\n",
-                 "[network]\nbn_momentum = 2\n",
-                 "[network]\nbn_eps = 0\n",
-                 "[network]\nfc_sizes = 0,5,2\n",
-                 # keys that only ever had one working value are gone
-                 "[network]\npool_kernel = 2\n",
-                 "[network]\ninput_length = 250\n",
-                 "[data]\nbeat_codes = N,ZZ\n",  # no such annotation
-                 # every float must be finite, and lr positive
-                 "[train]\nlr = nan\n",
-                 "[train]\nlr = -1\n",
-                 "[train]\nlr = 0\n",
-                 "[train]\neps = nan\n",
-                 "[train]\nw_beat = nan\n",
-                 "[train]\nw_nobeat = inf\n",
-                 "[data]\nbeat_codes = N,\xff\n"):  # not UTF-8 text
+    for text in ([f"[{section}]\n{key} = {raw}\n"
+                  for section, key, raw, _ in BAD_VALUES] + BAD_FILES_ONLY):
         bad.write_bytes(text.encode("latin-1"))
         assert main(["experiment", "--id", "1", "--caches", "x",
                      "--out", str(tmp_path / "o"), "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and str(bad) in err
+        if "seed" in text:
+            assert "seed must be >= 0, got -2" in err
+        if "DEFAULT" in text:
+            assert "unknown section [DEFAULT]" in err
     assert not (tmp_path / "o").exists()
     # build-dataset flags that could only write broken or no caches
     for flags in (["--duration", "-1"], ["--duration", "0.2"],
@@ -434,6 +487,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                      *flags]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and flags[0] in err
+    # a negative --seed is refused before anything is read or written
+    (tmp_path / "w.csv").write_text("0.0\n" * 500)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("record=w subject=p tag=BaselineFlexComp csv=w.csv "
+                        "fs=250 value_col=0 header=false\n")
+    for argv in (["build-dataset", "--out", str(tmp_path / "c")],
+                 ["ingest", "--manifest", str(manifest),
+                  "--out", str(tmp_path / "c")]):
+        assert main([*argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "seed must be >= 0, got -1" in err
     assert not (tmp_path / "c").exists()
 
 

@@ -14,6 +14,7 @@ import struct
 import numpy as np
 import pytest
 
+from beatnet.config import Settings
 from beatnet.container import pack_str, read_framed, write_framed, \
     write_text
 from beatnet.errors import DataError
@@ -27,8 +28,7 @@ from beatnet.segments import (
     save_cache,
 )
 from beatnet.synthetic import make_synthetic_records
-from beatnet.train import TrainConfig, load_checkpoint, save_checkpoint, \
-    transfer
+from beatnet.train import load_checkpoint, save_checkpoint, transfer
 
 from gradcheck import SMALL_NET
 from helpers import reframe
@@ -86,7 +86,7 @@ def test_transfer_result_pinned(tmp_path):
     target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
                                    {r.subject_id for r in records})
     assert len(target) == 150  # 9 batches of 16, then a short one of 6
-    params, history = transfer(source, target, TrainConfig(
+    params, history = transfer(source, target, Settings(
         epochs=3, batch_size=16, lr=0.1, seed=3))
     path = tmp_path / "head.hbdl"
     save_checkpoint(params, NetworkConfig(), path)

@@ -64,10 +64,10 @@ def test_record_rejects_beats_outside_signal():
 
 def test_record_rejects_non_increasing_beats():
     with pytest.raises(DataError,
-                       match=": beat indices not strictly increasing"):
+                       match="^beat indices not strictly increasing"):
         make_record(beat_samples=np.array([10, 10], dtype=np.int64))
     with pytest.raises(DataError,
-                       match=": beat indices not strictly increasing"):
+                       match="^beat indices not strictly increasing"):
         make_record(beat_samples=np.array([10, 5], dtype=np.int64))
 
 
@@ -361,7 +361,7 @@ def test_load_csv_record_bad_beats_file(tmp_path):
     manifest.write_text(
         "record=w subject=p tag=BaselineComfTech csv=w.csv fs=25 "
         "value_col=0 beats=w.beats header=false\n")
-    with pytest.raises(DataError, match="record w: non-numeric beat time"):
+    with pytest.raises(DataError, match="^non-numeric beat time"):
         load_all(manifest)
 
 

@@ -1,5 +1,6 @@
 """Training loop, transfer learning and checkpoint persistence tests."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -7,10 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from beatnet.errors import DataError, NumericError
+from beatnet.config import Settings
+from beatnet.errors import DataError, NumericError, UsageError
 from beatnet.nn import (
-    ConvBlockSpec,
-    NetworkConfig,
     init_params,
     param_layout,
     predict_logits,
@@ -18,7 +18,6 @@ from beatnet.nn import (
 from beatnet.segments import TRAIN, build_labeled_dataset, build_subsets
 from beatnet.synthetic import make_synthetic_records
 from beatnet.train import (
-    TrainConfig,
     TrainHistory,
     load_checkpoint,
     save_checkpoint,
@@ -30,10 +29,9 @@ from helpers import reframe
 
 # Small architecture (same block structure, fewer channels) so the
 # training-behavior tests stay fast.
-SMALL_NET = NetworkConfig(
-    conv_blocks=(ConvBlockSpec(1, 2, 3), ConvBlockSpec(2, 3, 3),
-                 ConvBlockSpec(3, 4, 3), ConvBlockSpec(4, 4, 3)),
-    fc_sizes=(16, 8, 2))
+SMALL = Settings(conv_channels=(2, 3, 4, 4), conv_kernels=(3, 3, 3, 3),
+                 fc_sizes=(16, 8, 2))
+SMALL_NET = SMALL.network_config()
 CONV_KEYS = [n for n, _ in param_layout(SMALL_NET) if n.startswith("conv")]
 FC_KEYS = [n for n, _ in param_layout(SMALL_NET) if n.startswith("fc")]
 
@@ -42,6 +40,10 @@ def small_dataset(seed=0, n_subjects=3):
     records = make_synthetic_records(n_subjects=n_subjects, seed=seed)
     return build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
                                  {r.subject_id for r in records})
+
+
+def small(**changes) -> Settings:
+    return dataclasses.replace(SMALL, **changes)
 
 
 def params_equal(a, b):
@@ -54,21 +56,20 @@ def params_equal(a, b):
 
 def test_train_is_deterministic():
     ds = small_dataset()
-    cfg = TrainConfig(epochs=3, batch_size=32, network=SMALL_NET, seed=11)
+    cfg = small(epochs=3, batch_size=32, seed=11)
     p1, h1 = train(ds, cfg)
     p2, h2 = train(ds, cfg)
     assert params_equal(p1, p2)
     assert h1.mean_loss == h2.mean_loss
     assert h1.train_mcc == h2.train_mcc
     # a different seed must lead elsewhere
-    p3, _ = train(ds, TrainConfig(epochs=3, batch_size=32,
-                                  network=SMALL_NET, seed=12))
+    p3, _ = train(ds, small(epochs=3, batch_size=32, seed=12))
     assert not params_equal(p1, p3)
 
 
 def test_train_history_shape():
     ds = small_dataset()
-    cfg = TrainConfig(epochs=4, batch_size=32, network=SMALL_NET)
+    cfg = small(epochs=4, batch_size=32)
     _, history = train(ds, cfg)
     assert len(history) == 4
     assert len(history.train_mcc) == 4
@@ -80,7 +81,7 @@ def test_train_history_shape():
 
 def test_train_loss_decreases():
     ds = small_dataset(seed=1, n_subjects=4)
-    cfg = TrainConfig(epochs=10, batch_size=32, network=SMALL_NET, seed=0)
+    cfg = small(epochs=10, batch_size=32, seed=0)
     _, history = train(ds, cfg)
     assert history.mean_loss[-1] < history.mean_loss[0]
 
@@ -88,7 +89,7 @@ def test_train_loss_decreases():
 def test_train_zero_epochs_returns_init_copy():
     ds = small_dataset()
     init = init_params(SMALL_NET, np.random.default_rng(5))
-    cfg = TrainConfig(epochs=0, network=SMALL_NET)
+    cfg = small(epochs=0)
     params, history = train(ds, cfg, init=init)
     assert len(history) == 0
     assert params_equal(params, init)
@@ -101,14 +102,14 @@ def test_train_empty_dataset():
     empty = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
                                   set())
     with pytest.raises(DataError, match="cannot train on an empty dataset"):
-        train(empty, TrainConfig(epochs=1, network=SMALL_NET))
+        train(empty, small(epochs=1))
 
 
 def test_train_rejects_negative_epochs_and_bad_batch():
-    with pytest.raises(DataError, match="epochs must be >= 0"):
-        TrainConfig(epochs=-1)
-    with pytest.raises(DataError, match="batch_size must be >= 1"):
-        TrainConfig(batch_size=0)
+    with pytest.raises(UsageError, match="epochs must be >= 0"):
+        small(epochs=-1)
+    with pytest.raises(UsageError, match="batch_size must be >= 1"):
+        small(batch_size=0)
 
 
 def test_train_non_finite_loss_raises():
@@ -116,15 +117,15 @@ def test_train_non_finite_loss_raises():
     init = init_params(SMALL_NET, np.random.default_rng(6))
     init["fc2.weight"][0, 0] = np.nan
     with pytest.raises(NumericError):
-        train(ds, TrainConfig(epochs=1, batch_size=32, network=SMALL_NET),
-              init=init)
+        train(ds, small(epochs=1, batch_size=32), init=init)
 
 
 def test_train_updates_bn_running_stats():
     ds = small_dataset()
+    cfg = small(epochs=1, batch_size=32, seed=7)
+    # training from scratch starts from init_params on the seeded rng
     init = init_params(SMALL_NET, np.random.default_rng(7))
-    cfg = TrainConfig(epochs=1, batch_size=32, network=SMALL_NET)
-    params, _ = train(ds, cfg, init=init)
+    params, _ = train(ds, cfg)
     assert not np.array_equal(params["conv0.bn.running_mean"],
                               init["conv0.bn.running_mean"])
 
@@ -132,11 +133,10 @@ def test_train_updates_bn_running_stats():
 # --- freezing / transfer ---
 
 
-def test_freeze_conv_trains_only_fc_head():
+def test_train_with_init_trains_only_fc_head():
     ds = small_dataset(seed=3)
     init = init_params(SMALL_NET, np.random.default_rng(8))
-    cfg = TrainConfig(epochs=2, batch_size=32, network=SMALL_NET,
-                      freeze_conv=True)
+    cfg = small(epochs=2, batch_size=32)
     params, _ = train(ds, cfg, init=init)
     for key in CONV_KEYS:
         assert params[key].tobytes() == init[key].tobytes(), key
@@ -147,35 +147,27 @@ def test_freeze_conv_trains_only_fc_head():
 
 def test_transfer_freezes_trunk_and_matches_checkpoint_arch(tmp_path):
     ds = small_dataset(seed=4)
-    base_cfg = TrainConfig(epochs=2, batch_size=32, network=SMALL_NET)
+    base_cfg = small(epochs=2, batch_size=32)
     base_params, _ = train(ds, base_cfg)
     ckpt = tmp_path / "base.hbdl"
     save_checkpoint(base_params, SMALL_NET, ckpt)
 
     target = small_dataset(seed=5)
-    tuned, history = transfer(ckpt, target,
-                              TrainConfig(epochs=2, batch_size=32,
-                                          network=SMALL_NET))
+    tuned, history = transfer(ckpt, target, base_cfg)
     assert len(history) == 2
     for key in CONV_KEYS:
         assert tuned[key].tobytes() == base_params[key].tobytes(), key
 
-    other_net = NetworkConfig(
-        conv_blocks=(ConvBlockSpec(1, 2, 3), ConvBlockSpec(2, 3, 3),
-                     ConvBlockSpec(3, 4, 3), ConvBlockSpec(4, 4, 3)),
-        fc_sizes=(8, 4, 2))
     with pytest.raises(DataError, match="checkpoint architecture .* differs"):
-        transfer(ckpt, target, TrainConfig(epochs=1, network=other_net))
+        transfer(ckpt, target, small(epochs=1, fc_sizes=(8, 4, 2)))
 
 
 def test_transfer_zero_epochs_reproduces_checkpoint(tmp_path):
     ds = small_dataset(seed=6)
-    params, _ = train(ds, TrainConfig(epochs=1, batch_size=32,
-                                      network=SMALL_NET))
+    params, _ = train(ds, small(epochs=1, batch_size=32))
     ckpt = tmp_path / "m.hbdl"
     save_checkpoint(params, SMALL_NET, ckpt)
-    back, history = transfer(ckpt, ds, TrainConfig(epochs=0,
-                                                   network=SMALL_NET))
+    back, history = transfer(ckpt, ds, small(epochs=0))
     assert len(history) == 0
     assert params_equal(back, params)
 
@@ -185,8 +177,7 @@ def test_transfer_zero_epochs_reproduces_checkpoint(tmp_path):
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     ds = small_dataset(seed=7)
-    params, _ = train(ds, TrainConfig(epochs=1, batch_size=32,
-                                      network=SMALL_NET))
+    params, _ = train(ds, small(epochs=1, batch_size=32))
     path = tmp_path / "w.hbdl"
     save_checkpoint(params, SMALL_NET, path)
     loaded, config = load_checkpoint(path)
@@ -286,8 +277,7 @@ def test_train_subject_split_pipeline_end_to_end():
     records = make_synthetic_records(n_subjects=4, seed=13)
     subsets = build_subsets(records, seed=0)
     ds = subsets[("NormalSinus+LongTerm", TRAIN)]
-    params, history = train(ds, TrainConfig(epochs=2, batch_size=32,
-                                            network=SMALL_NET, seed=1))
+    params, history = train(ds, small(epochs=2, batch_size=32, seed=1))
     assert len(history) == 2
     logits = predict_logits(SMALL_NET, params, ds.X)
     assert logits.shape == (len(ds), 2)
