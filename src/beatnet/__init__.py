@@ -18,7 +18,7 @@ from .metrics import (
     mcc,
     precision_sensitivity_f1,
 )
-from .nn import ConvBlockSpec, NetworkConfig, forward, init_params
+from .nn import NetworkConfig, forward, init_params
 from .optim import AdaDeltaState, adadelta_step
 from .records import CsvSchema, EcgRecord, ingest_csv
 from .segments import (
@@ -46,8 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaDeltaState", "BEAT", "BeatAnnotations", "ClassWeights",
-    "ConfusionCounts", "ConvBlockSpec", "CsvSchema", "EcgRecord",
-    "EvalReport", "LabeledDataset", "NO_BEAT", "NetworkConfig",
+    "ConfusionCounts", "CsvSchema", "EcgRecord", "EvalReport",
+    "LabeledDataset", "NO_BEAT", "NetworkConfig",
     "Settings", "WfdbHeader", "adadelta_step", "build_report",
     "build_subsets", "confusion", "decode_signal", "filter_beats",
     "forward", "ingest_csv", "init_params", "label_window", "load_cache",

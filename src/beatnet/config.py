@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import DataError, UsageError
 from .loss import W_BEAT, W_NOBEAT, ClassWeights
 from .metrics import BOOTSTRAP_FRACTION, BOOTSTRAP_REPS
-from .nn import BN_EPS, BN_MOMENTUM, ConvBlockSpec, NetworkConfig
+from .nn import NetworkConfig
 from .optim import EPS, LR, RHO, AdaDeltaState
 from .segments import MAX_RECORD_SECONDS, WINDOW_SECONDS
 from .wfdb_io import DEFAULT_BEAT_SYMBOLS, resolve_beat_codes
@@ -43,6 +43,9 @@ def parse_fraction(text: str) -> float:
     return value
 
 
+_DEFAULT_NETWORK = NetworkConfig()
+
+
 @dataclass(frozen=True)
 class Settings:
     """The run configuration: every value a run depends on besides its
@@ -56,13 +59,13 @@ class Settings:
     max_record_seconds: float = MAX_RECORD_SECONDS
     train_fraction: float = 2 / 3
     beat_codes: tuple = DEFAULT_BEAT_SYMBOLS
-    # [network]
-    conv_channels: tuple = (8, 16, 32, 64)
-    conv_kernels: tuple = (7, 5, 5, 3)
-    fc_sizes: tuple = (128, 32, 2)
-    dropout_p: float = 0.5
-    bn_eps: float = BN_EPS
-    bn_momentum: float = BN_MOMENTUM
+    # [network], with the defaults of the class that owns the geometry
+    conv_channels: tuple = _DEFAULT_NETWORK.conv_channels
+    conv_kernels: tuple = _DEFAULT_NETWORK.conv_kernels
+    fc_sizes: tuple = _DEFAULT_NETWORK.fc_sizes
+    dropout_p: float = _DEFAULT_NETWORK.dropout_p
+    bn_eps: float = _DEFAULT_NETWORK.bn_eps
+    bn_momentum: float = _DEFAULT_NETWORK.bn_momentum
     # [train]
     epochs: int = 10
     batch_size: int = 64
@@ -78,7 +81,8 @@ class Settings:
     bootstrap_fraction: float = BOOTSTRAP_FRACTION
 
     def __post_init__(self):
-        """Check every value; the types that own a value check it."""
+        """Check every value; the types that own a value check it, and
+        every message names the key or keys it is about."""
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{key} must be a finite number, got "
@@ -104,21 +108,16 @@ class Settings:
             self.network_config()
             ClassWeights(self.w_nobeat, self.w_beat)
             AdaDeltaState(rho=self.rho, eps=self.eps, lr=self.lr)
-            resolve_beat_codes(self.beat_codes)
         except (ValueError, DataError) as exc:
             raise UsageError(str(exc)) from exc
+        try:
+            resolve_beat_codes(self.beat_codes)
+        except (ValueError, DataError) as exc:
+            raise UsageError(f"beat_codes: {exc}") from exc
 
     def network_config(self) -> NetworkConfig:
-        if len(self.conv_channels) != 4 or len(self.conv_kernels) != 4:
-            raise UsageError("conv_channels and conv_kernels need exactly "
-                             "4 entries each")
-        ins = (1,) + self.conv_channels[:3]
-        blocks = tuple(ConvBlockSpec(i, o, k) for i, o, k in
-                       zip(ins, self.conv_channels, self.conv_kernels))
-        return NetworkConfig(
-            conv_blocks=blocks, fc_sizes=self.fc_sizes,
-            dropout_p=self.dropout_p, bn_eps=self.bn_eps,
-            bn_momentum=self.bn_momentum)
+        return NetworkConfig(**{key: getattr(self, key)
+                                for key in _SCHEMA["network"]})
 
 
 # Section -> keys, in snapshot order; every key is a Settings field.
@@ -145,10 +144,7 @@ def _parse_value(key: str, raw: str):
     tokens = [tok.strip() for tok in raw.split(",")]
     if isinstance(default[0], int):
         return tuple(int(tok) for tok in tokens)
-    symbols = tuple(tok for tok in tokens if tok)
-    if not symbols:
-        raise UsageError("the list names no entry")
-    return symbols
+    return tuple(tok for tok in tokens if tok)
 
 
 def _format_value(value) -> str:

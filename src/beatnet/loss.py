@@ -27,8 +27,8 @@ class ClassWeights:
 
     def __post_init__(self):
         if self.w_nobeat <= 0 or self.w_beat <= 0:
-            raise DataError(f"class weights must be > 0, got "
-                            f"({self.w_nobeat}, {self.w_beat})")
+            raise DataError(f"class weights must be > 0, got w_nobeat="
+                            f"{self.w_nobeat}, w_beat={self.w_beat}")
 
     def per_sample(self, labels: np.ndarray, dtype=np.float64) -> np.ndarray:
         return np.where(labels == 1, dtype(self.w_beat),

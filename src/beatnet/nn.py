@@ -34,46 +34,33 @@ EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
 
 
 @dataclass(frozen=True)
-class ConvBlockSpec:
-    """Channel/kernel geometry of one convolutional block."""
-
-    in_channels: int
-    out_channels: int
-    kernel_size: int
-
-    def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise DataError(f"channel counts must be >= 1, got "
-                            f"{self.in_channels}->{self.out_channels}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise DataError(f"kernel size must be odd and >= 1, got "
-                            f"{self.kernel_size}")
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
-    """Complete network geometry; the sole source of parameter shapes."""
+    """Complete network geometry; the sole source of parameter shapes.
 
-    conv_blocks: tuple = (ConvBlockSpec(1, 8, 7), ConvBlockSpec(8, 16, 5),
-                          ConvBlockSpec(16, 32, 5), ConvBlockSpec(32, 64, 3))
+    Every field but ``input_length`` is a ``[network]`` key of the run
+    configuration, with its default. Block ``b`` maps the previous
+    block's ``conv_channels`` (1 for the first) to ``conv_channels[b]``.
+    """
+
+    conv_channels: tuple = (8, 16, 32, 64)
+    conv_kernels: tuple = (7, 5, 5, 3)
     fc_sizes: tuple = (128, 32, 2)
     dropout_p: float = 0.5
-    pool_kernel: int = 2
     input_length: int = 250
     bn_eps: float = BN_EPS
     bn_momentum: float = BN_MOMENTUM
 
     def __post_init__(self):
-        if len(self.conv_blocks) != 4:
-            raise DataError(f"expected exactly 4 conv blocks, got "
-                            f"{len(self.conv_blocks)}")
-        if self.conv_blocks[0].in_channels != 1:
-            raise DataError("first conv block must take 1 input channel")
-        for a, b in zip(self.conv_blocks, self.conv_blocks[1:]):
-            if b.in_channels != a.out_channels:
-                raise DataError(
-                    f"conv chain broken: {a.out_channels} out feeds "
-                    f"{b.in_channels} in")
+        if len(self.conv_channels) != 4 or len(self.conv_kernels) != 4:
+            raise DataError(f"conv_channels and conv_kernels need exactly "
+                            f"4 entries each, got {self.conv_channels} and "
+                            f"{self.conv_kernels}")
+        if min(self.conv_channels) < 1:
+            raise DataError(f"conv_channels must all be >= 1, got "
+                            f"{self.conv_channels}")
+        if any(k < 1 or k % 2 == 0 for k in self.conv_kernels):
+            raise DataError(f"conv_kernels must all be odd and >= 1, got "
+                            f"{self.conv_kernels}")
         if (len(self.fc_sizes) != 3 or self.fc_sizes[-1] != 2
                 or min(self.fc_sizes) < 1):
             raise DataError(f"fc_sizes must be 3 positive widths ending "
@@ -86,30 +73,31 @@ class NetworkConfig:
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise DataError(f"bn_momentum must be in [0, 1], got "
                             f"{self.bn_momentum}")
-        if self.pool_kernel != 2:
-            raise DataError("only pool kernel 2 (stride 2) is supported")
         if self.conv_output_length < 1:
-            raise DataError(f"input length {self.input_length} pools "
+            raise DataError(f"input_length {self.input_length} pools "
                             f"away to nothing")
 
     @property
+    def conv_blocks(self) -> tuple:
+        """(in_channels, out_channels, kernel_size) of each conv block."""
+        ins = (1, *self.conv_channels[:-1])
+        return tuple(zip(ins, self.conv_channels, self.conv_kernels))
+
+    @property
     def conv_output_length(self) -> int:
-        length = self.input_length
-        for _ in self.conv_blocks:
-            length //= 2
-        return length
+        return self.input_length // 2 ** len(self.conv_channels)
 
     @property
     def flatten_width(self) -> int:
-        return self.conv_blocks[-1].out_channels * self.conv_output_length
+        return self.conv_channels[-1] * self.conv_output_length
 
     def to_dict(self) -> dict:
+        """The checkpoint header's form, with (in, out, kernel) blocks."""
         return {
-            "conv_blocks": [[b.in_channels, b.out_channels, b.kernel_size]
-                            for b in self.conv_blocks],
+            "conv_blocks": [list(b) for b in self.conv_blocks],
             "fc_sizes": list(self.fc_sizes),
             "dropout_p": self.dropout_p,
-            "pool_kernel": self.pool_kernel,
+            "pool_kernel": 2,
             "input_length": self.input_length,
             "bn_eps": self.bn_eps,
             "bn_momentum": self.bn_momentum,
@@ -117,15 +105,25 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        sizes = [*(v for b in d["conv_blocks"] for v in b), *d["fc_sizes"],
+        """Read :meth:`to_dict` output (a checkpoint header's) back."""
+        blocks = d["conv_blocks"]
+        sizes = [*(v for b in blocks for v in b), *d["fc_sizes"],
                  d["pool_kernel"], d["input_length"]]
         if not all(type(v) is int for v in sizes):
             raise DataError(f"layer sizes must be integers, got {sizes}")
+        if (any(len(b) != 3 for b in blocks) or [b[0] for b in blocks]
+                != [1, *(b[1] for b in blocks[:-1])]):
+            raise DataError(f"conv_blocks must be [in, out, kernel] triples, "
+                            f"each block's in the previous block's out (1 "
+                            f"for the first), got {blocks}")
+        if d["pool_kernel"] != 2:
+            raise DataError(f"only pool kernel 2 (stride 2) is supported, "
+                            f"got {d['pool_kernel']}")
         return cls(
-            conv_blocks=tuple(ConvBlockSpec(*b) for b in d["conv_blocks"]),
+            conv_channels=tuple(b[1] for b in blocks),
+            conv_kernels=tuple(b[2] for b in blocks),
             fc_sizes=tuple(d["fc_sizes"]),
             dropout_p=d["dropout_p"],
-            pool_kernel=d["pool_kernel"],
             input_length=d["input_length"],
             bn_eps=d["bn_eps"],
             bn_momentum=d["bn_momentum"],
@@ -138,12 +136,11 @@ _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")
 def param_layout(config: NetworkConfig) -> list[tuple[str, tuple]]:
     """Deterministic (name, shape) list defining parameter storage order."""
     layout = []
-    for b, spec in enumerate(config.conv_blocks):
+    for b, (c_in, c_out, k) in enumerate(config.conv_blocks):
         for f in _BN_FIELDS:
-            layout.append((f"conv{b}.bn.{f}", (spec.in_channels,)))
-        layout.append((f"conv{b}.weight",
-                       (spec.out_channels, spec.in_channels, spec.kernel_size)))
-        layout.append((f"conv{b}.bias", (spec.out_channels,)))
+            layout.append((f"conv{b}.bn.{f}", (c_in,)))
+        layout.append((f"conv{b}.weight", (c_out, c_in, k)))
+        layout.append((f"conv{b}.bias", (c_out,)))
     in_width = config.flatten_width
     for i, out_width in enumerate(config.fc_sizes):
         layout.append((f"fc{i}.weight", (out_width, in_width)))
@@ -410,6 +407,18 @@ def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
     return forward_head(config, params, h, train, rng, cache)
 
 
+def _eval_chunks(X: np.ndarray, run, width: int) -> np.ndarray:
+    """The (rows, width) results of ``run`` on each ``EVAL_BATCH_ROWS``-row
+    chunk of X, as (rows, 1, input_length) arrays, concatenated."""
+    if X.ndim == 2:
+        X = X[:, None, :]
+    outs = [run(X[start:start + EVAL_BATCH_ROWS])
+            for start in range(0, X.shape[0], EVAL_BATCH_ROWS)]
+    if not outs:
+        return np.empty((0, width), dtype=np.float32)
+    return np.concatenate(outs)
+
+
 def trunk_features(config: NetworkConfig, params: dict,
                    X: np.ndarray) -> np.ndarray:
     """Eval-mode trunk output, flattened to (n, flatten_width), for
@@ -420,16 +429,10 @@ def trunk_features(config: NetworkConfig, params: dict,
     mode makes each row's features independent of the rest of its
     batch, so they can be computed once and reused.
     """
-    if X.ndim == 2:
-        X = X[:, None, :]
-    outs = []
-    for start in range(0, X.shape[0], EVAL_BATCH_ROWS):
-        h = _trunk(config, params, X[start:start + EVAL_BATCH_ROWS], False,
-                   ForwardCache())
-        outs.append(h.reshape(h.shape[0], -1))
-    if not outs:
-        return np.empty((0, config.flatten_width), dtype=np.float32)
-    return np.concatenate(outs)
+    return _eval_chunks(
+        X, lambda chunk: _trunk(config, params, chunk, False,
+                                ForwardCache()).reshape(len(chunk), -1),
+        config.flatten_width)
 
 
 def forward_head(config: NetworkConfig, params: dict, h: np.ndarray,
@@ -507,16 +510,9 @@ def predict_logits(config: NetworkConfig, params: dict,
                    X: np.ndarray) -> np.ndarray:
     """Eval-mode logits for (n, input_length) or (n, 1, input_length) data,
     computed in chunks of ``EVAL_BATCH_ROWS`` rows."""
-    if X.ndim == 2:
-        X = X[:, None, :]
-    outs = []
-    for start in range(0, X.shape[0], EVAL_BATCH_ROWS):
-        logits, _ = forward(config, params, X[start:start + EVAL_BATCH_ROWS],
-                            train=False)
-        outs.append(logits)
-    if not outs:
-        return np.empty((0, config.fc_sizes[-1]), dtype=np.float32)
-    return np.concatenate(outs)
+    return _eval_chunks(
+        X, lambda chunk: forward(config, params, chunk, train=False)[0],
+        config.fc_sizes[-1])
 
 
 def predict_labels(config: NetworkConfig, params: dict,

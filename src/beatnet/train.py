@@ -58,7 +58,9 @@ _CKPT_VERSION = 1
 @dataclass
 class TrainHistory:
     """Per-epoch summaries: mean loss (sample-weighted over batches),
-    MCC of an eval pass over the training data, and wall-clock seconds."""
+    MCC of an eval pass over the training data, and wall-clock seconds.
+    The seconds time the epochs alone: a transfer run's one-off frozen
+    trunk feature pass comes before the first epoch and is in none."""
 
     mean_loss: list[float] = field(default_factory=list)
     train_mcc: list[float] = field(default_factory=list)

@@ -351,7 +351,8 @@ def parse_annotations(raw_bytes: bytes) -> BeatAnnotations:
 
 
 def resolve_beat_codes(beat_codes) -> frozenset[int]:
-    """Normalise a beat code set given as mnemonics and/or integers."""
+    """Normalise a non-empty beat code set given as mnemonics and/or
+    integers."""
     out = set()
     for item in beat_codes:
         if isinstance(item, str):
@@ -360,6 +361,8 @@ def resolve_beat_codes(beat_codes) -> frozenset[int]:
             out.add(SYMBOL_TO_CODE[item])
         else:
             out.add(int(item))
+    if not out:
+        raise DataError("beat code set must be non-empty")
     return frozenset(out)
 
 
@@ -370,7 +373,5 @@ def filter_beats(annotations: BeatAnnotations, beat_code_set) -> np.ndarray:
     must be non-empty.
     """
     codes = resolve_beat_codes(beat_code_set)
-    if not codes:
-        raise DataError("beat code set must be non-empty")
     mask = np.isin(annotations.codes, np.asarray(sorted(codes), dtype=np.int16))
     return annotations.samples[mask].copy()

@@ -16,7 +16,6 @@ import numpy as np
 
 from beatnet.loss import ClassWeights, weighted_cross_entropy
 from beatnet.nn import (
-    ConvBlockSpec,
     NetworkConfig,
     backward,
     batchnorm1d_backward,
@@ -158,10 +157,9 @@ LAYER_CHECKS = {
 
 # Small full network for whole-graph checks: same 4-block + 3-FC shape,
 # shrunk so the forward pass stays cheap inside the FD loop.
-SMALL_NET = NetworkConfig(
-    conv_blocks=(ConvBlockSpec(1, 2, 3), ConvBlockSpec(2, 3, 3),
-                 ConvBlockSpec(3, 4, 3), ConvBlockSpec(4, 4, 3)),
-    fc_sizes=(8, 4, 2), dropout_p=0.0, input_length=32)
+SMALL_NET = NetworkConfig(conv_channels=(2, 3, 4, 4),
+                          conv_kernels=(3, 3, 3, 3), fc_sizes=(8, 4, 2),
+                          dropout_p=0.0, input_length=32)
 
 
 def _coordinate_fd(f, arr: np.ndarray, flat_index: int, eps: float) -> float:

@@ -9,6 +9,8 @@ every backward pass.
 from __future__ import annotations
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 
@@ -173,3 +175,30 @@ def reframe(path, mutate) -> None:
     mutate(payload)
     path.write_bytes(bytes(payload)
                      + hashlib.blake2b(bytes(payload), digest_size=8).digest())
+
+
+def edit_checkpoint_header(path, edit) -> None:
+    """Apply ``edit`` to a checkpoint's decoded JSON header and re-sign
+    the file."""
+    def mutate(payload):
+        (n,) = struct.unpack("<I", payload[6:10])  # after magic, version
+        header = json.loads(bytes(payload[10:10 + n]))
+        edit(header)
+        raw = json.dumps(header, sort_keys=True).encode()
+        payload[6:10 + n] = struct.pack("<I", len(raw)) + raw
+
+    reframe(path, mutate)
+
+
+# Malformed geometry for a default-architecture checkpoint header: each
+# entry replaces keys of its "network" object, with a pattern the
+# resulting DataError matches.
+BAD_GEOMETRY = [
+    ({"conv_blocks": [[1, 8], [8, 16], [16, 32], [32, 64]]},
+     "conv_blocks must be .* triples"),
+    ({"conv_blocks": [[1, 8, 7], [4, 16, 5], [16, 32, 5], [32, 64, 3]]},
+     "each block's in the previous block's out"),
+    ({"conv_blocks": [[1, 8, 7], [8, 16, 5], [16, 32, 5]]},
+     "need exactly 4 entries"),
+    ({"pool_kernel": 3}, "only pool kernel 2"),
+]

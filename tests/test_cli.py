@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from beatnet.segments import SEGMENT_LENGTH, TEST, LabeledDataset, \
     load_cache, save_cache
 from beatnet.train import save_checkpoint
 
-from helpers import reframe, simple_annotation_stream, write_wfdb_record
+from helpers import BAD_GEOMETRY, edit_checkpoint_header, reframe, \
+    simple_annotation_stream, write_wfdb_record
 
 # Small network and short training so end-to-end runs stay fast.
 FAST_INI = """\
@@ -92,6 +94,11 @@ BAD_VALUES = [
     ("train", "eps", "nan", math.nan),
     ("train", "w_beat", "nan", math.nan),
     ("train", "w_nobeat", "inf", math.inf),
+    ("data", "beat_codes", ",", ()),
+    ("train", "w_beat", "-1", -1.0),
+    ("network", "conv_kernels", "7,5,4,3", (7, 5, 4, 3)),  # even kernel
+    ("network", "conv_channels", "8,16,32", (8, 16, 32)),
+    ("network", "conv_channels", "0,16,32,64", (0, 16, 32, 64)),
 ]
 # Bad files with no keyword form: removed keys, a [DEFAULT] section and
 # bytes that are not text.
@@ -130,8 +137,6 @@ def build_caches(tmp_path, tags="NormalSinus,LongTerm,Arrhythmia,"
 
 def test_settings_defaults():
     assert load_settings(None) == Settings()
-    # the INI defaults are those of the class that owns the geometry
-    assert Settings().network_config() == NetworkConfig()
 
 
 @pytest.mark.parametrize("section,key,text,value", BAD_VALUES)
@@ -139,12 +144,13 @@ def test_bad_value_rejected_from_file_and_code(tmp_path, section, key, text,
                                                value):
     path = tmp_path / "bad.ini"
     path.write_text(f"[{section}]\n{key} = {text}\n")
-    with pytest.raises(UsageError, match=f"in config {path}"):
+    with pytest.raises(UsageError, match=f"in config {path}: .*{key}"):
         load_settings(path)
-    # a Settings built or changed in code passes the same checks
-    with pytest.raises(UsageError):
+    # a Settings built or changed in code passes the same checks, and
+    # its message names the key too
+    with pytest.raises(UsageError, match=key):
         Settings(**{key: value})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=key):
         dataclasses.replace(Settings(), **{key: value})
 
 
@@ -543,6 +549,16 @@ def test_data_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dropout_p" in err
     assert f"unreadable checkpoint header in {bad}" in err
+    for edit, match in BAD_GEOMETRY:
+        bad.write_bytes(good.read_bytes())
+        edit_checkpoint_header(bad, lambda h: h["network"].update(edit))
+        assert main(["evaluate", "--caches", str(caches),
+                     "--subset", "NormalSinus+LongTerm", "--partition", "Test",
+                     "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "o6"), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert re.search(f"data error: unreadable checkpoint header in "
+                         f".*{match}", err)
 
     # a cache with no segments
     short = tmp_path / "short"

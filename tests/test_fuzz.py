@@ -1,7 +1,8 @@
 """Property tests: arbitrary bytes reach the decoders and loaders, and
 arbitrary text the manifest, CSV and INI readers. The only error bytes,
 manifests and CSV records may raise is DataError; an INI file may raise
-only UsageError. NumPy warnings count as failures too.
+only UsageError. NumPy warnings count as failures too, as everywhere
+in the suite.
 
 Runs are derandomized, so every run draws the same examples.
 """
@@ -28,7 +29,6 @@ example, given, settings = (hypothesis.example, hypothesis.given,
 
 FUZZ = settings(derandomize=True, deadline=None, database=None,
                 max_examples=150)
-pytestmark = pytest.mark.filterwarnings("error")
 
 # A valid two-signal header, one token per entry, and tokens to put in
 # its place: edited copies get past the record line into the numeric and

@@ -5,7 +5,6 @@ import pytest
 
 from beatnet.errors import DataError
 from beatnet.nn import (
-    ConvBlockSpec,
     NetworkConfig,
     backward,
     batchnorm1d_forward,
@@ -215,34 +214,37 @@ def test_default_config_geometry():
     assert cfg.input_length == 250
     assert cfg.conv_output_length == 15          # 250->125->62->31->15
     assert cfg.flatten_width == 64 * 15
-    assert [b.kernel_size for b in cfg.conv_blocks] == [7, 5, 5, 3]
+    assert cfg.conv_blocks == ((1, 8, 7), (8, 16, 5), (16, 32, 5),
+                               (32, 64, 3))
     assert cfg.fc_sizes == (128, 32, 2)
     assert cfg.dropout_p == 0.5
 
 
 def test_config_round_trip():
-    cfg = NetworkConfig(
-        conv_blocks=(ConvBlockSpec(1, 4, 3), ConvBlockSpec(4, 4, 3),
-                     ConvBlockSpec(4, 8, 3), ConvBlockSpec(8, 8, 3)),
-        fc_sizes=(16, 8, 2), dropout_p=0.25, input_length=64)
-    assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
+    cfg = NetworkConfig(conv_channels=(4, 4, 8, 8), conv_kernels=(3, 3, 3, 3),
+                        fc_sizes=(16, 8, 2), dropout_p=0.25, input_length=64)
+    d = cfg.to_dict()
+    assert d["conv_blocks"] == [[1, 4, 3], [4, 4, 3], [4, 8, 3], [8, 8, 3]]
+    assert d["pool_kernel"] == 2
+    assert NetworkConfig.from_dict(d) == cfg
 
 
 def test_config_validation():
-    with pytest.raises(DataError, match="expected exactly 4 conv blocks"):
-        NetworkConfig(conv_blocks=(ConvBlockSpec(1, 8, 7),))
-    with pytest.raises(DataError, match="conv chain broken"):
-        NetworkConfig(conv_blocks=(
-            ConvBlockSpec(1, 8, 7), ConvBlockSpec(4, 16, 5),   # broken chain
-            ConvBlockSpec(16, 32, 5), ConvBlockSpec(32, 64, 3)))
-    with pytest.raises(DataError, match="fc_sizes must be 3 positive"):
-        NetworkConfig(fc_sizes=(128, 32, 3))    # must end with 2 classes
-    with pytest.raises(DataError, match="kernel size must be odd"):
-        ConvBlockSpec(1, 8, 4)
-    with pytest.raises(DataError, match=r"dropout_p must be in \[0, 1\)"):
-        NetworkConfig(dropout_p=1.0)
-    with pytest.raises(DataError, match="pools away to nothing"):
-        NetworkConfig(input_length=8)
+    for kwargs, match in [
+            ({"conv_channels": (8, 16, 32)},
+             "conv_channels and conv_kernels need exactly 4 entries"),
+            ({"conv_kernels": (7, 5, 5, 3, 3)}, "conv_channels and "
+                                                "conv_kernels"),
+            ({"conv_channels": (8, 0, 32, 64)},
+             "conv_channels must all be >= 1"),
+            ({"conv_kernels": (7, 5, 4, 3)}, "conv_kernels must all be odd"),
+            ({"conv_kernels": (7, 5, -1, 3)}, "conv_kernels must all be odd"),
+            ({"fc_sizes": (128, 32, 3)},  # must end with 2 classes
+             "fc_sizes must be 3 positive"),
+            ({"dropout_p": 1.0}, r"dropout_p must be in \[0, 1\)"),
+            ({"input_length": 8}, "input_length 8 pools away to nothing")]:
+        with pytest.raises(DataError, match=match):
+            NetworkConfig(**kwargs)
 
 
 def test_param_layout_shapes():

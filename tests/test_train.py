@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import json
 import struct
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from beatnet.config import Settings
 from beatnet.errors import DataError, NumericError, UsageError
 from beatnet.nn import (
+    NetworkConfig,
     init_params,
     param_layout,
     predict_logits,
@@ -25,7 +25,7 @@ from beatnet.train import (
     transfer,
 )
 
-from helpers import reframe
+from helpers import BAD_GEOMETRY, edit_checkpoint_header
 
 # Small architecture (same block structure, fewer channels) so the
 # training-behavior tests stay fast.
@@ -232,18 +232,26 @@ def test_checkpoint_float_layer_sizes_are_corrupt(tmp_path):
     save_checkpoint(init_params(SMALL_NET, np.random.default_rng(11)),
                     SMALL_NET, path)
 
-    def floats_for_sizes(payload):
-        (n,) = struct.unpack("<I", payload[6:10])
-        header = json.loads(bytes(payload[10:10 + n]))
+    def floats_for_sizes(header):
         blocks = header["network"]["conv_blocks"]
         blocks[0][1] = blocks[1][0] = float(blocks[0][1])
         for entry in header["params"]:
             entry[1] = [float(d) for d in entry[1]]
-        raw = json.dumps(header, sort_keys=True).encode()
-        payload[6:10 + n] = struct.pack("<I", len(raw)) + raw
 
-    reframe(path, floats_for_sizes)
+    edit_checkpoint_header(path, floats_for_sizes)
     with pytest.raises(DataError, match="layer sizes must be integers"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", BAD_GEOMETRY)
+def test_checkpoint_bad_geometry_is_corrupt(tmp_path, edit, match):
+    # checksum-valid headers whose architecture no network can have
+    net = NetworkConfig()
+    path = tmp_path / "w.hbdl"
+    save_checkpoint(init_params(net, np.random.default_rng(0)), net, path)
+    edit_checkpoint_header(path, lambda h: h["network"].update(edit))
+    with pytest.raises(DataError,
+                       match=f"unreadable checkpoint header in .*{match}"):
         load_checkpoint(path)
 
 
