@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DataError, UsageError
@@ -82,7 +82,12 @@ class Settings:
 
     def __post_init__(self):
         """Check every value; the types that own a value check it, and
-        every message names the key or keys it is about."""
+        every message names the key or keys it is about. List values
+        are stored as tuples, so they compare and render as the INI
+        reader's do."""
+        for f in fields(self):
+            if isinstance(f.default, tuple):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{key} must be a finite number, got "

@@ -43,7 +43,8 @@ from .segments import (
     stats_csv,
 )
 from .synthetic import make_synthetic_records
-from .train import load_checkpoint, save_checkpoint, train, transfer
+from .train import (check_architecture, load_checkpoint, save_checkpoint,
+                    train, transfer)
 
 SOURCE_SUBSET = "NormalSinus+LongTerm"
 
@@ -206,7 +207,8 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
             raise DataError(f"no target subset caches in {cache_dir}")
         checkpoints = [checkpoint]
     if experiment_id == 2:
-        params, net_config = load_checkpoint(checkpoint)
+        params, found = load_checkpoint(checkpoint)
+        check_architecture(checkpoint, found, settings)
 
     reports = []
     caches = []

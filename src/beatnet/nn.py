@@ -9,10 +9,12 @@ them; the final layer emits two logits. SoftMax is folded into the loss
 Everything is functional: parameters live in a plain dict of float32
 arrays keyed by layer name, and no forward or backward call mutates
 them. BatchNorm's train-mode forward returns candidate running-stat
-updates; committing them is the trainer's job. :func:`forward` runs the
-trunk (the conv blocks) and the head (flatten onward) together;
-:func:`trunk_features` and :func:`forward_head` run them apart, which
-lets a frozen trunk's features be computed once and reused.
+updates; committing them is the trainer's job. Only a train-mode pass
+records the intermediates :func:`backward` needs; an eval-mode pass
+keeps none. :func:`forward` runs the trunk (the conv blocks) and the
+head (flatten onward) together; :func:`trunk_features` and
+:func:`forward_head` run them apart, which lets a frozen trunk's
+features be computed once and reused.
 
 Unconventional but deliberate: BatchNorm comes before the convolution
 inside each block, and there is no ReLU after the final FC layer.
@@ -355,16 +357,19 @@ def dropout_backward(dy: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Intermediates a backward pass needs, one entry per layer."""
+    """Intermediates a backward pass needs, one entry per layer. Only
+    train-mode passes record one."""
 
     layers: list = field(default_factory=list)
     bn_updates: dict = field(default_factory=dict)
 
 
-def _trunk(config: NetworkConfig, params: dict, h: np.ndarray, train: bool,
-           cache: ForwardCache) -> np.ndarray:
+def _trunk(config: NetworkConfig, params: dict, h: np.ndarray,
+           cache: ForwardCache | None = None) -> np.ndarray:
     """The four conv blocks on (n, 1, input_length) inputs; returns the
-    (n, C, L) trunk output and appends its intermediates to ``cache``."""
+    (n, C, L) trunk output. Given a ``cache``, runs in train mode and
+    appends its intermediates and BN updates to it; without one, runs in
+    eval mode and keeps no intermediates."""
     if h.ndim != 3 or h.shape[1] != 1 or h.shape[2] != config.input_length:
         raise DataError(
             f"expected (n, 1, {config.input_length}) input, got {h.shape}")
@@ -374,37 +379,35 @@ def _trunk(config: NetworkConfig, params: dict, h: np.ndarray, train: bool,
             h, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
             params[f"{prefix}.bn.running_mean"],
             params[f"{prefix}.bn.running_var"],
-            train=train, eps=config.bn_eps, momentum=config.bn_momentum)
-        if train:
+            train=cache is not None, eps=config.bn_eps,
+            momentum=config.bn_momentum)
+        conv = conv1d_forward(y, params[f"{prefix}.weight"],
+                              params[f"{prefix}.bias"])
+        h, idx = maxpool1d_forward(relu_forward(conv))
+        if cache is not None:
             cache.bn_updates[f"{prefix}.bn.running_mean"] = new_mean
             cache.bn_updates[f"{prefix}.bn.running_var"] = new_var
-        cache.layers.append(("bn", prefix, bn_cache))
-        h_conv_in = y
-        h = conv1d_forward(h_conv_in, params[f"{prefix}.weight"],
-                           params[f"{prefix}.bias"])
-        cache.layers.append(("conv", prefix, h_conv_in))
-        cache.layers.append(("relu", prefix, h))
-        h = relu_forward(h)
-        pre_pool_length = h.shape[2]
-        h, idx = maxpool1d_forward(h)
-        cache.layers.append(("pool", prefix, (idx, pre_pool_length)))
+            cache.layers += [("bn", prefix, bn_cache), ("conv", prefix, y),
+                             ("relu", prefix, conv),
+                             ("pool", prefix, (idx, conv.shape[2]))]
     return h
 
 
 def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
             train: bool, rng: np.random.Generator | None = None,
-            ) -> tuple[np.ndarray, ForwardCache]:
+            ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the whole network on (n, 1, input_length) inputs; returns logits.
 
     In train mode the cache carries every intermediate needed by
-    :func:`backward` plus candidate BN running-stat updates. No
-    parameter is mutated here. A frozen trunk does not come through
-    here: its features are computed once by :func:`trunk_features` and
-    only :func:`forward_head` runs per batch.
+    :func:`backward` plus candidate BN running-stat updates; in eval
+    mode it is None. No parameter is mutated here.
     """
-    cache = ForwardCache()
-    h = _trunk(config, params, batch, train, cache)
-    return forward_head(config, params, h, train, rng, cache)
+    cache = ForwardCache() if train else None
+    h = _trunk(config, params, batch, cache)
+    logits, head = forward_head(config, params, h, train, rng)
+    if train:
+        cache.layers += head.layers
+    return logits, cache
 
 
 def _eval_chunks(X: np.ndarray, run, width: int) -> np.ndarray:
@@ -430,41 +433,38 @@ def trunk_features(config: NetworkConfig, params: dict,
     batch, so they can be computed once and reused.
     """
     return _eval_chunks(
-        X, lambda chunk: _trunk(config, params, chunk, False,
-                                ForwardCache()).reshape(len(chunk), -1),
+        X, lambda chunk: _trunk(config, params, chunk).reshape(
+            len(chunk), -1),
         config.flatten_width)
 
 
 def forward_head(config: NetworkConfig, params: dict, h: np.ndarray,
                  train: bool, rng: np.random.Generator | None = None,
-                 cache: ForwardCache | None = None,
-                 ) -> tuple[np.ndarray, ForwardCache]:
+                 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Flatten, Dropout and the FC layers on trunk outputs; returns logits.
 
     ``h`` is the (n, C, L) trunk output or its (n, flatten_width)
-    flattening. A head-only ``cache`` (the default, a new one) starts at
-    the flatten entry, so :func:`backward` on it returns FC gradients
-    only, and it never holds BN updates.
+    flattening. In train mode the cache is head-only: it starts at the
+    flatten entry, so :func:`backward` on it returns FC gradients only,
+    and it never holds BN updates. In eval mode the cache is None.
     """
-    if cache is None:
-        cache = ForwardCache()
-    n = h.shape[0]
+    cache = ForwardCache() if train else None
     flat_shape = h.shape
-    h = h.reshape(n, -1)
+    h = h.reshape(flat_shape[0], -1)
     if h.shape[1] != config.flatten_width:
         raise DataError(f"flatten width {h.shape[1]} != configured "
                         f"{config.flatten_width}")
-    cache.layers.append(("flatten", "", flat_shape))
     h, mask = dropout_forward(h, config.dropout_p, train, rng)
-    cache.layers.append(("dropout", "", mask))
+    if train:
+        cache.layers += [("flatten", "", flat_shape), ("dropout", "", mask)]
     last = len(config.fc_sizes) - 1
     for i in range(len(config.fc_sizes)):
-        x_in = h
-        h = linear_forward(x_in, params[f"fc{i}.weight"], params[f"fc{i}.bias"])
-        cache.layers.append(("fc", f"fc{i}", x_in))
-        if i != last:
-            cache.layers.append(("relu", f"fc{i}", h))
-            h = relu_forward(h)
+        z = linear_forward(h, params[f"fc{i}.weight"], params[f"fc{i}.bias"])
+        if train:
+            cache.layers.append(("fc", f"fc{i}", h))
+            if i != last:
+                cache.layers.append(("relu", f"fc{i}", z))
+        h = z if i == last else relu_forward(z)
     return h, cache
 
 

@@ -164,12 +164,19 @@ def transfer(checkpoint_path, dataset: LabeledDataset,
     The checkpoint's architecture must equal ``settings.network_config()``.
     """
     params, net_config = load_checkpoint(checkpoint_path)
+    check_architecture(checkpoint_path, net_config, settings)
+    return train(dataset, settings, init=params)
+
+
+def check_architecture(checkpoint_path, net_config: NetworkConfig,
+                       settings: Settings) -> None:
+    """Raise DataError unless ``net_config``, the architecture read from
+    ``checkpoint_path``, is the one ``settings`` configures."""
     network = settings.network_config()
     if net_config != network:
         raise DataError(
-            f"checkpoint architecture {net_config.to_dict()} differs from "
-            f"configured {network.to_dict()}")
-    return train(dataset, settings, init=params)
+            f"checkpoint architecture {net_config.to_dict()} in "
+            f"{checkpoint_path} differs from configured {network.to_dict()}")
 
 
 def save_checkpoint(params: dict, config: NetworkConfig, path) -> None:

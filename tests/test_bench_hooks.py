@@ -14,15 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beatnet.nn
+import beatnet.train
 from beatnet.config import Settings
-from beatnet.nn import init_params
+from beatnet.nn import EVAL_BATCH_ROWS, init_params
 from beatnet.segments import TRAIN, build_labeled_dataset
 from beatnet.synthetic import make_synthetic_records
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# The module, as the benchmark imports it: the package attribute
-# ``beatnet.train`` is the function.
-train_module = importlib.import_module("beatnet.train")
+SMALL = Settings(conv_channels=(2, 3, 4, 4), conv_kernels=(3, 3, 3, 3),
+                 fc_sizes=(16, 8, 2), epochs=2, batch_size=32)
 
 
 @pytest.fixture(scope="module")
@@ -46,29 +47,41 @@ def test_every_trace_target_resolves(workloads):
         assert callable(getattr(module, target.attr, None)), target
 
 
-def test_transfer_calls_train_through_its_module(workloads, monkeypatch,
-                                                 tmp_path):
-    settings = Settings(conv_channels=(2, 3, 4, 4),
-                        conv_kernels=(3, 3, 3, 3), fc_sizes=(16, 8, 2),
-                        epochs=2, batch_size=32)
-    net = settings.network_config()
-    checkpoint = tmp_path / "m.hbdl"
-    train_module.save_checkpoint(
-        init_params(net, np.random.default_rng(0)), net, checkpoint)
+@pytest.fixture(scope="module")
+def dataset():
     records = make_synthetic_records(n_subjects=2, seed=0)
-    dataset = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
-                                    {r.subject_id for r in records})
+    return build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
+                                 {r.subject_id for r in records})
 
+
+def spy(monkeypatch, module, attr) -> list:
+    """Replace ``module.attr`` with a wrapper, as the benchmark does, and
+    return the list its (args, kwargs, result) calls are appended to."""
     calls = []
-    real_train = train_module.train
+    real = getattr(module, attr)
 
-    def spy(*args, **kwargs):
-        result = real_train(*args, **kwargs)
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
         calls.append((args, kwargs, result))
         return result
 
-    monkeypatch.setattr(train_module, "train", spy)
-    result = train_module.transfer(checkpoint, dataset, settings)
+    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_train_attribute_is_the_module():
+    assert beatnet.train is sys.modules["beatnet.train"]
+
+
+def test_transfer_calls_train_through_its_module(workloads, monkeypatch,
+                                                 tmp_path, dataset):
+    net = SMALL.network_config()
+    checkpoint = tmp_path / "m.hbdl"
+    beatnet.train.save_checkpoint(
+        init_params(net, np.random.default_rng(0)), net, checkpoint)
+
+    calls = spy(monkeypatch, beatnet.train, "train")
+    result = beatnet.train.transfer(checkpoint, dataset, SMALL)
     assert len(calls) == 1
     args, kwargs, spied = calls[0]
     assert args[0] is dataset and spied is result
@@ -76,3 +89,32 @@ def test_transfer_calls_train_through_its_module(workloads, monkeypatch,
     count = next(t.count for t in workloads.STAGE_TARGETS
                  if (t.module, t.attr) == ("beatnet.train", "train"))
     assert count(args, kwargs, spied)["segments"] == 2 * len(dataset)
+
+
+def test_predict_logits_runs_forward_per_chunk(monkeypatch):
+    # nn.trunk_rows_per_segment counts the rows of these forward calls
+    net = SMALL.network_config()
+    params = init_params(net, np.random.default_rng(0))
+    X = np.zeros((2 * EVAL_BATCH_ROWS + 2, net.input_length), np.float32)
+    calls = spy(monkeypatch, beatnet.nn, "forward")
+    beatnet.nn.predict_logits(net, params, X)
+    assert [(args[2].shape[0], kwargs["train"]) for args, kwargs, _ in calls
+            ] == [(EVAL_BATCH_ROWS, False), (EVAL_BATCH_ROWS, False),
+                  (2, False)]
+
+
+def test_scratch_train_scores_each_epoch_with_predict_logits(monkeypatch,
+                                                             dataset):
+    # train.mcc_pass_share is the share of train() in these calls
+    calls = spy(monkeypatch, beatnet.nn, "predict_logits")
+    beatnet.train.train(dataset, SMALL)
+    assert [args[2].shape[0] for args, _, _ in calls] == [len(dataset)] * 2
+
+
+def test_head_only_train_runs_no_forward(monkeypatch, dataset):
+    net = SMALL.network_config()
+    init = init_params(net, np.random.default_rng(0))
+    calls = [spy(monkeypatch, module, "forward")
+             for module in (beatnet.nn, beatnet.train)]
+    beatnet.train.train(dataset, SMALL, init=init)
+    assert calls == [[], []]

@@ -193,6 +193,15 @@ def test_settings_parse_and_snapshot_round_trip(tmp_path):
     assert back == dataclasses.replace(s, seed=7)
 
 
+def test_list_built_settings_round_trip(tmp_path):
+    s = Settings(beat_codes=["N"], conv_channels=[8, 16, 32, 64],
+                 conv_kernels=[7, 5, 5, 3], fc_sizes=[128, 32, 2])
+    snap = tmp_path / "snap.ini"
+    snap.write_text(render_snapshot(s))
+    assert load_settings(snap) == s
+    assert s.network_config() == NetworkConfig()
+
+
 @pytest.mark.parametrize("text", [
     "[nonsense]\nx = 1\n",
     "[train]\nnonsense = 1\n",
@@ -540,6 +549,21 @@ def test_data_errors_exit_2(tmp_path, capsys):
     def widen_dropout(payload):
         at = payload.index(b'"dropout_p": 0.5')
         payload[at:at + 16] = b'"dropout_p": 1.5'
+
+    # experiment 2 on a checkpoint of another architecture than the
+    # configured one evaluates nothing
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text("[network]\nconv_channels = 4,8,8,8\n"
+                      "fc_sizes = 16,8,2\n")
+    targets = tmp_path / "targets"
+    assert main(["build-dataset", "--out", str(targets), "--subjects", "2",
+                 "--tags", "Arrhythmia"]) == 0
+    assert main(["experiment", "--id", "2", "--caches", str(targets),
+                 "--out", str(tmp_path / "o9"), "--config", str(narrow),
+                 "--checkpoint", str(good)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: checkpoint architecture" in err and str(good) in err
+    assert not (tmp_path / "o9" / "reports.json").exists()
 
     reframe(bad, widen_dropout)
     assert main(["evaluate", "--caches", str(caches),

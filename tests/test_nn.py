@@ -1,10 +1,13 @@
 """Layer semantics, network geometry and forward-pass contract tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from beatnet.errors import DataError
 from beatnet.nn import (
+    EVAL_BATCH_ROWS,
     NetworkConfig,
     backward,
     batchnorm1d_forward,
@@ -339,14 +342,6 @@ def test_forward_head_keeps_bn_frozen():
                           if name.startswith("fc")}
 
 
-def _forward_features(params, X):
-    """The flattened eval-mode trunk output inside ``forward``: the input
-    the first FC layer cached (dropout is the identity in eval mode)."""
-    _, cache = forward(NET, params, X[:, None, :], train=False)
-    return next(stored for kind, name, stored in cache.layers
-                if (kind, name) == ("fc", "fc0"))
-
-
 @pytest.mark.parametrize("n", [1024, 2050])
 def test_trunk_features_equal_forward_trunk(n):
     rng = np.random.default_rng(15)
@@ -354,14 +349,37 @@ def test_trunk_features_equal_forward_trunk(n):
     X = rng.normal(size=(n, 250)).astype(np.float32)
     features = trunk_features(NET, params, X)
     assert features.shape == (n, NET.flatten_width)
-    # the training batches of 64 rows, and the whole input at once
+    # the training batches of 64 rows give the features of the whole input
     np.testing.assert_array_equal(features, np.concatenate(
-        [_forward_features(params, X[i:i + 64]) for i in range(0, n, 64)]))
-    np.testing.assert_array_equal(features, _forward_features(params, X))
+        [trunk_features(NET, params, X[i:i + 64]) for i in range(0, n, 64)]))
     # the head on the features gives the logits of the whole network
     np.testing.assert_array_equal(
-        forward_head(NET, params, features[:64], train=False)[0],
-        forward(NET, params, X[:64, None, :], train=False)[0])
+        forward_head(NET, params, features, train=False)[0],
+        forward(NET, params, X[:, None, :], train=False)[0])
+
+
+def test_eval_pass_records_no_cache():
+    """An eval-mode chunk keeps no backward intermediates, so its memory
+    peak stays well below a train-mode pass over the same rows."""
+    params = init_params(NET, np.random.default_rng(17))
+    X = np.random.default_rng(18).normal(size=(EVAL_BATCH_ROWS, 1, 250)
+                                         ).astype(np.float32)
+    assert forward(NET, params, X[:4], train=False)[1] is None
+    features = trunk_features(NET, params, X[:4])
+    assert forward_head(NET, params, features, train=False)[1] is None
+
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    train_peak = traced_peak(lambda: forward(
+        NET, params, X, train=True, rng=np.random.default_rng(0)))
+    eval_peak = traced_peak(lambda: predict_logits(NET, params, X))
+    assert eval_peak < 0.8 * train_peak, (eval_peak, train_peak)
 
 
 def test_trunk_features_of_no_rows():
