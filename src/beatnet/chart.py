@@ -24,8 +24,7 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def render_mcc_chart(reports: list[EvalReport],
-                     title: str = "MCC with 90% bootstrap CIs") -> str:
+def render_mcc_chart(reports: list[EvalReport], title: str) -> str:
     """Grouped bar chart of each report's MCC point value and CI."""
     if not reports:
         raise ValueError("cannot chart zero reports")

@@ -16,9 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .chart import render_mcc_chart
-from .config import Settings, load_settings, render_snapshot
-from .container import write_text
+from .config import Settings, load_settings
 from .errors import DataError, NumericError, UsageError
 from .experiments import (
     build_synthetic_caches,
@@ -26,12 +24,13 @@ from .experiments import (
     load_cache_checked,
     run_experiment,
     run_ingest,
+    write_reports,
     write_summary,
+    write_trained,
 )
-from .metrics import reports_to_csv, reports_to_json
 from .records import DATASET_TAGS
 from .segments import PARTITIONS, TRAIN, WINDOW_SECONDS
-from .train import load_checkpoint, save_checkpoint, train, transfer
+from .train import load_checkpoint, train, transfer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,19 +142,14 @@ def _train_like(args, checkpoint_path=None) -> None:
     settings = _settings(args)
     dataset = load_cache_checked(Path(args.caches), args.subset,
                                   args.partition)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if checkpoint_path is None:
         params, history = train(dataset, settings)
     else:
         params, history = transfer(checkpoint_path, dataset, settings)
-    save_checkpoint(params, settings.network_config(),
-                    out / "checkpoint.hbdl")
-    write_text(out / "train_log.csv", history.to_csv())
-    write_text(out / "config.ini", render_snapshot(settings))
+    write_trained(args.out, params, history, settings)
     final = history.train_mcc[-1] if len(history) else float("nan")
     print(f"trained {settings.epochs} epochs on {len(dataset)} segments "
-          f"(final train MCC {final:.3f}); checkpoint in {out}")
+          f"(final train MCC {final:.3f}); checkpoint in {args.out}")
 
 
 def _cmd_evaluate(args) -> None:
@@ -164,15 +158,11 @@ def _cmd_evaluate(args) -> None:
                                   args.partition)
     params, net_config = load_checkpoint(args.checkpoint)
     report = evaluate_dataset(params, net_config, dataset, settings)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "reports.csv", reports_to_csv([report]))
-    write_text(out / "reports.json", reports_to_json([report]))
-    write_text(out / "mcc_chart.svg", render_mcc_chart([report]))
+    write_reports(args.out, [report], "MCC with 90% bootstrap CIs")
     m = report.metrics["mcc"]
     print(f"{args.subset} {args.partition}: MCC {m.point:.3f} "
           f"[{m.ci_low:.3f}, {m.ci_high:.3f}] over {report.n_segments} "
-          f"segments; reports in {out}")
+          f"segments; reports in {args.out}")
 
 
 def _cmd_experiment(args) -> None:

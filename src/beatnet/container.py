@@ -37,15 +37,18 @@ def pack_str(s: str) -> bytes:
 def _write_atomic(path, write) -> None:
     """Call ``write`` on a binary file handle opened on a temporary name
     beside ``path``, then rename it to ``path``; on any failure the
-    temporary is removed and an earlier ``path`` stays as it was."""
+    temporary is removed and an earlier ``path`` stays as it was. An
+    ``OSError`` is raised as a DataError naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
         raise
 
 

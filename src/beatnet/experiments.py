@@ -1,4 +1,4 @@
-"""The three-experiment protocol and its run-directory bookkeeping.
+"""The three-experiment protocol, and the one writer of run directories.
 
 Experiment 1 trains from scratch on the NormalSinus+LongTerm subset and
 reports metrics on its Train and Test partitions. Experiment 2 takes
@@ -7,11 +7,14 @@ subset's Test partition. Experiment 3 fine-tunes that checkpoint's FC
 head (conv trunk frozen) on each target subset's Train partition, then
 reports on Train and Test.
 
-Every run directory receives: the resolved config snapshot, a
-run_info.json with content hashes of the caches and checkpoints used
-(no timestamps, so reruns are byte-comparable), reports as CSV + JSON,
-and an SVG chart. Training logs include wall-clock times and are the
-one deliberately non-reproducible file.
+Experiments and the single-stage CLI commands write their run
+directories only through :func:`write_trained` (checkpoint, training
+log, config snapshot) and :func:`write_reports` (reports as CSV + JSON,
+an SVG chart). An experiment adds a run_info.json with content hashes
+of the caches and checkpoints used (no timestamps, so reruns are
+byte-comparable). Training logs include wall-clock times and are the
+one deliberately non-reproducible file. A run checks its inputs before
+it creates its directory, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .chart import render_mcc_chart
 from .config import Settings, load_settings, render_snapshot, section_items
 from .container import write_text
 from .errors import DataError, UsageError
-from .metrics import EvalReport, build_report, reports_from_json, \
-    reports_to_csv, reports_to_json
+from .metrics import REPORT_CSV_HEADER, EvalReport, build_report, \
+    reports_from_json, reports_to_csv, reports_to_json
 from .nn import predict_labels
 from .records import SUBSET_NAMES, load_manifest, load_record
 from .segments import (
@@ -43,8 +46,8 @@ from .segments import (
     stats_csv,
 )
 from .synthetic import make_synthetic_records
-from .train import (check_architecture, load_checkpoint, save_checkpoint,
-                    train, transfer)
+from .train import (TrainHistory, check_architecture, load_checkpoint,
+                    save_checkpoint, train)
 
 SOURCE_SUBSET = "NormalSinus+LongTerm"
 
@@ -55,6 +58,40 @@ CHART_FILE = "mcc_chart.svg"
 CONFIG_SNAPSHOT = "config.ini"
 RUN_INFO = "run_info.json"
 EXP1_CHECKPOINT = "checkpoint.hbdl"
+
+
+def _make_dir(path) -> Path:
+    """Create the output directory ``path`` and its parents; a path that
+    cannot be one raises UsageError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: "
+                         f"{exc}") from exc
+    return path
+
+
+def write_trained(out_dir, params: dict, history: TrainHistory,
+                  settings: Settings, suffix: str = "") -> Path:
+    """Write a trained model into ``out_dir``: checkpoint{suffix}.hbdl,
+    train_log{suffix}.csv and the snapshot of the settings it trained
+    with. Returns the checkpoint's path."""
+    out_dir = _make_dir(out_dir)
+    checkpoint = out_dir / f"checkpoint{suffix}.hbdl"
+    save_checkpoint(params, settings.network_config(), checkpoint)
+    write_text(out_dir / f"train_log{suffix}.csv", history.to_csv())
+    write_text(out_dir / CONFIG_SNAPSHOT, render_snapshot(settings))
+    return checkpoint
+
+
+def write_reports(out_dir, reports: list[EvalReport], title: str) -> None:
+    """Write ``reports`` into ``out_dir`` as CSV, as JSON and as an MCC
+    chart headed ``title``."""
+    out_dir = _make_dir(out_dir)
+    write_text(out_dir / REPORTS_CSV, reports_to_csv(reports))
+    write_text(out_dir / REPORTS_JSON, reports_to_json(reports))
+    write_text(out_dir / CHART_FILE, render_mcc_chart(reports, title))
 
 
 def subset_slug(subset: str) -> str:
@@ -92,7 +129,7 @@ def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
                 f"{ds.subset_name} {ds.partition} has no segments: its "
                 f"records are shorter than one {WINDOW_SECONDS} s window; "
                 f"no caches written")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     written = []
     for ds in ordered:
         path = cache_file(out_dir, ds.subset_name, ds.partition)
@@ -173,9 +210,10 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
     """Run one experiment end to end; returns its reports.
 
     ``seed``, when given, replaces ``settings.seed``. ``checkpoint`` (the
-    experiment-1 output) is required for experiments 2 and 3. Target
-    subsets without caches are skipped so the protocol runs on whichever
-    datasets are actually present; having none at all is an error. Every
+    experiment-1 output) is required for experiments 2 and 3; it is read
+    and checked once, before the run creates ``out_dir``. Target subsets
+    without caches are skipped so the protocol runs on whichever datasets
+    are actually present; having none at all is an error. Every
     experiment walks the same loop over its subsets and their partitions;
     they differ only in where a subset's parameters come from.
     """
@@ -184,7 +222,6 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
                          f"{experiment_id}")
     cache_dir = Path(cache_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if seed is not None:
         settings = replace(settings, seed=seed)
     net_config = settings.network_config()
@@ -193,49 +230,39 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
         partitions = (TRAIN, TEST)
         targets = []
         checkpoints = []
+        source = None
     else:
         if checkpoint is None:
             raise DataError(
                 f"experiment {experiment_id} needs the experiment-1 "
                 f"checkpoint (--checkpoint)")
-        checkpoint = Path(checkpoint)
-        if not checkpoint.exists():
-            raise DataError(f"checkpoint {checkpoint} does not exist")
+        source, found = load_checkpoint(checkpoint)
+        check_architecture(checkpoint, found, settings)
+        checkpoints = [Path(checkpoint)]
         partitions = (TEST,) if experiment_id == 2 else (TRAIN, TEST)
         targets = _present_targets(cache_dir, partitions)
         if not targets:
             raise DataError(f"no target subset caches in {cache_dir}")
-        checkpoints = [checkpoint]
-    if experiment_id == 2:
-        params, found = load_checkpoint(checkpoint)
-        check_architecture(checkpoint, found, settings)
 
     reports = []
     caches = []
+    params = source  # experiment 2 evaluates the checkpoint as it is
     # experiment 1 has no targets: it trains and scores the source itself
     for subset in targets or [SOURCE_SUBSET]:
         datasets = [load_cache_checked(cache_dir, subset, p)
                     for p in partitions]
         caches.extend(cache_file(cache_dir, subset, p) for p in partitions)
+        _make_dir(out_dir)  # inputs checked, nothing trained yet
         if experiment_id != 2:
-            if experiment_id == 1:
-                params, history = train(datasets[0], settings)
-                suffix = ""
-            else:
-                params, history = transfer(checkpoint, datasets[0],
-                                           settings)
-                suffix = f"_{subset_slug(subset)}"
-            ckpt = out_dir / f"checkpoint{suffix}.hbdl"
-            save_checkpoint(params, net_config, ckpt)
-            checkpoints.append(ckpt)
-            write_text(out_dir / f"train_log{suffix}.csv", history.to_csv())
+            params, history = train(datasets[0], settings, init=source)
+            suffix = f"_{subset_slug(subset)}" if targets else ""
+            checkpoints.append(write_trained(out_dir, params, history,
+                                             settings, suffix))
         reports.extend(evaluate_dataset(params, net_config, ds, settings)
                        for ds in datasets)
 
-    write_text(out_dir / REPORTS_CSV, reports_to_csv(reports))
-    write_text(out_dir / REPORTS_JSON, reports_to_json(reports))
-    write_text(out_dir / CHART_FILE, render_mcc_chart(
-        reports, f"Experiment {experiment_id}: MCC with 90% CIs"))
+    write_reports(out_dir, reports,
+                  f"Experiment {experiment_id}: MCC with 90% CIs")
     write_text(out_dir / CONFIG_SNAPSHOT, render_snapshot(settings))
     info = {
         "experiment": experiment_id,
@@ -262,8 +289,7 @@ def consolidate_reports(run_dir) -> tuple[str, str]:
         raise DataError(f"no {REPORTS_JSON} anywhere under {run_dir}")
 
     md = ["# Beat detection results", ""]
-    csv_lines = ["source,subset,partition,n_segments,metric,point,"
-                 "boot_mean,ci_low,ci_high"]
+    csv_lines = [f"source,{REPORT_CSV_HEADER}"]
     for path in found:
         reports = _read_run_file(path, reports_from_json)
         rel = path.parent.relative_to(run_dir)
@@ -288,11 +314,8 @@ def consolidate_reports(run_dir) -> tuple[str, str]:
                 f"{m['mcc'].point:.3f} [{m['mcc'].ci_low:.3f}, "
                 f"{m['mcc'].ci_high:.3f}] | {m['precision'].point:.3f} | "
                 f"{m['sensitivity'].point:.3f} | {m['f1'].point:.3f} |")
-            for metric_name, mc in m.items():
-                csv_lines.append(
-                    f"{name},{r.subset_name},{r.partition},{r.n_segments},"
-                    f"{metric_name},{mc.point:.6f},{mc.boot_mean:.6f},"
-                    f"{mc.ci_low:.6f},{mc.ci_high:.6f}")
+        csv_lines.extend(f"{name},{row}" for row in
+                         reports_to_csv(reports).splitlines()[1:])
         md.append("")
     return "\n".join(md) + "\n", "\n".join(csv_lines) + "\n"
 

@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beatnet.experiments
 import beatnet.nn
 import beatnet.train
 from beatnet.config import Settings
 from beatnet.nn import EVAL_BATCH_ROWS, init_params
-from beatnet.segments import TRAIN, build_labeled_dataset
+from beatnet.segments import TRAIN, build_labeled_dataset, load_cache
 from beatnet.synthetic import make_synthetic_records
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -118,3 +119,36 @@ def test_head_only_train_runs_no_forward(monkeypatch, dataset):
              for module in (beatnet.nn, beatnet.train)]
     beatnet.train.train(dataset, SMALL, init=init)
     assert calls == [[], []]
+
+
+def test_experiment3_reads_the_checkpoint_once(workloads, monkeypatch,
+                                               tmp_path):
+    # transfer_eval's segments_per_s counts the datasets these train()
+    # calls get and the epochs they run
+    caches = tmp_path / "caches"
+    beatnet.experiments.build_synthetic_caches(
+        caches, SMALL, n_subjects=4, tags=("Arrhythmia", "BaselineFlexComp"))
+    net = SMALL.network_config()
+    checkpoint = tmp_path / "m.hbdl"
+    beatnet.train.save_checkpoint(
+        init_params(net, np.random.default_rng(0)), net, checkpoint)
+
+    loads = spy(monkeypatch, beatnet.experiments, "load_checkpoint")
+    trains = spy(monkeypatch, beatnet.experiments, "train")
+    beatnet.experiments.run_experiment(3, caches, tmp_path / "exp3", SMALL,
+                                       checkpoint=checkpoint)
+    assert len(loads) == 1
+    count = next(t.count for t in workloads.STAGE_TARGETS
+                 if (t.module, t.attr) == ("beatnet.experiments", "train"))
+    subsets = []
+    for args, kwargs, result in trains:
+        dataset = args[0]
+        subsets.append(dataset.subset_name)
+        assert dataset.partition == TRAIN
+        expected = load_cache(beatnet.experiments.cache_file(
+            caches, dataset.subset_name, TRAIN))
+        assert np.array_equal(dataset.X, expected.X)
+        assert kwargs["init"] is loads[0][2][0]  # the checkpoint's params
+        assert count(args, kwargs, result)["segments"] == (
+            SMALL.epochs * len(expected))
+    assert subsets == ["Arrhythmia", "BaselineFlexComp"]

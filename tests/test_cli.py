@@ -286,6 +286,14 @@ def test_ingest_command(tmp_path, monkeypatch, capsys):
     stats = (out / "dataset_stats.csv").read_text()
     assert "Arrhythmia,Train,1,40," in stats
 
+    # an --out that cannot be a directory is a usage error naming it
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    code = main(["ingest", "--manifest", str(manifest), "--out", str(plain)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(plain) in err
+
     # a damaged signal file aborts with the record id in the message
     (data / "r1.dat").write_bytes(b"\x00\x01")
     code = main(["ingest", "--manifest", str(manifest), "--out", str(out)])
@@ -386,6 +394,19 @@ def test_experiment_pipeline(tmp_path):
     for slug in ("arrhythmia", "baselineflexcomp"):
         assert (out3 / f"checkpoint_{slug}.hbdl").exists()
         assert (out3 / f"train_log_{slug}.csv").exists()
+
+    # the single-stage commands train as the experiments do
+    single = tmp_path / "single"
+    assert main(["train", "--caches", str(caches), "--out", str(single),
+                 "--config", cfg]) == 0
+    for name in ("checkpoint.hbdl", "config.ini"):
+        assert (single / name).read_bytes() == (out1 / name).read_bytes()
+    tuned = tmp_path / "tuned"
+    assert main(["transfer", "--caches", str(caches),
+                 "--subset", "Arrhythmia", "--checkpoint", ckpt,
+                 "--out", str(tuned), "--config", cfg]) == 0
+    assert ((tuned / "checkpoint.hbdl").read_bytes()
+            == (out3 / "checkpoint_arrhythmia.hbdl").read_bytes())
 
     # experiments 2 and 3 score the same Test segments
     test2 = {r.subset_name: r.n_segments for r in reports2}
@@ -516,18 +537,72 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_out_that_cannot_be_created_exits_1(tmp_path, capsys,
+                                            monkeypatch):
+    cfg = fast_config(tmp_path)
+    caches = build_caches(tmp_path, tags="NormalSinus,LongTerm,Arrhythmia",
+                          subjects=6)
+    net = load_settings(cfg).network_config()
+    ckpt = tmp_path / "m.hbdl"
+    save_checkpoint(init_params(net, np.random.default_rng(0)), net, ckpt)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr("beatnet.experiments.train", no_training)
+    common = ["--caches", str(caches), "--config", cfg]
+    for out in (plain, plain / "sub"):
+        for argv in (["build-dataset"],
+                     ["train", *common],
+                     ["transfer", *common, "--subset", "Arrhythmia",
+                      "--checkpoint", str(ckpt)],
+                     ["evaluate", *common, "--subset", "Arrhythmia",
+                      "--partition", "Test", "--checkpoint", str(ckpt)],
+                     ["experiment", "--id", "1", *common],
+                     ["experiment", "--id", "2", *common,
+                      "--checkpoint", str(ckpt)],
+                     ["experiment", "--id", "3", *common,
+                      "--checkpoint", str(ckpt)]):
+            assert main([*argv, "--out", str(out)]) == 1, argv
+            err = capsys.readouterr().err
+            assert "usage error: cannot create output directory" in err
+            assert str(out) in err
+    assert plain.read_bytes() == b""
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     cfg = fast_config(tmp_path)
     empty = tmp_path / "empty"
     empty.mkdir()
+    # a refused run creates no output directory
     assert main(["experiment", "--id", "1", "--caches", str(empty),
                  "--out", str(tmp_path / "o1"), "--config", cfg]) == 2
+    assert not (tmp_path / "o1").exists()
     assert main(["experiment", "--id", "2", "--caches", str(empty),
                  "--out", str(tmp_path / "o2"), "--config", cfg]) == 2
-    caches = build_caches(tmp_path, tags="NormalSinus,LongTerm", subjects=4)
-    assert main(["experiment", "--id", "2", "--caches", str(caches),
-                 "--out", str(tmp_path / "o3"), "--config", cfg,
-                 "--checkpoint", str(tmp_path / "missing.hbdl")]) == 2
+    assert not (tmp_path / "o2").exists()
+    caches = build_caches(tmp_path, tags="NormalSinus,LongTerm,Arrhythmia",
+                          subjects=6)
+    missing = tmp_path / "missing.hbdl"
+    for argv in (["experiment", "--id", "2"], ["experiment", "--id", "3"],
+                 ["transfer", "--subset", "Arrhythmia"]):
+        assert main([*argv, "--caches", str(caches), "--config", cfg,
+                     "--out", str(tmp_path / "o3"),
+                     "--checkpoint", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: cannot read {missing}" in err
+        assert not (tmp_path / "o3").exists()
+
+    # a file that cannot be written names itself, and leaves no temporary
+    blocked = tmp_path / "blocked"
+    (blocked / "reports.json").mkdir(parents=True)
+    assert main(["experiment", "--id", "1", "--caches", str(caches),
+                 "--out", str(blocked), "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: cannot write {blocked / 'reports.json'}" in err
+    assert not list(blocked.glob(".*.tmp"))
     garbage = tmp_path / "garbage.hbdl"
     garbage.write_bytes(b"not a checkpoint at all")
     assert main(["evaluate", "--caches", str(caches),
@@ -558,12 +633,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     targets = tmp_path / "targets"
     assert main(["build-dataset", "--out", str(targets), "--subjects", "2",
                  "--tags", "Arrhythmia"]) == 0
-    assert main(["experiment", "--id", "2", "--caches", str(targets),
-                 "--out", str(tmp_path / "o9"), "--config", str(narrow),
-                 "--checkpoint", str(good)]) == 2
-    err = capsys.readouterr().err
-    assert "data error: checkpoint architecture" in err and str(good) in err
-    assert not (tmp_path / "o9" / "reports.json").exists()
+    for experiment in ("2", "3"):
+        assert main(["experiment", "--id", experiment,
+                     "--caches", str(targets), "--out", str(tmp_path / "o9"),
+                     "--config", str(narrow), "--checkpoint", str(good)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: checkpoint architecture" in err
+        assert str(good) in err
+        assert not (tmp_path / "o9").exists()
 
     reframe(bad, widen_dropout)
     assert main(["evaluate", "--caches", str(caches),
