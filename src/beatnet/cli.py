@@ -22,6 +22,7 @@ from .experiments import (
     build_synthetic_caches,
     evaluate_dataset,
     load_cache_checked,
+    make_out_dir,
     run_experiment,
     run_ingest,
     write_reports,
@@ -30,7 +31,7 @@ from .experiments import (
 )
 from .records import DATASET_TAGS
 from .segments import PARTITIONS, TRAIN, WINDOW_SECONDS
-from .train import load_checkpoint, train, transfer
+from .train import check_architecture, load_checkpoint, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,14 +139,16 @@ def _cmd_build_dataset(args) -> None:
     print(f"wrote {len(written)} synthetic caches to {args.out}")
 
 
-def _train_like(args, checkpoint_path=None) -> None:
+def _train_like(args) -> None:
     settings = _settings(args)
     dataset = load_cache_checked(Path(args.caches), args.subset,
                                   args.partition)
-    if checkpoint_path is None:
-        params, history = train(dataset, settings)
-    else:
-        params, history = transfer(checkpoint_path, dataset, settings)
+    init = None
+    if args.command == "transfer":
+        init, net_config = load_checkpoint(args.checkpoint)
+        check_architecture(args.checkpoint, net_config, settings)
+    make_out_dir(args.out)  # inputs checked, nothing trained yet
+    params, history = train(dataset, settings, init=init)
     write_trained(args.out, params, history, settings)
     final = history.train_mcc[-1] if len(history) else float("nan")
     print(f"trained {settings.epochs} epochs on {len(dataset)} segments "
@@ -157,6 +160,7 @@ def _cmd_evaluate(args) -> None:
     dataset = load_cache_checked(Path(args.caches), args.subset,
                                   args.partition)
     params, net_config = load_checkpoint(args.checkpoint)
+    make_out_dir(args.out)
     report = evaluate_dataset(params, net_config, dataset, settings)
     write_reports(args.out, [report], "MCC with 90% bootstrap CIs")
     m = report.metrics["mcc"]
@@ -189,10 +193,8 @@ def main(argv=None) -> int:
             _cmd_ingest(args)
         elif args.command == "build-dataset":
             _cmd_build_dataset(args)
-        elif args.command == "train":
+        elif args.command in ("train", "transfer"):
             _train_like(args)
-        elif args.command == "transfer":
-            _train_like(args, checkpoint_path=args.checkpoint)
         elif args.command == "evaluate":
             _cmd_evaluate(args)
         elif args.command == "experiment":

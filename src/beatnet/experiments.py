@@ -5,7 +5,8 @@ reports metrics on its Train and Test partitions. Experiment 2 takes
 the experiment-1 checkpoint as-is and evaluates it on every other
 subset's Test partition. Experiment 3 fine-tunes that checkpoint's FC
 head (conv trunk frozen) on each target subset's Train partition, then
-reports on Train and Test.
+reports on Train and Test. A trained partition's report reuses its
+training run's last scoring pass instead of a second network pass.
 
 Experiments and the single-stage CLI commands write their run
 directories only through :func:`write_trained` (checkpoint, training
@@ -60,7 +61,7 @@ RUN_INFO = "run_info.json"
 EXP1_CHECKPOINT = "checkpoint.hbdl"
 
 
-def _make_dir(path) -> Path:
+def make_out_dir(path) -> Path:
     """Create the output directory ``path`` and its parents; a path that
     cannot be one raises UsageError naming it."""
     path = Path(path)
@@ -77,7 +78,7 @@ def write_trained(out_dir, params: dict, history: TrainHistory,
     """Write a trained model into ``out_dir``: checkpoint{suffix}.hbdl,
     train_log{suffix}.csv and the snapshot of the settings it trained
     with. Returns the checkpoint's path."""
-    out_dir = _make_dir(out_dir)
+    out_dir = make_out_dir(out_dir)
     checkpoint = out_dir / f"checkpoint{suffix}.hbdl"
     save_checkpoint(params, settings.network_config(), checkpoint)
     write_text(out_dir / f"train_log{suffix}.csv", history.to_csv())
@@ -88,7 +89,7 @@ def write_trained(out_dir, params: dict, history: TrainHistory,
 def write_reports(out_dir, reports: list[EvalReport], title: str) -> None:
     """Write ``reports`` into ``out_dir`` as CSV, as JSON and as an MCC
     chart headed ``title``."""
-    out_dir = _make_dir(out_dir)
+    out_dir = make_out_dir(out_dir)
     write_text(out_dir / REPORTS_CSV, reports_to_csv(reports))
     write_text(out_dir / REPORTS_JSON, reports_to_json(reports))
     write_text(out_dir / CHART_FILE, render_mcc_chart(reports, title))
@@ -129,7 +130,7 @@ def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
                 f"{ds.subset_name} {ds.partition} has no segments: its "
                 f"records are shorter than one {WINDOW_SECONDS} s window; "
                 f"no caches written")
-    _make_dir(out_dir)
+    make_out_dir(out_dir)
     written = []
     for ds in ordered:
         path = cache_file(out_dir, ds.subset_name, ds.partition)
@@ -182,11 +183,14 @@ def _file_hash(path: Path) -> str:
 
 
 def evaluate_dataset(params, net_config, dataset: LabeledDataset,
-                     settings: Settings) -> EvalReport:
+                     settings: Settings, preds=None) -> EvalReport:
+    """The bootstrap report of ``params`` on ``dataset``; ``preds``, labels
+    ``params`` already gave it, replace the network pass."""
     if len(dataset) == 0:
         raise DataError(f"{dataset.subset_name} {dataset.partition} has "
                         f"no segments to evaluate")
-    preds = predict_labels(net_config, params, dataset.X)
+    if preds is None:
+        preds = predict_labels(net_config, params, dataset.X)
     return build_report(preds, dataset.y.astype(np.int64),
                         dataset.subset_name, dataset.partition,
                         settings.bootstrap_reps, settings.bootstrap_fraction,
@@ -252,14 +256,16 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
         datasets = [load_cache_checked(cache_dir, subset, p)
                     for p in partitions]
         caches.extend(cache_file(cache_dir, subset, p) for p in partitions)
-        _make_dir(out_dir)  # inputs checked, nothing trained yet
+        make_out_dir(out_dir)  # inputs checked, nothing trained yet
+        preds = [None] * len(datasets)
         if experiment_id != 2:
             params, history = train(datasets[0], settings, init=source)
+            preds[0] = history.predictions  # Train, scored in training
             suffix = f"_{subset_slug(subset)}" if targets else ""
             checkpoints.append(write_trained(out_dir, params, history,
                                              settings, suffix))
-        reports.extend(evaluate_dataset(params, net_config, ds, settings)
-                       for ds in datasets)
+        reports.extend(evaluate_dataset(params, net_config, ds, settings, p)
+                       for ds, p in zip(datasets, preds))
 
     write_reports(out_dir, reports,
                   f"Experiment {experiment_id}: MCC with 90% CIs")

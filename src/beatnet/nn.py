@@ -412,7 +412,7 @@ def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
 
 def _eval_chunks(X: np.ndarray, run, width: int) -> np.ndarray:
     """The (rows, width) results of ``run`` on each ``EVAL_BATCH_ROWS``-row
-    chunk of X, as (rows, 1, input_length) arrays, concatenated."""
+    chunk of X, concatenated; a 2-D X gets a channel axis first."""
     if X.ndim == 2:
         X = X[:, None, :]
     outs = [run(X[start:start + EVAL_BATCH_ROWS])
@@ -506,16 +506,18 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
     return grads
 
 
-def predict_logits(config: NetworkConfig, params: dict,
-                   X: np.ndarray) -> np.ndarray:
+def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
+                   step=None) -> np.ndarray:
     """Eval-mode logits for (n, input_length) or (n, 1, input_length) data,
-    computed in chunks of ``EVAL_BATCH_ROWS`` rows."""
+    computed in chunks of ``EVAL_BATCH_ROWS`` rows by ``step``: forward,
+    or forward_head when X holds :func:`trunk_features`."""
+    step = step or forward
     return _eval_chunks(
-        X, lambda chunk: forward(config, params, chunk, train=False)[0],
+        X, lambda chunk: step(config, params, chunk, train=False)[0],
         config.fc_sizes[-1])
 
 
-def predict_labels(config: NetworkConfig, params: dict,
-                   X: np.ndarray) -> np.ndarray:
+def predict_labels(config: NetworkConfig, params: dict, X: np.ndarray,
+                   step=None) -> np.ndarray:
     """Hard class decisions (argmax of the logits)."""
-    return predict_logits(config, params, X).argmax(axis=1)
+    return predict_logits(config, params, X, step).argmax(axis=1)

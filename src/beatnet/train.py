@@ -60,11 +60,13 @@ class TrainHistory:
     """Per-epoch summaries: mean loss (sample-weighted over batches),
     MCC of an eval pass over the training data, and wall-clock seconds.
     The seconds time the epochs alone: a transfer run's one-off frozen
-    trunk feature pass comes before the first epoch and is in none."""
+    trunk feature pass comes before the first epoch and is in none.
+    ``predictions`` are the last eval pass's labels (None if no epoch ran)."""
 
     mean_loss: list[float] = field(default_factory=list)
     train_mcc: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
+    predictions: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.mean_loss)
@@ -111,8 +113,7 @@ def train(dataset: LabeledDataset, settings: Settings,
     network = settings.network_config()
     weights = ClassWeights(settings.w_nobeat, settings.w_beat)
     rng = np.random.default_rng(settings.seed)
-    frozen = init is not None
-    if frozen:
+    if init is not None:
         params = _copy_params(init, network)
         inputs = trunk_features(network, params, dataset.X)
         step = forward_head
@@ -145,13 +146,9 @@ def train(dataset: LabeledDataset, settings: Settings,
                 params[name] = value
             loss_sum += loss * (len(batch_idx)
                                 if settings.reduction == "mean" else 1.0)
-        if frozen:
-            logits, _ = forward_head(network, params, inputs, train=False)
-            preds = logits.argmax(axis=1)
-        else:
-            preds = predict_labels(network, params, inputs)
+        history.predictions = predict_labels(network, params, inputs, step)
         history.mean_loss.append(loss_sum / n)
-        history.train_mcc.append(mcc_from_labels(preds, y))
+        history.train_mcc.append(mcc_from_labels(history.predictions, y))
         history.seconds.append(time.perf_counter() - started)
     return params, history
 

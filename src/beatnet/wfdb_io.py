@@ -248,14 +248,6 @@ def encode_212(adc: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def encode_16(adc: np.ndarray) -> bytes:
-    """Pack samples as little-endian int16 (format 16)."""
-    adc = np.asarray(adc, dtype=np.int64)
-    if adc.size and (adc.min() < -32768 or adc.max() > 32767):
-        raise ValueError("format 16 values must fit 16-bit two's complement")
-    return adc.astype("<i2").tobytes()
-
-
 def decode_signal(raw_bytes: bytes, header: WfdbHeader, channel: int) -> np.ndarray:
     """Decode one channel of a signal file into millivolt values.
 

@@ -9,6 +9,7 @@ benchmark's target table as it is and check it against the package.
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import beatnet.nn
 import beatnet.train
 from beatnet.config import Settings
 from beatnet.nn import EVAL_BATCH_ROWS, init_params
-from beatnet.segments import TRAIN, build_labeled_dataset, load_cache
+from beatnet.segments import TEST, TRAIN, build_labeled_dataset, load_cache
 from beatnet.synthetic import make_synthetic_records
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -152,3 +153,78 @@ def test_experiment3_reads_the_checkpoint_once(workloads, monkeypatch,
         assert count(args, kwargs, result)["segments"] == (
             SMALL.epochs * len(expected))
     assert subsets == ["Arrhythmia", "BaselineFlexComp"]
+
+
+def test_head_only_train_scores_each_epoch_with_predict_logits(monkeypatch,
+                                                               dataset):
+    # the head-only scoring pass runs in the same chunks as every other
+    net = SMALL.network_config()
+    init = init_params(net, np.random.default_rng(0))
+    calls = spy(monkeypatch, beatnet.nn, "predict_logits")
+    beatnet.train.train(dataset, SMALL, init=init)
+    assert [args[2].shape[0] for args, _, _ in calls] == [len(dataset)] * 2
+
+
+@pytest.fixture(scope="module")
+def big_caches(tmp_path_factory):
+    # more Train rows than one eval chunk, in the source and in a target
+    root = tmp_path_factory.mktemp("big")
+    caches = root / "caches"
+    beatnet.experiments.build_synthetic_caches(
+        caches, SMALL, n_subjects=6, duration=150.0,
+        tags=("NormalSinus", "Arrhythmia"))
+    net = SMALL.network_config()
+    checkpoint = root / "m.hbdl"
+    beatnet.train.save_checkpoint(
+        init_params(net, np.random.default_rng(0)), net, checkpoint)
+    return caches, checkpoint
+
+
+def eval_forward_rows(calls) -> int:
+    return sum(args[2].shape[0] for module_calls in calls
+               for args, kwargs, _ in module_calls if not kwargs["train"])
+
+
+@pytest.mark.parametrize("experiment_id", [1, 3])
+def test_trained_partitions_run_the_network_once(monkeypatch, tmp_path,
+                                                 big_caches, experiment_id):
+    # nn.trunk_rows_per_segment counts these rows: the Train report
+    # reuses the last epoch's scoring pass instead of a pass of its own
+    caches, checkpoint = big_caches
+    subset = ("NormalSinus+LongTerm" if experiment_id == 1
+              else "Arrhythmia")
+    n_train, n_test = (len(load_cache(beatnet.experiments.cache_file(
+        caches, subset, p))) for p in (TRAIN, TEST))
+    calls = [spy(monkeypatch, module, "forward")
+             for module in (beatnet.nn, beatnet.train)]
+    beatnet.experiments.run_experiment(experiment_id, caches,
+                                       tmp_path / "out", SMALL,
+                                       checkpoint=checkpoint)
+    scratch_epochs = SMALL.epochs if experiment_id == 1 else 0
+    assert eval_forward_rows(calls) == scratch_epochs * n_train + n_test
+
+
+@pytest.mark.parametrize("experiment_id", [1, 3])
+def test_train_report_is_the_last_scoring_pass(monkeypatch, tmp_path,
+                                               big_caches, experiment_id):
+    caches, checkpoint = big_caches
+    trains = spy(monkeypatch, beatnet.experiments, "train")
+    reports = beatnet.experiments.run_experiment(
+        experiment_id, caches, tmp_path / "out", SMALL,
+        checkpoint=checkpoint)
+    train_reports = [r for r in reports if r.partition == TRAIN]
+    assert len(train_reports) == len(trains) == 1
+    (dataset, *_), _, (_, history) = trains[0]
+    assert len(dataset) > EVAL_BATCH_ROWS
+    assert train_reports[0].n_segments == len(dataset)
+    assert train_reports[0].metrics["mcc"].point == history.train_mcc[-1]
+
+
+def test_zero_epochs_still_report_train(tmp_path, big_caches):
+    caches, checkpoint = big_caches
+    settings = replace(SMALL, epochs=0)
+    for experiment_id in (1, 3):
+        reports = beatnet.experiments.run_experiment(
+            experiment_id, caches, tmp_path / f"e{experiment_id}", settings,
+            checkpoint=checkpoint)
+        assert [r.partition for r in reports] == [TRAIN, TEST]

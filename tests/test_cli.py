@@ -548,10 +548,12 @@ def test_out_that_cannot_be_created_exits_1(tmp_path, capsys,
     plain = tmp_path / "plain"
     plain.write_text("")
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before checking --out")
+    def no_network(*args, **kwargs):
+        raise AssertionError("trained or scored before checking --out")
 
-    monkeypatch.setattr("beatnet.experiments.train", no_training)
+    for target in ("beatnet.experiments.train", "beatnet.cli.train",
+                   "beatnet.cli.evaluate_dataset"):
+        monkeypatch.setattr(target, no_network)
     common = ["--caches", str(caches), "--config", cfg]
     for out in (plain, plain / "sub"):
         for argv in (["build-dataset"],
