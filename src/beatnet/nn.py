@@ -18,6 +18,17 @@ features be computed once and reused.
 
 Unconventional but deliberate: BatchNorm comes before the convolution
 inside each block, and there is no ReLU after the final FC layer.
+
+Layout: the trunk is channels-last. Its (n, 1, L) input is viewed as
+(n, L, 1), and every block passes an (n, L, C) array on, so a conv's
+im2col GEMM output (n*L rows of C_out) is the ReLU and max-pool input
+as it stands (Chellapilla et al. 2006). The flatten (:func:`_flatten`,
+and its inverse in :func:`backward`) holds the one layout change: it
+keeps fc0's column order c*L + l, so checkpoints are unchanged. Conv
+weights stay (C_out, C_in, k). The per-channel reductions of BatchNorm
+and of the conv bias gradient sum in the memory order the earlier
+channels-first trunk used (see :func:`_channel_sum`), so training gives
+the same float32 bytes as it did.
 """
 
 from __future__ import annotations
@@ -172,49 +183,65 @@ def init_params(config: NetworkConfig,
 
 
 # ---------------------------------------------------------------------------
-# layer kernels (dtype-preserving, pure)
+# layer kernels (dtype-preserving, pure; conv, BatchNorm and max-pool
+# take channels-last (n, L, C) arrays)
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an (n, L, C) array over a C-contiguous
+    (n, C, L) copy.
+
+    A float32 sum depends on the memory order NumPy walks, and the
+    channels-first trunk fixed that order for the checkpoints it wrote.
+    Where it summed a C-contiguous (n, C, L) operand, the channels-last
+    trunk sums this copy: BN's batch mean and variance (in
+    batchnorm1d_forward), its dgamma and sum(dxhat * xhat), and the conv
+    bias gradient. Where its operand was channels-last in memory already
+    (BN's dbeta and sum(dxhat)), a plain ``sum(axis=(0, 1))`` walks the
+    same order. Summing everything channels-last changes the bytes.
+    """
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).sum(axis=(0, 2))
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(n*L, C*k) same-padded patches of an (n, L, C) input; column
+    c*k + j holds channel c at offset j - (k - 1) // 2."""
+    n, length, c = x.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    return sliding_window_view(xp, k, axis=1).reshape(n * length, c * k)
+
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation: (n,Cin,L) -> (n,Cout,L)."""
-    if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
+    """Same-padded stride-1 cross-correlation: (n,L,Cin) -> (n,L,Cout).
+
+    Weights stay (Cout, Cin, k). The GEMM output is the result, with no
+    transpose."""
+    if x.ndim != 3 or w.ndim != 3 or x.shape[2] != w.shape[1]:
         raise DataError(f"conv1d input {x.shape} vs weights {w.shape}")
     if b.shape != (w.shape[0],):
         raise DataError(f"conv1d bias {b.shape} vs {w.shape[0]} channels")
-    n, c_in, length = x.shape
+    n, length, c_in = x.shape
     c_out, _, k = w.shape
-    pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    cols = sliding_window_view(xp, k, axis=2)        # (n, Cin, L, k)
-    cols = cols.transpose(0, 2, 1, 3).reshape(n * length, c_in * k)
-    y = cols @ w.reshape(c_out, c_in * k).T
-    y = y.reshape(n, length, c_out).transpose(0, 2, 1)
-    return y + b[None, :, None]
+    y = _im2col(x, k) @ w.reshape(c_out, c_in * k).T
+    y += b
+    return y.reshape(n, length, c_out)
 
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) for conv1d_forward."""
-    n, c_in, length = x.shape
+    """Gradients (dx, dw, db) for conv1d_forward, all channels-last."""
+    n, length, c_in = x.shape
     c_out, _, k = w.shape
-    if dy.shape != (n, c_out, length):
+    if dy.shape != (n, length, c_out):
         raise DataError(f"conv1d gradient {dy.shape}, expected "
-                        f"{(n, c_out, length)}")
-    pad = (k - 1) // 2
-
-    db = dy.sum(axis=(0, 2))
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    cols = sliding_window_view(xp, k, axis=2)        # (n, Cin, L, k)
-    cols = cols.transpose(0, 2, 1, 3).reshape(n * length, c_in * k)
-    dy_flat = dy.transpose(0, 2, 1).reshape(n * length, c_out)
-    dw = (dy_flat.T @ cols).reshape(c_out, c_in, k)
-
+                        f"{(n, length, c_out)}")
+    db = _channel_sum(dy)
+    dy_flat = dy.reshape(n * length, c_out)
+    dw = (dy_flat.T @ _im2col(x, k)).reshape(c_out, c_in, k)
     # dx is dy correlated with the flipped kernels, transposed over channels
-    dyp = np.pad(dy, ((0, 0), (0, 0), (pad, pad)))
-    dcols = sliding_window_view(dyp, k, axis=2)      # (n, Cout, L, k)
-    dcols = dcols.transpose(0, 2, 1, 3).reshape(n * length, c_out * k)
     wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-    dx = (dcols @ wflip.T).reshape(n, length, c_in).transpose(0, 2, 1)
+    dx = (_im2col(dy, k) @ wflip.T).reshape(n, length, c_in)
     return dx, dw, db
 
 
@@ -222,7 +249,7 @@ def batchnorm1d_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                         running_mean: np.ndarray, running_var: np.ndarray,
                         train: bool, eps: float = BN_EPS,
                         momentum: float = BN_MOMENTUM):
-    """Per-channel normalization over (batch, length).
+    """Per-channel normalization of (n, L, C) inputs over (batch, length).
 
     Returns (y, cache, new_running_mean, new_running_var). In train mode
     batch statistics normalize and the returned running stats are the
@@ -230,17 +257,19 @@ def batchnorm1d_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     whether to commit them. Eval mode normalizes by the running stats
     and returns them unchanged.
     """
-    if x.ndim != 3 or x.shape[1] != gamma.shape[0]:
+    if x.ndim != 3 or x.shape[2] != gamma.shape[0]:
         raise DataError(f"batchnorm input {x.shape} vs "
                         f"{gamma.shape[0]} channels")
-    n, c, length = x.shape
+    n, length, c = x.shape
     if train:
         count = n * length
         if count < 2:
             raise DataError(
                 f"batch statistics need >= 2 values per channel, got {count}")
-        mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
+        # mean and var on the channels-first copy: see _channel_sum
+        xt = np.ascontiguousarray(x.transpose(0, 2, 1))
+        mean = xt.mean(axis=(0, 2))
+        var = xt.var(axis=(0, 2))
         unbiased = var * (count / (count - 1))
         new_mean = ((1.0 - momentum) * running_mean
                     + momentum * mean).astype(x.dtype)
@@ -250,10 +279,10 @@ def batchnorm1d_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         mean, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
+    xhat = (x - mean) * inv_std
+    y = gamma * xhat + beta
     cache = (xhat, inv_std.astype(x.dtype), gamma, train)
-    return y.astype(x.dtype), cache, new_mean, new_var
+    return y.astype(x.dtype, copy=False), cache, new_mean, new_var
 
 
 def batchnorm1d_backward(dy: np.ndarray, cache,
@@ -263,19 +292,19 @@ def batchnorm1d_backward(dy: np.ndarray, cache,
     if dy.shape != xhat.shape:
         raise DataError(f"batchnorm gradient {dy.shape}, expected "
                         f"{xhat.shape}")
-    dgamma = (dy * xhat).sum(axis=(0, 2))
-    dbeta = dy.sum(axis=(0, 2))
-    dxhat = dy * gamma[None, :, None]
+    dgamma = _channel_sum(dy * xhat)
+    dbeta = dy.sum(axis=(0, 1))
+    dxhat = dy * gamma
     if not train:
         # running stats are constants, so the chain is elementwise
-        return dxhat * inv_std[None, :, None], dgamma, dbeta
-    n, _, length = dy.shape
+        return dxhat * inv_std, dgamma, dbeta
+    n, length, _ = dy.shape
     count = n * length
-    sum_dxhat = dxhat.sum(axis=(0, 2))[None, :, None]
-    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
-    dx = (inv_std[None, :, None] / count
+    sum_dxhat = dxhat.sum(axis=(0, 1))
+    sum_dxhat_xhat = _channel_sum(dxhat * xhat)
+    dx = (inv_std / count
           * (count * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
-    return dx.astype(dy.dtype), dgamma, dbeta
+    return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -288,29 +317,28 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel-2 stride-2 max pooling; a trailing odd element is dropped.
+    """Kernel-2 stride-2 max pooling along L of (n, L, C) inputs; a
+    trailing odd row is dropped.
 
-    Returns (y, argmax) where argmax holds each window's winning offset
-    (0 or 1, first index on ties) for the backward pass.
+    Returns (y, second) where the bool mask ``second`` is True where a
+    window's second lane wins (strictly; ties take the first lane, as
+    an argmax does), for the backward pass.
     """
     if x.ndim != 3:
-        raise DataError(f"maxpool expects (n, c, length), got {x.shape}")
-    n, c, length = x.shape
-    half = length // 2
-    v = x[:, :, :2 * half].reshape(n, c, half, 2)
-    idx = v.argmax(axis=3)
-    y = np.take_along_axis(v, idx[..., None], axis=3)[..., 0]
-    return y, idx
+        raise DataError(f"maxpool expects (n, length, c), got {x.shape}")
+    end = 2 * (x.shape[1] // 2)
+    first, last = x[:, 0:end:2], x[:, 1:end:2]
+    second = last > first
+    return np.where(second, last, first), second
 
 
-def maxpool1d_backward(dy: np.ndarray, idx: np.ndarray,
+def maxpool1d_backward(dy: np.ndarray, second: np.ndarray,
                        input_length: int) -> np.ndarray:
-    """Routes each output gradient to its window's argmax position."""
-    n, c, half = dy.shape
-    dv = np.zeros((n, c, half, 2), dtype=dy.dtype)
-    np.put_along_axis(dv, idx[..., None], dy[..., None], axis=3)
-    dx = np.zeros((n, c, input_length), dtype=dy.dtype)
-    dx[:, :, :2 * half] = dv.reshape(n, c, 2 * half)
+    """Routes each output gradient to its window's winning row."""
+    n, half, c = dy.shape
+    dx = np.zeros((n, input_length, c), dtype=dy.dtype)
+    dx[:, 0:2 * half:2] = np.where(second, 0, dy)
+    dx[:, 1:2 * half:2] = np.where(second, dy, 0)
     return dx
 
 
@@ -367,12 +395,13 @@ class ForwardCache:
 def _trunk(config: NetworkConfig, params: dict, h: np.ndarray,
            cache: ForwardCache | None = None) -> np.ndarray:
     """The four conv blocks on (n, 1, input_length) inputs; returns the
-    (n, C, L) trunk output. Given a ``cache``, runs in train mode and
-    appends its intermediates and BN updates to it; without one, runs in
-    eval mode and keeps no intermediates."""
+    channels-last (n, L, C) trunk output. Given a ``cache``, runs in
+    train mode and appends its intermediates and BN updates to it;
+    without one, runs in eval mode and keeps no intermediates."""
     if h.ndim != 3 or h.shape[1] != 1 or h.shape[2] != config.input_length:
         raise DataError(
             f"expected (n, 1, {config.input_length}) input, got {h.shape}")
+    h = h.reshape(len(h), config.input_length, 1)  # one channel: no copy
     for b in range(len(config.conv_blocks)):
         prefix = f"conv{b}"
         y, bn_cache, new_mean, new_var = batchnorm1d_forward(
@@ -383,13 +412,13 @@ def _trunk(config: NetworkConfig, params: dict, h: np.ndarray,
             momentum=config.bn_momentum)
         conv = conv1d_forward(y, params[f"{prefix}.weight"],
                               params[f"{prefix}.bias"])
-        h, idx = maxpool1d_forward(relu_forward(conv))
+        h, second = maxpool1d_forward(relu_forward(conv))
         if cache is not None:
             cache.bn_updates[f"{prefix}.bn.running_mean"] = new_mean
             cache.bn_updates[f"{prefix}.bn.running_var"] = new_var
             cache.layers += [("bn", prefix, bn_cache), ("conv", prefix, y),
                              ("relu", prefix, conv),
-                             ("pool", prefix, (idx, conv.shape[2]))]
+                             ("pool", prefix, (second, conv.shape[1]))]
     return h
 
 
@@ -408,6 +437,12 @@ def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
     if train:
         cache.layers += head.layers
     return logits, cache
+
+
+def _flatten(h: np.ndarray) -> np.ndarray:
+    """(n, L, C) trunk output -> (n, C*L) in fc0's column order c*L + l:
+    the one place the channels-last trunk changes layout."""
+    return h.transpose(0, 2, 1).reshape(len(h), -1)
 
 
 def _eval_chunks(X: np.ndarray, run, width: int) -> np.ndarray:
@@ -433,8 +468,7 @@ def trunk_features(config: NetworkConfig, params: dict,
     batch, so they can be computed once and reused.
     """
     return _eval_chunks(
-        X, lambda chunk: _trunk(config, params, chunk).reshape(
-            len(chunk), -1),
+        X, lambda chunk: _flatten(_trunk(config, params, chunk)),
         config.flatten_width)
 
 
@@ -443,14 +477,14 @@ def forward_head(config: NetworkConfig, params: dict, h: np.ndarray,
                  ) -> tuple[np.ndarray, ForwardCache | None]:
     """Flatten, Dropout and the FC layers on trunk outputs; returns logits.
 
-    ``h`` is the (n, C, L) trunk output or its (n, flatten_width)
+    ``h`` is the (n, L, C) trunk output or its (n, flatten_width)
     flattening. In train mode the cache is head-only: it starts at the
     flatten entry, so :func:`backward` on it returns FC gradients only,
     and it never holds BN updates. In eval mode the cache is None.
     """
     cache = ForwardCache() if train else None
     flat_shape = h.shape
-    h = h.reshape(flat_shape[0], -1)
+    h = _flatten(h) if h.ndim == 3 else h
     if h.shape[1] != config.flatten_width:
         raise DataError(f"flatten width {h.shape[1]} != configured "
                         f"{config.flatten_width}")
@@ -489,10 +523,12 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
         elif kind == "dropout":
             dy = dropout_backward(dy, stored)
         elif kind == "flatten":
-            dy = dy.reshape(stored)
+            if len(stored) == 3:  # undo _flatten: (n, C*L) -> (n, L, C)
+                n, length, c = stored
+                dy = dy.reshape(n, c, length).transpose(0, 2, 1)
         elif kind == "pool":
-            idx, input_length = stored
-            dy = maxpool1d_backward(dy, idx, input_length)
+            second, input_length = stored
+            dy = maxpool1d_backward(dy, second, input_length)
         elif kind == "conv":
             dy, dw, db = conv1d_backward(stored, params[f"{name}.weight"], dy)
             grads[f"{name}.weight"] = dw

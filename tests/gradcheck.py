@@ -5,7 +5,12 @@ output onto a fixed random tensor to get a scalar, and compares the
 analytic backward pass against central differences. Inputs are
 arranged so the comparison is meaningful: ReLU inputs keep a margin
 from the kink at 0, and max-pool inputs are distinct integers so no
-perturbation can flip a window's argmax.
+perturbation can flip a window's winner.
+
+The conv, BatchNorm and max-pool kernels take channels-last (n, L, C)
+arrays; their inputs are drawn channels-first and copied to C-contiguous
+channels-last arrays (which numeric_grad can perturb in place), so the
+draws are those of the channels-first kernels' checks.
 
 Returns are worst-case relative errors, so callers just assert a bound.
 """
@@ -33,7 +38,7 @@ from beatnet.nn import (
     relu_forward,
 )
 
-from helpers import max_rel_err, numeric_grad
+from helpers import channels_last, max_rel_err, numeric_grad
 
 FD_EPS = 1e-3  # float64 central-difference step
 
@@ -44,10 +49,10 @@ def gradcheck_conv1d(rng: np.random.Generator) -> float:
     c_out = int(rng.integers(1, 5))
     length = int(rng.integers(4, 12))
     k = int(rng.choice([1, 3, 5]))
-    x = rng.normal(size=(n, c_in, length))
+    x = channels_last(rng.normal(size=(n, c_in, length)))
     w = rng.normal(size=(c_out, c_in, k)) * 0.5
     b = rng.normal(size=c_out) * 0.1
-    proj = rng.normal(size=(n, c_out, length))
+    proj = channels_last(rng.normal(size=(n, c_out, length)))
 
     def f() -> float:
         return float((conv1d_forward(x, w, b) * proj).sum())
@@ -62,12 +67,12 @@ def gradcheck_batchnorm1d(rng: np.random.Generator, train: bool) -> float:
     n = int(rng.integers(2, 5))
     c = int(rng.integers(1, 4))
     length = int(rng.integers(2, 8))
-    x = rng.normal(size=(n, c, length)) * 2.0
+    x = channels_last(rng.normal(size=(n, c, length)) * 2.0)
     gamma = rng.uniform(0.5, 1.5, c)
     beta = rng.normal(size=c)
     rm = rng.normal(size=c) * 0.3
     rv = rng.uniform(0.5, 2.0, c)
-    proj = rng.normal(size=(n, c, length))
+    proj = channels_last(rng.normal(size=(n, c, length)))
 
     def f() -> float:
         y, _, _, _ = batchnorm1d_forward(x, gamma, beta, rm, rv, train=train)
@@ -98,17 +103,17 @@ def gradcheck_maxpool1d(rng: np.random.Generator) -> float:
     n = int(rng.integers(1, 4))
     c = int(rng.integers(1, 4))
     length = int(rng.integers(4, 11))
-    # distinct integer values: unit gaps, so +-eps cannot flip an argmax
+    # distinct integer values: unit gaps, so +-eps cannot flip a winner
     x = rng.permutation(n * c * length).astype(np.float64)
-    x = (x.reshape(n, c, length) - x.mean()) * 0.1
+    x = channels_last((x.reshape(n, c, length) - x.mean()) * 0.1)
     half = length // 2
-    proj = rng.normal(size=(n, c, half))
+    proj = channels_last(rng.normal(size=(n, c, half)))
 
     def f() -> float:
         return float((maxpool1d_forward(x)[0] * proj).sum())
 
-    _, idx = maxpool1d_forward(x)
-    dx = maxpool1d_backward(proj, idx, length)
+    _, second = maxpool1d_forward(x)
+    dx = maxpool1d_backward(proj, second, length)
     return max_rel_err(dx, numeric_grad(f, x, FD_EPS))
 
 
@@ -174,7 +179,7 @@ def _coordinate_fd(f, arr: np.ndarray, flat_index: int, eps: float) -> float:
 
 
 def _activation_pattern(cache) -> list[np.ndarray]:
-    """ReLU on/off masks and pool argmax choices of one forward pass."""
+    """ReLU on/off masks and pool lane choices of one forward pass."""
     pattern = []
     for kind, _, payload in cache.layers:
         if kind == "relu":
@@ -203,7 +208,7 @@ def gradcheck_full_network(seed: int, dtype=np.float64,
     smooth, so central differences are an oracle for the gradient only
     when the whole interval [x-eps, x+eps] stays on one smooth piece: a
     sampled coordinate is accepted only if the ReLU on/off masks and
-    pool argmax choices are identical at x and x+-eps, and its gradient
+    pool lane choices are identical at x and x+-eps, and its gradient
     clears ``mag_floor`` (the dtype's FD round-off noise). Coordinates
     failing that screen say nothing about backprop and are resampled.
     """

@@ -3,7 +3,9 @@
 The byte-format helpers here are scalar, loop-based transcriptions of
 the on-disk layouts, so they share no code with the vectorized decoders
 they check. The finite-difference helper is the gradient oracle for
-every backward pass.
+every backward pass. The ``ref_*`` layer kernels are the channels-first
+``(n, C, L)`` kernels the network used before its trunk went
+channels-last; the channels-last kernels must reproduce their bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # --- reference format-212 bit packing (two 12-bit samples per 3 bytes) ---
 
@@ -151,6 +154,105 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray,
     b = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+# --- channels-first reference layer kernels ---
+# Transcribed from the channels-first network, input checks left out.
+# Their float32 sums run in the memory order of the arrays they are
+# given, so a byte comparison must give them the layouts the
+# channels-first network gave them (see tests/test_nn.py).
+
+
+def channels_last(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (n, L, C) copy of an (n, C, L) array, or back."""
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
+
+def ref_conv1d_forward(x, w, b):
+    n, c_in, length = x.shape
+    c_out, _, k = w.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    cols = sliding_window_view(xp, k, axis=2)        # (n, Cin, L, k)
+    cols = cols.transpose(0, 2, 1, 3).reshape(n * length, c_in * k)
+    y = cols @ w.reshape(c_out, c_in * k).T
+    y = y.reshape(n, length, c_out).transpose(0, 2, 1)
+    return y + b[None, :, None]
+
+
+def ref_conv1d_backward(x, w, dy):
+    n, c_in, length = x.shape
+    c_out, _, k = w.shape
+    pad = (k - 1) // 2
+    db = dy.sum(axis=(0, 2))
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    cols = sliding_window_view(xp, k, axis=2)
+    cols = cols.transpose(0, 2, 1, 3).reshape(n * length, c_in * k)
+    dy_flat = dy.transpose(0, 2, 1).reshape(n * length, c_out)
+    dw = (dy_flat.T @ cols).reshape(c_out, c_in, k)
+    dyp = np.pad(dy, ((0, 0), (0, 0), (pad, pad)))
+    dcols = sliding_window_view(dyp, k, axis=2)
+    dcols = dcols.transpose(0, 2, 1, 3).reshape(n * length, c_out * k)
+    wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
+    dx = (dcols @ wflip.T).reshape(n, length, c_in).transpose(0, 2, 1)
+    return dx, dw, db
+
+
+def ref_batchnorm1d_forward(x, gamma, beta, running_mean, running_var,
+                            train, eps=1e-5, momentum=0.1):
+    n, c, length = x.shape
+    if train:
+        count = n * length
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        unbiased = var * (count / (count - 1))
+        new_mean = ((1.0 - momentum) * running_mean
+                    + momentum * mean).astype(x.dtype)
+        new_var = ((1.0 - momentum) * running_var
+                   + momentum * unbiased).astype(x.dtype)
+    else:
+        mean, var = running_mean, running_var
+        new_mean, new_var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    y = gamma[None, :, None] * xhat + beta[None, :, None]
+    cache = (xhat, inv_std.astype(x.dtype), gamma, train)
+    return y.astype(x.dtype), cache, new_mean, new_var
+
+
+def ref_batchnorm1d_backward(dy, cache):
+    xhat, inv_std, gamma, train = cache
+    dgamma = (dy * xhat).sum(axis=(0, 2))
+    dbeta = dy.sum(axis=(0, 2))
+    dxhat = dy * gamma[None, :, None]
+    if not train:
+        return dxhat * inv_std[None, :, None], dgamma, dbeta
+    n, _, length = dy.shape
+    count = n * length
+    sum_dxhat = dxhat.sum(axis=(0, 2))[None, :, None]
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
+    dx = (inv_std[None, :, None] / count
+          * (count * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
+    return dx.astype(dy.dtype), dgamma, dbeta
+
+
+def ref_maxpool1d_forward(x):
+    n, c, length = x.shape
+    half = length // 2
+    v = x[:, :, :2 * half].reshape(n, c, half, 2)
+    idx = v.argmax(axis=3)
+    y = np.take_along_axis(v, idx[..., None], axis=3)[..., 0]
+    return y, idx
+
+
+def ref_maxpool1d_backward(dy, idx, input_length):
+    n, c, half = dy.shape
+    dv = np.zeros((n, c, half, 2), dtype=dy.dtype)
+    np.put_along_axis(dv, idx[..., None], dy[..., None], axis=3)
+    dx = np.zeros((n, c, input_length), dtype=dy.dtype)
+    dx[:, :, :2 * half] = dv.reshape(n, c, 2 * half)
+    return dx
 
 
 # --- brute-force window labeling oracle ---

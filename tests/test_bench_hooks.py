@@ -93,6 +93,32 @@ def test_transfer_calls_train_through_its_module(workloads, monkeypatch,
     assert count(args, kwargs, spied)["segments"] == 2 * len(dataset)
 
 
+def test_conv_flops_of_channels_last_inputs(workloads, monkeypatch):
+    # nn.conv.gflop_per_s reads the FLOPs off the conv kernels' arguments:
+    # (n, L, C_in) inputs give the same product as (n, C_in, L) ones did
+    net = beatnet.nn.NetworkConfig()
+    params = init_params(net, np.random.default_rng(0))
+    calls = spy(monkeypatch, beatnet.nn, "conv1d_forward")
+    beatnet.nn.forward(net, params, np.zeros((3, 1, net.input_length),
+                                             np.float32), train=False)
+    assert [workloads._conv_flops(args[0], args[1]) for args, _, _ in calls
+            ] == [2 * 3 * (net.input_length // 2 ** b) * c_out * c_in * k
+                  for b, (c_in, c_out, k) in enumerate(net.conv_blocks)]
+
+
+def test_train_forward_caches_a_byte_per_pool_window():
+    net = beatnet.nn.NetworkConfig()
+    params = init_params(net, np.random.default_rng(0))
+    _, cache = beatnet.nn.forward(
+        net, params, np.ones((3, 1, net.input_length), np.float32),
+        train=True, rng=np.random.default_rng(1))
+    masks = [stored[0] for kind, _, stored in cache.layers if kind == "pool"]
+    assert [m.shape for m in masks] == [
+        (3, net.input_length // 2 ** (b + 1), c_out)
+        for b, (_, c_out, _) in enumerate(net.conv_blocks)]
+    assert all(m.dtype == np.bool_ and m.nbytes == m.size for m in masks)
+
+
 def test_predict_logits_runs_forward_per_chunk(monkeypatch):
     # nn.trunk_rows_per_segment counts the rows of these forward calls
     net = SMALL.network_config()

@@ -28,7 +28,8 @@ from beatnet.segments import (
     save_cache,
 )
 from beatnet.synthetic import make_synthetic_records
-from beatnet.train import load_checkpoint, save_checkpoint, transfer
+from beatnet.train import load_checkpoint, save_checkpoint, train, \
+    transfer
 
 from gradcheck import SMALL_NET
 from helpers import reframe
@@ -45,6 +46,17 @@ TRANSFER_BLAKE2B = "4708f0e77d036b9aca7252e60a6f9289"
 TRANSFER_MEAN_LOSS = [0.6932830532391866, 0.6930174215634664,
                       0.6929511857032776]
 TRANSFER_TRAIN_MCC = [0.04880953245633801, 0.7308635239791557, 0.0]
+
+# Training from scratch at the default geometry, under the same machine
+# assumption as TRANSFER_BLAKE2B (x86-64, OpenBLAS, 1 or 2 threads). It
+# pins what the transfer pin cannot: the train-mode trunk, whose
+# BatchNorm and conv reductions change their float32 sums if their
+# summation order changes, with dropout on and a short final batch.
+SCRATCH_BLAKE2B = "9fcf27d87642c814ede4751bdacb6a84"
+SCRATCH_MEAN_LOSS = [0.6803714323043824, 0.6060801847775777,
+                     0.5108699981371562]
+SCRATCH_TRAIN_MCC = [0.6756639246921762, 0.9190867733214366,
+                     0.9190867733214366]
 
 
 def seeded_dataset(seed: int = 0) -> LabeledDataset:
@@ -93,6 +105,20 @@ def test_transfer_result_pinned(tmp_path):
     assert file_digest(path) == TRANSFER_BLAKE2B
     assert history.mean_loss == TRANSFER_MEAN_LOSS
     assert history.train_mcc == TRANSFER_TRAIN_MCC
+
+
+def test_scratch_train_pinned(tmp_path):
+    # the transfer pin's target: 9 batches of 16, then a short one of 6
+    records = make_synthetic_records(n_subjects=3, seed=5)
+    target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
+                                   {r.subject_id for r in records})
+    params, history = train(target, Settings(
+        epochs=3, batch_size=16, lr=0.1, seed=7))
+    path = tmp_path / "scratch.hbdl"
+    save_checkpoint(params, NetworkConfig(), path)
+    assert file_digest(path) == SCRATCH_BLAKE2B
+    assert history.mean_loss == SCRATCH_MEAN_LOSS
+    assert history.train_mcc == SCRATCH_TRAIN_MCC
 
 
 # --- the shared frame ---

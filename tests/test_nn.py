@@ -1,4 +1,8 @@
-"""Layer semantics, network geometry and forward-pass contract tests."""
+"""Layer semantics, network geometry and forward-pass contract tests.
+
+The conv, BatchNorm and max-pool kernels take channels-last (n, L, C)
+arrays.
+"""
 
 import tracemalloc
 
@@ -10,7 +14,9 @@ from beatnet.nn import (
     EVAL_BATCH_ROWS,
     NetworkConfig,
     backward,
+    batchnorm1d_backward,
     batchnorm1d_forward,
+    conv1d_backward,
     conv1d_forward,
     dropout_backward,
     dropout_forward,
@@ -28,6 +34,16 @@ from beatnet.nn import (
     trunk_features,
 )
 
+from helpers import (
+    channels_last,
+    ref_batchnorm1d_backward,
+    ref_batchnorm1d_forward,
+    ref_conv1d_backward,
+    ref_conv1d_forward,
+    ref_maxpool1d_backward,
+    ref_maxpool1d_forward,
+)
+
 NET = NetworkConfig()  # the default geometry
 
 
@@ -36,46 +52,47 @@ NET = NetworkConfig()  # the default geometry
 
 def test_conv_identity_kernel():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(2, 1, 10))
+    x = rng.normal(size=(2, 10, 1))
     w = np.array([[[0.0, 1.0, 0.0]]])  # centered tap: same-padded identity
     y = conv1d_forward(x, w, np.zeros(1))
     np.testing.assert_allclose(y, x, atol=1e-12)
 
 
 def test_conv_width_one_kernel_scales():
-    x = np.arange(12.0).reshape(1, 1, 12)
+    x = np.arange(12.0).reshape(1, 12, 1)
     y = conv1d_forward(x, np.array([[[2.0]]]), np.array([1.0]))
     np.testing.assert_allclose(y, 2.0 * x + 1.0)
 
 
 def test_conv_shift_kernel_zero_pads_edges():
-    x = np.arange(1.0, 6.0).reshape(1, 1, 5)
+    x = np.arange(1.0, 6.0).reshape(1, 5, 1)
     w = np.array([[[1.0, 0.0, 0.0]]])  # output t = input t-1
     y = conv1d_forward(x, w, np.zeros(1))
-    np.testing.assert_allclose(y[0, 0], [0.0, 1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_allclose(y[0, :, 0], [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
 def test_conv_sums_input_channels():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(3, 2, 8))
+    x = rng.normal(size=(3, 2, 8)).transpose(0, 2, 1)
     w = np.zeros((1, 2, 1))
     w[0, 0, 0] = 1.0
     w[0, 1, 0] = 10.0
     y = conv1d_forward(x, w, np.zeros(1))
-    np.testing.assert_allclose(y[:, 0], x[:, 0] + 10.0 * x[:, 1], atol=1e-12)
+    np.testing.assert_allclose(y[..., 0], x[..., 0] + 10.0 * x[..., 1],
+                               atol=1e-12)
 
 
 def test_conv_output_shape_and_dtype():
-    x = np.zeros((4, 3, 25), dtype=np.float32)
+    x = np.zeros((4, 25, 3), dtype=np.float32)
     w = np.zeros((6, 3, 5), dtype=np.float32)
     y = conv1d_forward(x, w, np.zeros(6, dtype=np.float32))
-    assert y.shape == (4, 6, 25)
+    assert y.shape == (4, 25, 6)
     assert y.dtype == np.float32
 
 
 def test_conv_shape_mismatch():
     with pytest.raises(DataError, match="conv1d input"):
-        conv1d_forward(np.zeros((2, 3, 10)), np.zeros((4, 2, 3)), np.zeros(4))
+        conv1d_forward(np.zeros((2, 10, 3)), np.zeros((4, 2, 3)), np.zeros(4))
 
 
 # --- batch normalization ---
@@ -83,16 +100,16 @@ def test_conv_shape_mismatch():
 
 def test_batchnorm_normalizes_in_train_mode():
     rng = np.random.default_rng(2)
-    x = rng.normal(3.0, 2.0, (8, 2, 50))
+    x = rng.normal(3.0, 2.0, (8, 2, 50)).transpose(0, 2, 1)
     y, _, _, _ = batchnorm1d_forward(
         x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), train=True)
-    np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-10)
-    np.testing.assert_allclose(y.std(axis=(0, 2)), 1.0, atol=1e-3)
+    np.testing.assert_allclose(y.mean(axis=(0, 1)), 0.0, atol=1e-10)
+    np.testing.assert_allclose(y.std(axis=(0, 1)), 1.0, atol=1e-3)
 
 
 def test_batchnorm_gamma_beta():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 1, 20))
+    x = rng.normal(size=(4, 20, 1))
     y, _, _, _ = batchnorm1d_forward(
         x, np.array([2.0]), np.array([5.0]), np.zeros(1), np.ones(1),
         train=True)
@@ -100,7 +117,7 @@ def test_batchnorm_gamma_beta():
 
 
 def test_batchnorm_eval_uses_running_stats():
-    x = np.full((1, 1, 4), 10.0)
+    x = np.full((1, 4, 1), 10.0)
     y, _, rm, rv = batchnorm1d_forward(
         x, np.ones(1), np.zeros(1), np.array([10.0]), np.array([4.0]),
         train=False)
@@ -111,7 +128,7 @@ def test_batchnorm_eval_uses_running_stats():
 
 
 def test_batchnorm_running_stats_momentum_blend():
-    x = np.concatenate([np.zeros((1, 1, 2)), np.ones((1, 1, 2)) * 4.0])
+    x = np.concatenate([np.zeros((1, 2, 1)), np.ones((1, 2, 1)) * 4.0])
     _, _, rm, rv = batchnorm1d_forward(
         x, np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), train=True)
     # batch mean 2.0 -> 0.9*0 + 0.1*2; batch var 4.0 unbiased -> 16/3
@@ -126,7 +143,8 @@ def test_batchnorm_degenerate_batch():
 
 
 def test_batchnorm_preserves_float32():
-    x = np.random.default_rng(4).normal(size=(2, 3, 8)).astype(np.float32)
+    x = np.random.default_rng(4).normal(size=(2, 3, 8)).astype(
+        np.float32).transpose(0, 2, 1)
     y, _, rm, rv = batchnorm1d_forward(
         x, np.ones(3, np.float32), np.zeros(3, np.float32),
         np.zeros(3, np.float32), np.ones(3, np.float32), train=True)
@@ -143,33 +161,38 @@ def test_relu_values_and_gradient_at_zero():
     np.testing.assert_array_equal(relu_backward(np.ones(3), x), [0.0, 0.0, 1.0])
 
 
+def column(*values) -> np.ndarray:
+    """A one-row, one-channel (1, L, 1) array."""
+    return np.array(values, dtype=np.float64).reshape(1, -1, 1)
+
+
 def test_maxpool_values():
-    x = np.array([[[1.0, 3.0, 2.0, 5.0]]])
-    y, idx = maxpool1d_forward(x)
-    np.testing.assert_array_equal(y, [[[3.0, 5.0]]])
-    np.testing.assert_array_equal(idx, [[[1, 1]]])
+    x = column(1.0, 3.0, 2.0, 5.0)
+    y, second = maxpool1d_forward(x)
+    np.testing.assert_array_equal(y, column(3.0, 5.0))
+    np.testing.assert_array_equal(second, [[[True], [True]]])
 
 
 def test_maxpool_drops_trailing_odd_element():
-    x = np.arange(251.0).reshape(1, 1, 251)
+    x = np.arange(251.0).reshape(1, 251, 1)
     y, _ = maxpool1d_forward(x)
-    assert y.shape == (1, 1, 125)
-    assert y[0, 0, -1] == 249.0  # element 250 never participates
+    assert y.shape == (1, 125, 1)
+    assert y[0, -1, 0] == 249.0  # element 250 never participates
 
 
 def test_maxpool_tie_routes_gradient_to_first():
-    x = np.array([[[7.0, 7.0]]])
-    y, idx = maxpool1d_forward(x)
-    np.testing.assert_array_equal(y, [[[7.0]]])
-    dx = maxpool1d_backward(np.array([[[1.0]]]), idx, 2)
-    np.testing.assert_array_equal(dx, [[[1.0, 0.0]]])
+    x = column(7.0, 7.0)
+    y, second = maxpool1d_forward(x)
+    np.testing.assert_array_equal(y, column(7.0))
+    dx = maxpool1d_backward(column(1.0), second, 2)
+    np.testing.assert_array_equal(dx, column(1.0, 0.0))
 
 
 def test_maxpool_backward_zeroes_dropped_tail():
-    x = np.array([[[1.0, 2.0, 9.0]]])
-    y, idx = maxpool1d_forward(x)
-    dx = maxpool1d_backward(np.ones_like(y), idx, 3)
-    np.testing.assert_array_equal(dx, [[[0.0, 1.0, 0.0]]])
+    x = column(1.0, 2.0, 9.0)
+    y, second = maxpool1d_forward(x)
+    dx = maxpool1d_backward(np.ones_like(y), second, 3)
+    np.testing.assert_array_equal(dx, column(0.0, 1.0, 0.0))
 
 
 def test_linear_identity_and_bias():
@@ -178,6 +201,95 @@ def test_linear_identity_and_bias():
     np.testing.assert_allclose(y, x + np.array([1.0, 0.0, -1.0]))
     with pytest.raises(DataError, match="linear input"):
         linear_forward(x, np.eye(4), np.zeros(4))
+
+
+# --- the channels-first kernels, bit for bit ---
+# Each case gives the oracle the memory layout the channels-first trunk
+# gave that kernel, and the kernel under test its channels-last copy.
+# Blocks 1 and 3 of the default geometry pool odd lengths (125, 31).
+
+ORACLE_CASES = [(rows, block) for rows in (2, 64, 1024) for block in range(4)]
+
+
+def block_geometry(block: int) -> tuple[int, int, int, int]:
+    """(c_in, c_out, k, input length) of a default-geometry block."""
+    return (*NET.conv_blocks[block], NET.input_length // 2 ** block)
+
+
+def draw(rng, shape) -> np.ndarray:
+    return rng.normal(size=shape).astype(np.float32)
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows,block", ORACLE_CASES)
+def test_conv_matches_channels_first_kernels(rows, block):
+    rng = np.random.default_rng(block)
+    c_in, c_out, k, length = block_geometry(block)
+    x = draw(rng, (rows, c_in, length))
+    w = draw(rng, (c_out, c_in, k))
+    b = draw(rng, c_out)
+    dy = draw(rng, (rows, c_out, length))
+    # both kernels got C-contiguous channels-first arrays
+    assert_same_bytes(conv1d_forward(channels_last(x), w, b),
+                      channels_last(ref_conv1d_forward(x, w, b)))
+    dx, dw, db = conv1d_backward(channels_last(x), w, channels_last(dy))
+    ref_dx, ref_dw, ref_db = ref_conv1d_backward(x, w, dy)
+    assert_same_bytes(dx, channels_last(ref_dx))
+    assert_same_bytes(dw, ref_dw)
+    assert_same_bytes(db, ref_db)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("rows,block", ORACLE_CASES)
+def test_batchnorm_matches_channels_first_kernels(rows, block, train):
+    rng = np.random.default_rng(10 + block)
+    c, _, _, length = block_geometry(block)
+    x = 2.0 * draw(rng, (rows, c, length)) + 1.0
+    gamma, beta, running_mean = (draw(rng, c) for _ in range(3))
+    running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    # the forward got a C-contiguous channels-first input
+    y, cache, new_mean, new_var = batchnorm1d_forward(
+        channels_last(x), gamma, beta, running_mean, running_var, train)
+    ref_y, ref_cache, ref_mean, ref_var = ref_batchnorm1d_forward(
+        x, gamma, beta, running_mean, running_var, train)
+    assert_same_bytes(y, channels_last(ref_y))
+    assert_same_bytes(cache[0], channels_last(ref_cache[0]))
+    assert_same_bytes(cache[1], ref_cache[1])
+    assert cache[2] is gamma and cache[3] is train
+    assert_same_bytes(new_mean, ref_mean)
+    assert_same_bytes(new_var, ref_var)
+    # its gradient was the conv's dx: channels-last in memory
+    dy = draw(rng, (rows, length, c))
+    grads = batchnorm1d_backward(dy, cache)
+    ref_grads = ref_batchnorm1d_backward(dy.transpose(0, 2, 1), ref_cache)
+    assert_same_bytes(grads[0], channels_last(ref_grads[0]))
+    for grad, ref_grad in zip(grads[1:], ref_grads[1:]):
+        assert_same_bytes(grad, ref_grad)
+
+
+@pytest.mark.parametrize("rows,block", ORACLE_CASES)
+def test_maxpool_matches_channels_first_kernels(rows, block):
+    rng = np.random.default_rng(20 + block)
+    _, c, _, length = block_geometry(block)
+    # ReLU'd half-integers: many windows tie, at 0 and above it
+    x = np.maximum(np.round(2.0 * draw(rng, (rows, length, c))) / 2.0, 0.0)
+    half = length // 2
+    assert (x[:, 0:2 * half:2] == x[:, 1:2 * half:2]).any()
+    # the forward got the ReLU of a conv: channels-last in memory
+    y, second = maxpool1d_forward(x)
+    ref_y, ref_idx = ref_maxpool1d_forward(x.transpose(0, 2, 1))
+    assert_same_bytes(y, channels_last(ref_y))
+    assert second.dtype == np.bool_
+    np.testing.assert_array_equal(second, channels_last(ref_idx) == 1)
+    # the backward got a C-contiguous channels-first gradient
+    dy = draw(rng, (rows, c, half))
+    assert_same_bytes(maxpool1d_backward(channels_last(dy), second, length),
+                      channels_last(ref_maxpool1d_backward(dy, ref_idx,
+                                                           length)))
 
 
 # --- dropout ---
