@@ -22,13 +22,23 @@ inside each block, and there is no ReLU after the final FC layer.
 Layout: the trunk is channels-last. Its (n, 1, L) input is viewed as
 (n, L, 1), and every block passes an (n, L, C) array on, so a conv's
 im2col GEMM output (n*L rows of C_out) is the ReLU and max-pool input
-as it stands (Chellapilla et al. 2006). The flatten (:func:`_flatten`,
-and its inverse in :func:`backward`) holds the one layout change: it
-keeps fc0's column order c*L + l, so checkpoints are unchanged. Conv
-weights stay (C_out, C_in, k). The per-channel reductions of BatchNorm
-and of the conv bias gradient sum in the memory order the earlier
-channels-first trunk used (see :func:`_channel_sum`), so training gives
-the same float32 bytes as it did.
+as it stands (Chellapilla et al. 2006). :func:`_im2col` fills the
+patch matrix tap by tap, one slice copy per kernel offset. The flatten
+(:func:`_flatten`, and its inverse in :func:`backward`) holds the one
+layout change: it keeps fc0's column order c*L + l, so checkpoints are
+unchanged. Conv weights stay (C_out, C_in, k). The per-channel
+reductions of BatchNorm and of the conv bias gradient sum in the memory
+order the earlier channels-first trunk used (see :func:`_channel_sum`),
+so training gives the same float32 bytes as it did.
+
+Blocking: eval passes go through the head in chunks of
+``EVAL_BATCH_ROWS`` rows, and through the trunk in blocks of
+``TRUNK_ROWS`` rows (the training batch size) within a chunk, so that
+a block's conv intermediates stay in a 2 MiB L2 cache rather than
+spilling tens of MiB per chunk (Goto & van de Geijn 2008). A trunk row
+gives the same bytes in a block of any size; fc0's GEMM does not (its
+float32 logits at 1024 rows differ in the last bits from those at 512
+or fewer), so only the trunk is blocked and the head keeps its chunks.
 """
 
 from __future__ import annotations
@@ -37,13 +47,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
 EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
+TRUNK_ROWS = 64  # rows per block of an eval-mode trunk, within a chunk
 
 
 @dataclass(frozen=True)
@@ -205,11 +215,25 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(n*L, C*k) same-padded patches of an (n, L, C) input; column
-    c*k + j holds channel c at offset j - (k - 1) // 2."""
+    c*k + j holds channel c at offset j - (k - 1) // 2, or 0 where that
+    offset leaves [0, L).
+
+    Filled tap by tap: tap j is one slice copy of x, shifted along L,
+    into an (n, L, C, k) array, and its edge rows are zeroed. Each tap's
+    range is clamped to [0, L], so a kernel wider than its input fills
+    whole taps with zeros.
+    """
     n, length, c = x.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    return sliding_window_view(xp, k, axis=1).reshape(n * length, c * k)
+    cols = np.empty((n, length, c, k), dtype=x.dtype)
+    for j in range(k):
+        shift = j - pad  # output row l reads input row l + shift
+        lo = min(max(-shift, 0), length)
+        hi = max(min(length - shift, length), lo)
+        cols[:, :lo, :, j] = 0
+        cols[:, lo:hi, :, j] = x[:, lo + shift:hi + shift]
+        cols[:, hi:, :, j] = 0
+    return cols.reshape(n * length, c * k)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -397,10 +421,15 @@ def _trunk(config: NetworkConfig, params: dict, h: np.ndarray,
     """The four conv blocks on (n, 1, input_length) inputs; returns the
     channels-last (n, L, C) trunk output. Given a ``cache``, runs in
     train mode and appends its intermediates and BN updates to it;
-    without one, runs in eval mode and keeps no intermediates."""
+    without one, runs in eval mode, keeps no intermediates and works
+    in blocks of ``TRUNK_ROWS`` rows (see the module docstring)."""
     if h.ndim != 3 or h.shape[1] != 1 or h.shape[2] != config.input_length:
         raise DataError(
             f"expected (n, 1, {config.input_length}) input, got {h.shape}")
+    if cache is None and len(h) > TRUNK_ROWS:
+        return np.concatenate([
+            _trunk(config, params, h[start:start + TRUNK_ROWS])
+            for start in range(0, len(h), TRUNK_ROWS)])
     h = h.reshape(len(h), config.input_length, 1)  # one channel: no copy
     for b in range(len(config.conv_blocks)):
         prefix = f"conv{b}"

@@ -18,7 +18,7 @@ from beatnet.config import Settings
 from beatnet.container import pack_str, read_framed, write_framed, \
     write_text
 from beatnet.errors import DataError
-from beatnet.nn import NetworkConfig, init_params
+from beatnet.nn import NetworkConfig, init_params, predict_logits
 from beatnet.segments import (
     SEGMENT_LENGTH,
     TRAIN,
@@ -57,6 +57,12 @@ SCRATCH_MEAN_LOSS = [0.6803714323043824, 0.6060801847775777,
                      0.5108699981371562]
 SCRATCH_TRAIN_MCC = [0.6756639246921762, 0.9190867733214366,
                      0.9190867733214366]
+
+# Eval-mode logits of 2500 rows at the default geometry, under the same
+# machine assumption. The head sees chunks of 1024 + 1024 + 452 rows,
+# and fc0's GEMM gives other low bits at 1024 rows than at 512 or
+# fewer, so this pins how the head is chunked as well as the trunk.
+PREDICT_BLAKE2B = "b00ee39a2c024f24ca83d10dad214be9"
 
 
 def seeded_dataset(seed: int = 0) -> LabeledDataset:
@@ -119,6 +125,25 @@ def test_scratch_train_pinned(tmp_path):
     assert file_digest(path) == SCRATCH_BLAKE2B
     assert history.mean_loss == SCRATCH_MEAN_LOSS
     assert history.train_mcc == SCRATCH_TRAIN_MCC
+
+
+def test_predict_logits_pinned():
+    rng = np.random.default_rng(19)
+    net = NetworkConfig()
+    params = init_params(net, rng)
+    for b, (c, _, _) in enumerate(net.conv_blocks):  # BN off its init
+        params[f"conv{b}.bn.gamma"] = rng.uniform(0.5, 1.5, c).astype(
+            np.float32)
+        params[f"conv{b}.bn.beta"] = rng.normal(0, 0.1, c).astype(np.float32)
+        params[f"conv{b}.bn.running_mean"] = rng.normal(0, 0.1, c).astype(
+            np.float32)
+        params[f"conv{b}.bn.running_var"] = rng.uniform(0.5, 2.0, c).astype(
+            np.float32)
+    X = rng.normal(size=(2500, SEGMENT_LENGTH)).astype(np.float32)
+    logits = predict_logits(net, params, X)
+    assert logits.shape == (2500, 2) and logits.dtype == np.float32
+    assert hashlib.blake2b(logits.tobytes(), digest_size=16).hexdigest() \
+        == PREDICT_BLAKE2B
 
 
 # --- the shared frame ---

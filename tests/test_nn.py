@@ -243,6 +243,27 @@ def test_conv_matches_channels_first_kernels(rows, block):
     assert_same_bytes(db, ref_db)
 
 
+@pytest.mark.parametrize("rows", [2, 64])
+@pytest.mark.parametrize("c_in,c_out,k,length", [
+    (8, 16, 1, 62),    # the centre tap alone
+    (32, 64, 71, 31),  # k > L: 10 taps lie wholly past an edge
+    (1, 8, 7, 3)])     # 2 taps lie wholly past an edge
+def test_conv_edge_kernels_match_channels_first_kernels(rows, c_in, c_out,
+                                                        k, length):
+    rng = np.random.default_rng(k)
+    x = draw(rng, (rows, c_in, length))
+    w = draw(rng, (c_out, c_in, k))
+    b = draw(rng, c_out)
+    dy = draw(rng, (rows, c_out, length))
+    assert_same_bytes(conv1d_forward(channels_last(x), w, b),
+                      channels_last(ref_conv1d_forward(x, w, b)))
+    dx, dw, db = conv1d_backward(channels_last(x), w, channels_last(dy))
+    ref_dx, ref_dw, ref_db = ref_conv1d_backward(x, w, dy)
+    assert_same_bytes(dx, channels_last(ref_dx))
+    assert_same_bytes(dw, ref_dw)
+    assert_same_bytes(db, ref_db)
+
+
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("rows,block", ORACLE_CASES)
 def test_batchnorm_matches_channels_first_kernels(rows, block, train):
@@ -454,7 +475,7 @@ def test_forward_head_keeps_bn_frozen():
                           if name.startswith("fc")}
 
 
-@pytest.mark.parametrize("n", [1024, 2050])
+@pytest.mark.parametrize("n", [1, 63, 65, 1024, 1025, 2050])
 def test_trunk_features_equal_forward_trunk(n):
     rng = np.random.default_rng(15)
     params = init_params(NET, rng)
@@ -492,6 +513,22 @@ def test_eval_pass_records_no_cache():
         NET, params, X, train=True, rng=np.random.default_rng(0)))
     eval_peak = traced_peak(lambda: predict_logits(NET, params, X))
     assert eval_peak < 0.8 * train_peak, (eval_peak, train_peak)
+
+
+def test_eval_pass_memory_is_bounded():
+    """An eval-mode trunk runs in blocks of TRUNK_ROWS rows, so the
+    traced peak of a whole EVAL_BATCH_ROWS chunk stays far below the
+    tens of MiB its conv intermediates would take at once."""
+    params = init_params(NET, np.random.default_rng(17))
+    X = np.random.default_rng(18).normal(size=(EVAL_BATCH_ROWS, 250)
+                                         ).astype(np.float32)
+    tracemalloc.start()
+    try:
+        predict_logits(NET, params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_trunk_features_of_no_rows():
