@@ -132,8 +132,10 @@ def _cmd_build_dataset(args) -> None:
     if not WINDOW_SECONDS <= args.duration < math.inf:
         raise UsageError(f"--duration must be a finite number of seconds "
                          f">= {WINDOW_SECONDS}, got {args.duration}")
-    if not 0 < args.fs < math.inf:
-        raise UsageError(f"--fs must be a finite rate > 0, got {args.fs}")
+    if not 2 / WINDOW_SECONDS <= args.fs < math.inf:
+        raise UsageError(f"--fs must be a finite rate >= "
+                         f"{2 / WINDOW_SECONDS:g} Hz, two samples per "
+                         f"{WINDOW_SECONDS} s window, got {args.fs}")
     written = build_synthetic_caches(args.out, settings, args.subjects,
                                      args.duration, args.fs, tags=tags)
     print(f"wrote {len(written)} synthetic caches to {args.out}")

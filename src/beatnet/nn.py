@@ -11,34 +11,37 @@ arrays keyed by layer name, and no forward or backward call mutates
 them. BatchNorm's train-mode forward returns candidate running-stat
 updates; committing them is the trainer's job. Only a train-mode pass
 records the intermediates :func:`backward` needs; an eval-mode pass
-keeps none. :func:`forward` runs the trunk (the conv blocks) and the
-head (flatten onward) together; :func:`trunk_features` and
+keeps none. :func:`forward` runs the trunk (the conv blocks and the
+flatten) and the head (Dropout onward) together; :func:`trunk_features` and
 :func:`forward_head` run them apart, which lets a frozen trunk's
 features be computed once and reused.
 
 Unconventional but deliberate: BatchNorm comes before the convolution
 inside each block, and there is no ReLU after the final FC layer.
 
-Layout: the trunk is channels-last. Its (n, 1, L) input is viewed as
-(n, L, 1), and every block passes an (n, L, C) array on, so a conv's
-im2col GEMM output (n*L rows of C_out) is the ReLU and max-pool input
-as it stands (Chellapilla et al. 2006). :func:`_im2col` fills the
-patch matrix tap by tap, one slice copy per kernel offset. The flatten
-(:func:`_flatten`, and its inverse in :func:`backward`) holds the one
+Layout: the network takes (n, L) rows, a dataset's ``X`` as it is,
+and the trunk hands the head (n, flatten_width) features. The trunk is
+channels-last: it views its rows as (n, L, 1), and every block passes
+an (n, L, C) array on, so a conv's im2col GEMM output (n*L rows of
+C_out) is the ReLU and max-pool input as it stands (Chellapilla et al.
+2006). :func:`_im2col` fills the patch matrix tap by tap, one slice
+copy per kernel offset. The trunk's last step, the flatten
+(:func:`_flatten`, and its inverse in :func:`backward`), holds the one
 layout change: it keeps fc0's column order c*L + l, so checkpoints are
 unchanged. Conv weights stay (C_out, C_in, k). The per-channel
 reductions of BatchNorm and of the conv bias gradient sum in the memory
 order the earlier channels-first trunk used (see :func:`_channel_sum`),
 so training gives the same float32 bytes as it did.
 
-Blocking: eval passes go through the head in chunks of
-``EVAL_BATCH_ROWS`` rows, and through the trunk in blocks of
-``TRUNK_ROWS`` rows (the training batch size) within a chunk, so that
-a block's conv intermediates stay in a 2 MiB L2 cache rather than
-spilling tens of MiB per chunk (Goto & van de Geijn 2008). A trunk row
-gives the same bytes in a block of any size; fc0's GEMM does not (its
-float32 logits at 1024 rows differ in the last bits from those at 512
-or fewer), so only the trunk is blocked and the head keeps its chunks.
+Blocking: an eval-mode trunk, :func:`trunk_features` included, runs
+over its whole input in blocks of ``TRUNK_ROWS`` rows (the training
+batch size), so that a block's conv intermediates stay in a 2 MiB L2
+cache rather than spilling tens of MiB (Goto & van de Geijn 2008).
+:func:`predict_logits` runs the network in chunks of
+``EVAL_BATCH_ROWS`` rows. A trunk row gives the same bytes in a block
+of any size; fc0's GEMM does not (its float32 logits at 1024 rows
+differ in the last bits from those at 512 or fewer), so only the trunk
+is blocked and the head keeps its chunks.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .errors import DataError
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
 EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
-TRUNK_ROWS = 64  # rows per block of an eval-mode trunk, within a chunk
+TRUNK_ROWS = 64  # rows per block of an eval-mode trunk
 
 
 @dataclass(frozen=True)
@@ -416,21 +419,22 @@ class ForwardCache:
     bn_updates: dict = field(default_factory=dict)
 
 
-def _trunk(config: NetworkConfig, params: dict, h: np.ndarray,
+def _trunk(config: NetworkConfig, params: dict, X: np.ndarray,
            cache: ForwardCache | None = None) -> np.ndarray:
-    """The four conv blocks on (n, 1, input_length) inputs; returns the
-    channels-last (n, L, C) trunk output. Given a ``cache``, runs in
-    train mode and appends its intermediates and BN updates to it;
-    without one, runs in eval mode, keeps no intermediates and works
-    in blocks of ``TRUNK_ROWS`` rows (see the module docstring)."""
-    if h.ndim != 3 or h.shape[1] != 1 or h.shape[2] != config.input_length:
+    """The four conv blocks on (n, input_length) rows; returns their
+    flattened (n, flatten_width) output. Given a ``cache``, runs in
+    train mode and appends its intermediates (the flatten last) and BN
+    updates to it; without one, runs in eval mode, keeps no
+    intermediates and works in blocks of ``TRUNK_ROWS`` rows (see the
+    module docstring)."""
+    if X.ndim != 2 or X.shape[1] != config.input_length:
         raise DataError(
-            f"expected (n, 1, {config.input_length}) input, got {h.shape}")
-    if cache is None and len(h) > TRUNK_ROWS:
+            f"expected (n, {config.input_length}) input, got {X.shape}")
+    if cache is None and len(X) > TRUNK_ROWS:
         return np.concatenate([
-            _trunk(config, params, h[start:start + TRUNK_ROWS])
-            for start in range(0, len(h), TRUNK_ROWS)])
-    h = h.reshape(len(h), config.input_length, 1)  # one channel: no copy
+            _trunk(config, params, X[start:start + TRUNK_ROWS])
+            for start in range(0, len(X), TRUNK_ROWS)])
+    h = X.reshape(len(X), config.input_length, 1)  # one channel: no copy
     for b in range(len(config.conv_blocks)):
         prefix = f"conv{b}"
         y, bn_cache, new_mean, new_var = batchnorm1d_forward(
@@ -448,78 +452,63 @@ def _trunk(config: NetworkConfig, params: dict, h: np.ndarray,
             cache.layers += [("bn", prefix, bn_cache), ("conv", prefix, y),
                              ("relu", prefix, conv),
                              ("pool", prefix, (second, conv.shape[1]))]
-    return h
+    if cache is not None:
+        cache.layers.append(("flatten", "", h.shape))
+    return _flatten(h)
+
+
+def _flatten(h: np.ndarray) -> np.ndarray:
+    """(n, L, C) trunk output -> (n, C*L) in fc0's column order c*L + l:
+    the one place the channels-last trunk changes layout."""
+    return h.transpose(0, 2, 1).reshape(len(h), h.shape[1] * h.shape[2])
 
 
 def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
             train: bool, rng: np.random.Generator | None = None,
             ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run the whole network on (n, 1, input_length) inputs; returns logits.
+    """Run the whole network on (n, input_length) rows; returns logits.
 
     In train mode the cache carries every intermediate needed by
     :func:`backward` plus candidate BN running-stat updates; in eval
     mode it is None. No parameter is mutated here.
     """
     cache = ForwardCache() if train else None
-    h = _trunk(config, params, batch, cache)
-    logits, head = forward_head(config, params, h, train, rng)
+    features = _trunk(config, params, batch, cache)
+    logits, head = forward_head(config, params, features, train, rng)
     if train:
         cache.layers += head.layers
     return logits, cache
 
 
-def _flatten(h: np.ndarray) -> np.ndarray:
-    """(n, L, C) trunk output -> (n, C*L) in fc0's column order c*L + l:
-    the one place the channels-last trunk changes layout."""
-    return h.transpose(0, 2, 1).reshape(len(h), -1)
-
-
-def _eval_chunks(X: np.ndarray, run, width: int) -> np.ndarray:
-    """The (rows, width) results of ``run`` on each ``EVAL_BATCH_ROWS``-row
-    chunk of X, concatenated; a 2-D X gets a channel axis first."""
-    if X.ndim == 2:
-        X = X[:, None, :]
-    outs = [run(X[start:start + EVAL_BATCH_ROWS])
-            for start in range(0, X.shape[0], EVAL_BATCH_ROWS)]
-    if not outs:
-        return np.empty((0, width), dtype=np.float32)
-    return np.concatenate(outs)
-
-
 def trunk_features(config: NetworkConfig, params: dict,
                    X: np.ndarray) -> np.ndarray:
-    """Eval-mode trunk output, flattened to (n, flatten_width), for
-    (n, input_length) or (n, 1, input_length) data, computed in chunks
-    of ``EVAL_BATCH_ROWS`` rows.
+    """Eval-mode trunk output, (n, flatten_width), for (n, input_length)
+    rows, computed in blocks of ``TRUNK_ROWS`` rows.
 
     The input of :func:`forward_head` when the trunk is frozen: eval
     mode makes each row's features independent of the rest of its
     batch, so they can be computed once and reused.
     """
-    return _eval_chunks(
-        X, lambda chunk: _flatten(_trunk(config, params, chunk)),
-        config.flatten_width)
+    return _trunk(config, params, X)
 
 
-def forward_head(config: NetworkConfig, params: dict, h: np.ndarray,
+def forward_head(config: NetworkConfig, params: dict, features: np.ndarray,
                  train: bool, rng: np.random.Generator | None = None,
                  ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Flatten, Dropout and the FC layers on trunk outputs; returns logits.
+    """Dropout and the FC layers on (n, flatten_width) trunk features;
+    returns logits.
 
-    ``h`` is the (n, L, C) trunk output or its (n, flatten_width)
-    flattening. In train mode the cache is head-only: it starts at the
-    flatten entry, so :func:`backward` on it returns FC gradients only,
-    and it never holds BN updates. In eval mode the cache is None.
+    In train mode the cache is head-only: it starts at the dropout
+    entry, so :func:`backward` on it returns FC gradients only, and it
+    never holds BN updates. In eval mode the cache is None.
     """
+    if features.ndim != 2 or features.shape[1] != config.flatten_width:
+        raise DataError(f"expected (n, {config.flatten_width}) features, "
+                        f"got {features.shape}")
     cache = ForwardCache() if train else None
-    flat_shape = h.shape
-    h = _flatten(h) if h.ndim == 3 else h
-    if h.shape[1] != config.flatten_width:
-        raise DataError(f"flatten width {h.shape[1]} != configured "
-                        f"{config.flatten_width}")
-    h, mask = dropout_forward(h, config.dropout_p, train, rng)
+    h, mask = dropout_forward(features, config.dropout_p, train, rng)
     if train:
-        cache.layers += [("flatten", "", flat_shape), ("dropout", "", mask)]
+        cache.layers.append(("dropout", "", mask))
     last = len(config.fc_sizes) - 1
     for i in range(len(config.fc_sizes)):
         z = linear_forward(h, params[f"fc{i}.weight"], params[f"fc{i}.bias"])
@@ -537,7 +526,7 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
 
     Walks the cached layers in reverse. A cache from :func:`forward`
     yields every trainable parameter; one from :func:`forward_head`
-    alone ends at its flatten entry, so the walk stops there and only
+    alone ends at its dropout entry, so the walk stops there and only
     FC gradients are returned.
     """
     grads: dict[str, np.ndarray] = {}
@@ -551,10 +540,9 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
             dy = relu_backward(dy, stored)
         elif kind == "dropout":
             dy = dropout_backward(dy, stored)
-        elif kind == "flatten":
-            if len(stored) == 3:  # undo _flatten: (n, C*L) -> (n, L, C)
-                n, length, c = stored
-                dy = dy.reshape(n, c, length).transpose(0, 2, 1)
+        elif kind == "flatten":  # undo _flatten: (n, C*L) -> (n, L, C)
+            n, length, c = stored
+            dy = dy.reshape(n, c, length).transpose(0, 2, 1)
         elif kind == "pool":
             second, input_length = stored
             dy = maxpool1d_backward(dy, second, input_length)
@@ -573,13 +561,15 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
 
 def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
                    step=None) -> np.ndarray:
-    """Eval-mode logits for (n, input_length) or (n, 1, input_length) data,
-    computed in chunks of ``EVAL_BATCH_ROWS`` rows by ``step``: forward,
-    or forward_head when X holds :func:`trunk_features`."""
+    """Eval-mode logits, computed in chunks of ``EVAL_BATCH_ROWS`` rows
+    by ``step``: forward on (n, input_length) rows, or forward_head
+    when X holds :func:`trunk_features`."""
     step = step or forward
-    return _eval_chunks(
-        X, lambda chunk: step(config, params, chunk, train=False)[0],
-        config.fc_sizes[-1])
+    if len(X) == 0:
+        return np.empty((0, config.fc_sizes[-1]), dtype=np.float32)
+    return np.concatenate([
+        step(config, params, X[start:start + EVAL_BATCH_ROWS], train=False)[0]
+        for start in range(0, len(X), EVAL_BATCH_ROWS)])
 
 
 def predict_labels(config: NetworkConfig, params: dict, X: np.ndarray,

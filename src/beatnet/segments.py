@@ -225,8 +225,11 @@ def build_subsets(records: list[EcgRecord], train_fraction: float = 2 / 3,
         if subset not in by_subset:
             continue
         recs = by_subset[subset]
-        train_ids, test_ids = split_subjects(
-            {r.subject_id for r in recs}, train_fraction, seed)
+        try:
+            train_ids, test_ids = split_subjects(
+                {r.subject_id for r in recs}, train_fraction, seed)
+        except DataError as exc:
+            raise DataError(f"subset {subset}: {exc}") from exc
         out[(subset, TRAIN)] = build_labeled_dataset(
             recs, subset, TRAIN, train_ids, max_duration)
         out[(subset, TEST)] = build_labeled_dataset(

@@ -119,7 +119,7 @@ def train(dataset: LabeledDataset, settings: Settings,
         step = forward_head
     else:
         params = init_params(network, rng)
-        inputs = dataset.X[:, None, :]
+        inputs = dataset.X
         step = forward
     y = dataset.y.astype(np.int64)
     state = AdaDeltaState(rho=settings.rho, eps=settings.eps, lr=settings.lr)

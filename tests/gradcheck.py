@@ -215,7 +215,7 @@ def gradcheck_full_network(seed: int, dtype=np.float64,
     rng = np.random.default_rng(seed)
     params = {k: v.astype(dtype) for k, v in
               init_params(config, rng).items()}
-    x = rng.normal(size=(3, 1, config.input_length)).astype(dtype)
+    x = rng.normal(size=(3, config.input_length)).astype(dtype)
     labels = rng.integers(0, 2, 3)
 
     def probe() -> tuple[float, list[np.ndarray]]:

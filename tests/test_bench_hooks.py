@@ -99,7 +99,7 @@ def test_conv_flops_of_channels_last_inputs(workloads, monkeypatch):
     net = beatnet.nn.NetworkConfig()
     params = init_params(net, np.random.default_rng(0))
     calls = spy(monkeypatch, beatnet.nn, "conv1d_forward")
-    beatnet.nn.forward(net, params, np.zeros((3, 1, net.input_length),
+    beatnet.nn.forward(net, params, np.zeros((3, net.input_length),
                                              np.float32), train=False)
     assert [workloads._conv_flops(args[0], args[1]) for args, _, _ in calls
             ] == [2 * 3 * (net.input_length // 2 ** b) * c_out * c_in * k
@@ -110,7 +110,7 @@ def test_train_forward_caches_a_byte_per_pool_window():
     net = beatnet.nn.NetworkConfig()
     params = init_params(net, np.random.default_rng(0))
     _, cache = beatnet.nn.forward(
-        net, params, np.ones((3, 1, net.input_length), np.float32),
+        net, params, np.ones((3, net.input_length), np.float32),
         train=True, rng=np.random.default_rng(1))
     masks = [stored[0] for kind, _, stored in cache.layers if kind == "pool"]
     assert [m.shape for m in masks] == [

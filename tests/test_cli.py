@@ -4,7 +4,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -518,7 +521,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # build-dataset flags that could only write broken or no caches
     for flags in (["--duration", "-1"], ["--duration", "0.2"],
                   ["--duration", "inf"], ["--subjects", "0"],
-                  ["--subjects", "-3"], ["--fs", "0"], ["--fs", "nan"]):
+                  ["--subjects", "-3"], ["--fs", "0"], ["--fs", "nan"],
+                  ["--fs", "4"], ["--fs", "1"]):
         assert main(["build-dataset", "--out", str(tmp_path / "c"),
                      *flags]) == 1
         err = capsys.readouterr().err
@@ -687,6 +691,23 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "data error" in err and "has no segments" in err
     assert not one_window.exists()
 
+    # a subset of one subject cannot be split, and the error names it
+    (tmp_path / "w.csv").write_text("0.0\n" * 500)
+    (tmp_path / "w.beats").write_text("0.5\n")
+    one_subject = tmp_path / "one-subject.txt"
+    one_subject.write_text("record=w subject=p tag=Arrhythmia csv=w.csv "
+                           "fs=250 value_col=0 beats=w.beats header=false\n")
+    for argv, subset in [
+            (["build-dataset", "--subjects", "3",
+              "--tags", "NormalSinus,Arrhythmia"], "Arrhythmia"),
+            (["build-dataset", "--subjects", "1"], "NormalSinus+LongTerm"),
+            (["ingest", "--manifest", str(one_subject)], "Arrhythmia")]:
+        assert main([*argv, "--out", str(tmp_path / "o10")]) == 2
+        err = capsys.readouterr().err
+        assert (f"data error: subset {subset}: need at least 2 subjects "
+                f"to split, got 1") in err
+        assert not (tmp_path / "o10").exists()
+
     # report on run files it cannot read
     run = tmp_path / "run"
     run.mkdir()
@@ -750,6 +771,28 @@ def test_data_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "data error" in err and where in err
         assert not out.exists()
+
+
+def test_module_entry_points_exit_with_one_message(tmp_path):
+    """``python -m beatnet`` and ``python -m beatnet.cli`` both run the
+    CLI: an error is an exit code and one message line (so no
+    traceback), and neither import raises a warning."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module, argv, code in [
+            ("beatnet", ["experiment", "--id", "7", "--caches", "x",
+                         "--out", str(tmp_path / "o")], 1),
+            ("beatnet.cli", ["report", "--dir", str(tmp_path / "missing")],
+             2)]:
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, *argv], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert re.match(r"beatnet: (usage|data) error: ", lines[0])
+    assert not (tmp_path / "o").exists()
 
 
 def test_every_error_class_has_an_exit_code(monkeypatch):

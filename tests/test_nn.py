@@ -396,7 +396,7 @@ def test_param_layout_shapes():
     # a whole-network backward covers every entry but the running stats
     rng = np.random.default_rng(9)
     params = init_params(NET, rng)
-    logits, cache = forward(NET, params, rng.normal(size=(2, 1, 250)),
+    logits, cache = forward(NET, params, rng.normal(size=(2, 250)),
                             train=True, rng=rng)
     grads = backward(NET, params, cache, np.ones_like(logits))
     assert set(grads) == {name for name in names if "running_" not in name}
@@ -429,7 +429,7 @@ def test_init_params_distribution_and_determinism():
 def test_forward_output_shape_and_determinism():
     rng = np.random.default_rng(9)
     params = init_params(NET, rng)
-    x = rng.normal(size=(5, 1, 250)).astype(np.float32)
+    x = rng.normal(size=(5, 250)).astype(np.float32)
     logits, _ = forward(NET, params, x, train=False)
     assert logits.shape == (5, 2)
     assert np.all(np.isfinite(logits))
@@ -441,7 +441,7 @@ def test_forward_eval_does_not_mutate_params():
     rng = np.random.default_rng(10)
     params = init_params(NET, rng)
     before = {k: v.copy() for k, v in params.items()}
-    x = rng.normal(size=(3, 1, 250)).astype(np.float32)
+    x = rng.normal(size=(3, 250)).astype(np.float32)
     forward(NET, params, x, train=False)
     forward(NET, params, x, train=True,
             rng=np.random.default_rng(0))
@@ -452,7 +452,7 @@ def test_forward_eval_does_not_mutate_params():
 def test_forward_train_reports_bn_updates_without_committing():
     rng = np.random.default_rng(11)
     params = init_params(NET, rng)
-    x = rng.normal(size=(4, 1, 250)).astype(np.float32)
+    x = rng.normal(size=(4, 250)).astype(np.float32)
     _, cache = forward(NET, params, x, train=True,
                        rng=np.random.default_rng(1))
     assert set(cache.bn_updates) == {
@@ -469,7 +469,7 @@ def test_forward_head_keeps_bn_frozen():
     logits, cache = forward_head(NET, params, h, train=True,
                                  rng=np.random.default_rng(1))
     assert cache.bn_updates == {}
-    # a head-only cache ends at flatten, so backward yields FC grads only
+    # a head-only cache ends at dropout, so backward yields FC grads only
     grads = backward(NET, params, cache, np.ones_like(logits))
     assert set(grads) == {name for name, _ in param_layout(NET)
                           if name.startswith("fc")}
@@ -488,14 +488,14 @@ def test_trunk_features_equal_forward_trunk(n):
     # the head on the features gives the logits of the whole network
     np.testing.assert_array_equal(
         forward_head(NET, params, features, train=False)[0],
-        forward(NET, params, X[:, None, :], train=False)[0])
+        forward(NET, params, X, train=False)[0])
 
 
 def test_eval_pass_records_no_cache():
     """An eval-mode chunk keeps no backward intermediates, so its memory
     peak stays well below a train-mode pass over the same rows."""
     params = init_params(NET, np.random.default_rng(17))
-    X = np.random.default_rng(18).normal(size=(EVAL_BATCH_ROWS, 1, 250)
+    X = np.random.default_rng(18).normal(size=(EVAL_BATCH_ROWS, 250)
                                          ).astype(np.float32)
     assert forward(NET, params, X[:4], train=False)[1] is None
     features = trunk_features(NET, params, X[:4])
@@ -536,14 +536,29 @@ def test_trunk_features_of_no_rows():
     features = trunk_features(NET, params,
                               np.empty((0, 250), dtype=np.float32))
     assert features.shape == (0, NET.flatten_width)
+    # predict_logits gives no rows of logits with either step
+    for X, step in ((np.empty((0, 250), dtype=np.float32), None),
+                    (features, forward_head)):
+        logits = predict_logits(NET, params, X, step)
+        assert logits.shape == (0, 2) and logits.dtype == np.float32
 
 
 def test_forward_rejects_wrong_length():
     rng = np.random.default_rng(13)
     params = init_params(NET, rng)
-    with pytest.raises(DataError, match=r"expected \(n, 1, 250\) input"):
-        forward(NET, params, rng.normal(size=(2, 1, 100)),
+    with pytest.raises(DataError, match=r"expected \(n, 250\) input"):
+        forward(NET, params, rng.normal(size=(2, 100)),
                 train=False)
+    # the network takes a dataset's rows as they are, with no channel axis
+    rows = rng.normal(size=(2, 1, 250))
+    for run in (lambda: forward(NET, params, rows, train=False),
+                lambda: trunk_features(NET, params, rows),
+                lambda: predict_logits(NET, params, rows)):
+        with pytest.raises(DataError, match=r"expected \(n, 250\) input"):
+            run()
+    # and the head takes only the trunk's flattened features
+    with pytest.raises(DataError, match=r"expected \(n, 960\) features"):
+        forward_head(NET, params, rng.normal(size=(4, 959)), train=False)
 
 
 def test_predict_logits_accepts_2d_and_batches():
@@ -554,7 +569,7 @@ def test_predict_logits_accepts_2d_and_batches():
     assert logits.shape == (2050, 2)
     # batching must not change results
     np.testing.assert_allclose(
-        logits, forward(NET, params, X[:, None, :], train=False)[0],
+        logits, forward(NET, params, X, train=False)[0],
         atol=1e-6)
     labels = predict_labels(NET, params, X)
     np.testing.assert_array_equal(labels, logits.argmax(axis=1))
