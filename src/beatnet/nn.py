@@ -566,6 +566,7 @@ def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
     when X holds :func:`trunk_features`."""
     step = step or forward
     if len(X) == 0:
+        step(config, params, X, train=False)  # the step checks X's shape
         return np.empty((0, config.fc_sizes[-1]), dtype=np.float32)
     return np.concatenate([
         step(config, params, X[start:start + EVAL_BATCH_ROWS], train=False)[0]

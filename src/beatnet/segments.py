@@ -7,6 +7,12 @@ single window. Each window is resampled to 250 samples on a 1000 Hz grid
 with linear interpolation. Only the first 3600 s of a record are used and
 a trailing partial window is dropped.
 
+A record is windowed in blocks of ``WINDOW_BLOCK`` windows by one
+interpolation kernel: every full window shares the same sample grid, so
+the interval each output point falls in is found once per record, and a
+block gathers its samples and evaluates ``np.interp``'s own formula on
+them at once. The result is bit-equal to ``np.interp`` run per window.
+
 Subjects are partitioned before segments are pooled, so no subject
 contributes windows to both Train and Test of the same subset.
 """
@@ -18,6 +24,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .container import pack_str, read_framed, write_framed
@@ -36,8 +43,21 @@ BEAT_WINDOW_HIGH = 0.15  # exclusive
 TRAIN, TEST = "Train", "Test"
 PARTITIONS = (TRAIN, TEST)
 
+WINDOW_BLOCK = 1024  # windows per block of the resampling kernel
+
 _CACHE_MAGIC = b"HBDS"
 _CACHE_VERSION = 1
+
+
+def _label_windows(t0: np.ndarray, beats: np.ndarray) -> np.ndarray:
+    """BEAT/NO_BEAT (uint8) for windows starting at the times ``t0``: BEAT
+    when a beat time falls in [t0+0.10, t0+0.15).
+
+    ``beats`` holds beat times in seconds, sorted ascending.
+    """
+    lo = np.searchsorted(beats, t0 + BEAT_WINDOW_LOW, side="left")
+    hi = np.searchsorted(beats, t0 + BEAT_WINDOW_HIGH, side="left")
+    return np.where(hi > lo, BEAT, NO_BEAT).astype(np.uint8)
 
 
 def label_window(t0: float, beats: np.ndarray) -> int:
@@ -45,9 +65,45 @@ def label_window(t0: float, beats: np.ndarray) -> int:
 
     ``beats`` holds beat times in seconds, sorted ascending.
     """
-    lo = np.searchsorted(beats, t0 + BEAT_WINDOW_LOW, side="left")
-    hi = np.searchsorted(beats, t0 + BEAT_WINDOW_HIGH, side="left")
-    return BEAT if hi > lo else NO_BEAT
+    return int(_label_windows(np.array([t0]), beats)[0])
+
+
+def _resample_windows(samples: np.ndarray, starts: np.ndarray, size: int,
+                      fs: float, out: np.ndarray) -> None:
+    """Resample the windows ``samples[start:start + size]`` into the rows
+    of ``out``, ``WINDOW_BLOCK`` windows at a time.
+
+    Each row is bit-equal to ``np.interp(x, xp, window)`` with ``xp =
+    arange(size) / fs`` and ``x = arange(250) / 1000``: in float64, the
+    slope of the interval holding x times x's offset into it, plus the
+    interval's left sample. Points on a grid point or past the last one
+    copy the sample, as np.interp does (the formula would turn a -0.0
+    sample into +0.0). Samples are finite (EcgRecord checks them), so
+    np.interp's retry for a NaN result never applies.
+    """
+    if size < 2:
+        raise DataError(f"need at least 2 samples to interpolate, got {size}")
+    if fs <= 0:
+        raise DataError(f"fs must be > 0, got {fs}")
+    xp = np.arange(size, dtype=np.float64) / fs
+    x = np.arange(SEGMENT_LENGTH, dtype=np.float64) / RESAMPLE_HZ
+    # x[k] lies in [xp[j[k]], xp[j[k] + 1]), or past the last sample
+    j = np.minimum(np.searchsorted(xp, x, side="right") - 1, size - 1)
+    copied = np.flatnonzero((xp[j] == x) | (j == size - 1))
+    interval = np.minimum(j, size - 2)
+    offset = x - xp[j]
+    dxp = np.diff(xp)
+    windows = sliding_window_view(samples, size)
+    for b0 in range(0, len(starts), WINDOW_BLOCK):
+        w = windows[starts[b0:b0 + WINDOW_BLOCK]]
+        slope = np.subtract(w[:, 1:], w[:, :-1], dtype=np.float64)
+        slope /= dxp
+        left = np.take(w, j, axis=1)
+        v = np.take(slope, interval, axis=1)
+        v *= offset
+        v += left
+        v[:, copied] = left[:, copied]
+        out[b0:b0 + WINDOW_BLOCK] = v
 
 
 def resample_linear(samples: np.ndarray, fs_in: float) -> np.ndarray:
@@ -58,14 +114,10 @@ def resample_linear(samples: np.ndarray, fs_in: float) -> np.ndarray:
     to its value.
     """
     samples = np.asarray(samples)
-    if samples.size < 2:
-        raise DataError(
-            f"need at least 2 samples to interpolate, got {samples.size}")
-    if fs_in <= 0:
-        raise DataError(f"fs must be > 0, got {fs_in}")
-    xp = np.arange(samples.size, dtype=np.float64) / fs_in
-    x = np.arange(SEGMENT_LENGTH, dtype=np.float64) / RESAMPLE_HZ
-    return np.interp(x, xp, samples.astype(np.float64)).astype(np.float32)
+    out = np.empty((1, SEGMENT_LENGTH), dtype=np.float32)
+    _resample_windows(samples, np.zeros(1, dtype=np.intp), samples.size,
+                      fs_in, out)
+    return out[0]
 
 
 def window_count(duration: float, max_duration: float = MAX_RECORD_SECONDS) -> int:
@@ -83,21 +135,26 @@ def segment_arrays(record: EcgRecord,
 
     Returns (X, y): X is (n_windows, 250) float32, y is (n_windows,)
     uint8 of BEAT/NO_BEAT labels from the record's own beat times.
+    Window i starts at t0 = 0.25 i s, at sample round(t0 * fs) (halves
+    up), and spans ceil(0.25 fs) + 1 samples, fewer where the record
+    ends first.
     """
-    beats = record.beat_times
     n_windows = window_count(record.duration, max_duration)
-    n = record.samples.size
+    X = np.empty((n_windows, SEGMENT_LENGTH), dtype=np.float32)
+    t0 = np.arange(n_windows) * WINDOW_SECONDS
+    y = _label_windows(t0, record.beat_times)
+    samples = record.samples
+    n = samples.size
     fs = record.fs
     span = math.ceil(WINDOW_SECONDS * fs) + 1
-
-    X = np.empty((n_windows, SEGMENT_LENGTH), dtype=np.float32)
-    y = np.empty(n_windows, dtype=np.uint8)
-    for i in range(n_windows):
-        t0 = i * WINDOW_SECONDS
-        i0 = int(math.floor(t0 * fs + 0.5))
-        i1 = min(n, i0 + span)
-        X[i] = resample_linear(record.samples[i0:i1], fs)
-        y[i] = label_window(t0, beats)
+    starts = np.floor(t0 * fs + 0.5).astype(np.intp)
+    # windows that hold a whole span come first; the rest end at n
+    n_full = int(np.searchsorted(starts, n - span, side="right"))
+    if n_full:
+        _resample_windows(samples, starts[:n_full], span, fs, X[:n_full])
+    for i in range(n_full, n_windows):
+        _resample_windows(samples, starts[i:i + 1], int(n - starts[i]), fs,
+                          X[i:i + 1])
     return X, y
 
 
@@ -188,7 +245,10 @@ def build_labeled_dataset(records: list[EcgRecord], subset_name: str,
     table = tuple((r.record_id, r.subject_id) for r in chosen)
     xs, ys, recs, wins = [], [], [], []
     for k, rec in enumerate(chosen):
-        X, y = segment_arrays(rec, max_duration=max_duration)
+        try:
+            X, y = segment_arrays(rec, max_duration=max_duration)
+        except DataError as exc:
+            raise DataError(f"record {rec.record_id!r}: {exc}") from exc
         xs.append(X)
         ys.append(y)
         recs.append(np.full(y.size, k, dtype=np.uint32))

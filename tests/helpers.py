@@ -6,16 +6,22 @@ they check. The finite-difference helper is the gradient oracle for
 every backward pass. The ``ref_*`` layer kernels are the channels-first
 ``(n, C, L)`` kernels the network used before its trunk went
 channels-last; the channels-last kernels must reproduce their bytes.
+``ref_segment_arrays`` is the per-window windowing loop, one
+``np.interp`` call per window, that the block resampling kernel must
+reproduce byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from beatnet.errors import DataError
 
 # --- reference format-212 bit packing (two 12-bit samples per 3 bytes) ---
 
@@ -266,6 +272,37 @@ def brute_force_labels(n_windows: int, beat_times) -> list[int]:
         hit = any(t0 + 0.10 <= b < t0 + 0.15 for b in beat_times)
         labels.append(1 if hit else 0)
     return labels
+
+
+# --- per-window windowing oracle ---
+
+
+def ref_segment_arrays(record, max_duration: float = 3600.0):
+    """Window, label and resample one record one window at a time, with
+    one ``np.interp`` call and two ``searchsorted`` calls per window: the
+    loop ``segments.segment_arrays`` ran before it worked in blocks."""
+    beats = record.beat_times
+    n_windows = int(min(record.duration, max_duration) / 0.25 + 1e-9)
+    n = record.samples.size
+    fs = record.fs
+    span = math.ceil(0.25 * fs) + 1
+    x = np.arange(250, dtype=np.float64) / 1000
+    X = np.empty((n_windows, 250), dtype=np.float32)
+    y = np.empty(n_windows, dtype=np.uint8)
+    for i in range(n_windows):
+        t0 = i * 0.25
+        i0 = int(math.floor(t0 * fs + 0.5))
+        i1 = min(n, i0 + span)
+        window = record.samples[i0:i1]
+        if window.size < 2:
+            raise DataError(f"need at least 2 samples to interpolate, "
+                            f"got {window.size}")
+        xp = np.arange(window.size, dtype=np.float64) / fs
+        X[i] = np.interp(x, xp, window.astype(np.float64)).astype(np.float32)
+        lo = np.searchsorted(beats, t0 + 0.10, side="left")
+        hi = np.searchsorted(beats, t0 + 0.15, side="left")
+        y[i] = 1 if hi > lo else 0
+    return X, y
 
 
 # --- re-signing a framed cache or checkpoint ---

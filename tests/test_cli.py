@@ -708,6 +708,20 @@ def test_data_errors_exit_2(tmp_path, capsys):
                 f"to split, got 1") in err
         assert not (tmp_path / "o10").exists()
 
+    # at 4 Hz the last of 81 samples is a window of one sample, and the
+    # error names the record it is in
+    (tmp_path / "w81.csv").write_text("0.0\n" * 81)
+    slow = tmp_path / "slow.txt"
+    slow.write_text("".join(
+        f"record=w{k} subject=p{k} tag=Arrhythmia csv=w81.csv fs=4 "
+        f"value_col=0 beats=w.beats header=false\n" for k in range(3)))
+    assert main(["ingest", "--manifest", str(slow),
+                 "--out", str(tmp_path / "o11")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"data error: record 'w\d': need at least 2 samples "
+                     r"to interpolate, got 1", err)
+    assert not (tmp_path / "o11").exists()
+
     # report on run files it cannot read
     run = tmp_path / "run"
     run.mkdir()

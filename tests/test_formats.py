@@ -19,6 +19,7 @@ from beatnet.container import pack_str, read_framed, write_framed, \
     write_text
 from beatnet.errors import DataError
 from beatnet.nn import NetworkConfig, init_params, predict_logits
+from beatnet.records import EcgRecord
 from beatnet.segments import (
     SEGMENT_LENGTH,
     TRAIN,
@@ -26,6 +27,7 @@ from beatnet.segments import (
     build_labeled_dataset,
     load_cache,
     save_cache,
+    segment_arrays,
 )
 from beatnet.synthetic import make_synthetic_records
 from beatnet.train import load_checkpoint, save_checkpoint, train, \
@@ -65,6 +67,13 @@ SCRATCH_TRAIN_MCC = [0.6756639246921762, 0.9190867733214366,
 PREDICT_BLAKE2B = "b00ee39a2c024f24ca83d10dad214be9"
 
 
+# Windows and labels of a seeded 60 s, 360 Hz record. Resampling is
+# only float64 subtraction, division, multiplication and addition, so
+# like the cache pin this holds on any IEEE machine. It pins how every
+# window is cut, interpolated and labeled.
+SEGMENTS_BLAKE2B = "0d4c172211e795bb9b8756e81b68ff71"
+
+
 def seeded_dataset(seed: int = 0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     n_records, per_record = 3, 7
@@ -87,6 +96,17 @@ def test_cache_bytes_pinned(tmp_path):
     path = tmp_path / "pin.hbds"
     save_cache(seeded_dataset(), path)
     assert file_digest(path) == CACHE_BLAKE2B
+
+
+def test_segment_arrays_pinned():
+    rng = np.random.default_rng(23)
+    samples = rng.random(60 * 360, dtype=np.float32) * 4 - 2
+    beats = np.cumsum(rng.integers(250, 360, 60))
+    X, y = segment_arrays(EcgRecord("pin", "s", "Arrhythmia", 360.0,
+                                    samples, beats))
+    assert X.shape == (240, SEGMENT_LENGTH) and int(y.sum()) == 12
+    assert hashlib.blake2b(X.tobytes() + y.tobytes(),
+                           digest_size=16).hexdigest() == SEGMENTS_BLAKE2B
 
 
 def test_checkpoint_bytes_pinned(tmp_path):

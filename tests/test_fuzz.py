@@ -2,7 +2,8 @@
 arbitrary text the manifest, CSV and INI readers. The only error bytes,
 manifests and CSV records may raise is DataError; an INI file may raise
 only UsageError. NumPy warnings count as failures too, as everywhere
-in the suite.
+in the suite. Records at any rate from 8 Hz up are windowed to the
+same bytes as the per-window oracle gives.
 
 Runs are derandomized, so every run draws the same examples.
 """
@@ -13,14 +14,16 @@ import pytest
 from beatnet.config import Settings, load_settings, render_snapshot
 from beatnet.errors import DataError, UsageError
 from beatnet.nn import init_params
-from beatnet.records import CsvSchema, ingest_csv, parse_manifest
-from beatnet.segments import build_labeled_dataset, load_cache, save_cache
+from beatnet.records import CsvSchema, EcgRecord, ingest_csv, \
+    parse_manifest
+from beatnet.segments import build_labeled_dataset, load_cache, \
+    save_cache, segment_arrays
 from beatnet.synthetic import make_synthetic_records
 from beatnet.train import load_checkpoint, save_checkpoint
 from beatnet.wfdb_io import decode_signal, parse_annotations, parse_header
 
 from gradcheck import SMALL_NET
-from helpers import reframe
+from helpers import ref_segment_arrays, reframe
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -246,3 +249,30 @@ def test_ingest_csv_raises_only_data_errors(csv_input, fs, beat_times):
         beat_times = np.array(beat_times, dtype=np.float64)
     only_data_errors(ingest_csv, text, schema, fs, "csv", "csv",
                      "BaselineFlexComp", beat_times)
+
+
+@st.composite
+def ecg_records(draw):
+    """A record at 8 to 2000 Hz: seeded noise with drawn values written
+    over some samples (signed zeros, subnormals), and drawn beats."""
+    fs = draw(st.floats(8.0, 2000.0))
+    n = max(1, round(draw(st.floats(0.0, 20.0)) * fs))
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=n).astype(np.float32)
+    value = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-1e6, 1e6, width=32))
+    for at, v in draw(st.lists(st.tuples(st.integers(0, n - 1), value),
+                               max_size=30)):
+        samples[at] = v
+    beats = sorted(draw(st.sets(st.integers(0, n - 1), max_size=40)))
+    return EcgRecord("r", "s", "Arrhythmia", fs, samples,
+                     np.array(beats, dtype=np.int64))
+
+
+@FUZZ
+@given(ecg_records(), st.floats(0.0, 30.0))
+def test_segment_arrays_matches_per_window_oracle(record, max_duration):
+    X, y = segment_arrays(record, max_duration)
+    X_ref, y_ref = ref_segment_arrays(record, max_duration)
+    assert X.shape == X_ref.shape
+    assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()

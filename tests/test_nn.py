@@ -541,6 +541,17 @@ def test_trunk_features_of_no_rows():
                     (features, forward_head)):
         logits = predict_logits(NET, params, X, step)
         assert logits.shape == (0, 2) and logits.dtype == np.float32
+    # zero rows of a wrong shape are refused, as one row of it is
+    for X, step, match in (
+            (np.empty((0, 1, 250)), None, r"expected \(n, 250\) input"),
+            (np.empty((0, 7)), None, r"expected \(n, 250\) input"),
+            (np.empty((0, 1, 250)), forward_head,
+             r"expected \(n, 960\) features"),
+            (np.empty((0, 7)), forward_head,
+             r"expected \(n, 960\) features")):
+        for rows in (X, np.zeros((1, *X.shape[1:]))):
+            with pytest.raises(DataError, match=match):
+                predict_logits(NET, params, rows, step)
 
 
 def test_forward_rejects_wrong_length():

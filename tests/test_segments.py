@@ -1,5 +1,8 @@
 """Windowing, labeling, resampling, splitting and dataset cache tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,7 @@ from beatnet.segments import (
 )
 from beatnet.synthetic import make_synthetic_records
 
-from helpers import brute_force_labels
+from helpers import brute_force_labels, ref_segment_arrays
 
 
 # --- window labeling ---
@@ -188,6 +191,75 @@ def test_segment_record_objects():
     assert set(ds.y.tolist()) <= {BEAT, NO_BEAT}
     np.testing.assert_array_equal(ds.y, y)
     assert ds.X.tobytes() == X.tobytes()
+
+
+def odd_record(fs: float, duration: float, seed: int) -> EcgRecord:
+    """Noise with runs of -0.0 and +0.0 samples and random beats, plus
+    beats on band edges wherever a sample falls exactly on one."""
+    rng = np.random.default_rng(seed)
+    n = round(duration * fs)
+    samples = rng.normal(size=n).astype(np.float32)
+    samples[rng.random(n) < 0.1] = -0.0
+    samples[rng.random(n) < 0.05] = 0.0
+    samples[n // 3:n // 3 + 40] = -0.0
+    beats = {int(b) for b in rng.integers(0, n, n // 1000 + 1)}
+    for t in (0.25 * 3 + 0.10, 0.25 * 5 + 0.15, 0.10, 0.15):
+        k = round(t * fs)
+        if k < n and k / fs == t:
+            beats.add(k)
+    return EcgRecord("r", "s", "Arrhythmia", fs, samples,
+                     np.array(sorted(beats), dtype=np.int64))
+
+
+@pytest.mark.parametrize("fs", [8.0, 101.3, 128.0, 250.0, 257.0, 360.0,
+                                512.0, 1000.0])
+def test_segment_arrays_bytes_match_per_window_oracle(fs):
+    span = math.ceil(0.25 * fs) + 1
+    clamped = []
+    # whole windows, a few samples more or less, and more than one block
+    for k, duration in enumerate((10.0, 10.0 + 2 / fs, 10.25 - 1 / fs,
+                                  7.3, 300.3)):
+        rec = odd_record(fs, duration, seed=k)
+        for max_duration in (5.0, 3600.0):
+            X, y = segment_arrays(rec, max_duration)
+            X_ref, y_ref = ref_segment_arrays(rec, max_duration)
+            assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
+        last = math.floor((len(y) - 1) * 0.25 * fs + 0.5)
+        clamped.append(last + span > rec.samples.size)
+    assert any(clamped)  # some last window ends at the record's end
+    if fs in (360.0, 1000.0):  # beats on both band edges were compared
+        t0 = np.arange(len(y)) * 0.25
+        assert np.isin(t0 + 0.10, rec.beat_times).any()
+        assert np.isin(t0 + 0.15, rec.beat_times).any()
+
+
+def test_segment_arrays_bytes_match_oracle_past_the_cap():
+    rec = odd_record(8.0, 3600.5, seed=9)
+    for max_duration in (3600.0, 1000.25):
+        X, y = segment_arrays(rec, max_duration)
+        X_ref, y_ref = ref_segment_arrays(rec, max_duration)
+        assert len(y) == 4 * min(max_duration, 3600.0)
+        assert X.tobytes() == X_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+
+
+def test_segment_arrays_memory_is_bounded():
+    # one hour at 360 Hz: the output plus a few blocks of temporaries,
+    # not whole-record float64 arrays
+    fs = 360.0
+    rng = np.random.default_rng(3)
+    rec = EcgRecord("r", "s", "Arrhythmia", fs,
+                    rng.normal(size=int(3600 * fs)).astype(np.float32),
+                    np.arange(100, int(3600 * fs), 300, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        X, y = segment_arrays(rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (14400, SEGMENT_LENGTH)
+    assert peak < X.nbytes + y.nbytes + 12 * 2**20
 
 
 # --- subject splitting ---
