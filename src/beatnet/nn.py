@@ -33,6 +33,16 @@ reductions of BatchNorm and of the conv bias gradient sum in the memory
 order the earlier channels-first trunk used (see :func:`_channel_sum`),
 so training gives the same float32 bytes as it did.
 
+Memory-bound kernels: BatchNorm's shift and scale and the conv bias
+apply a per-channel vector to an (n, L, C) array. Broadcast along the
+last axis, each of NumPy's inner loops would run over only C elements,
+so these kernels apply the vector repeated for each of the L positions
+(:func:`_along_length`), which NumPy runs over whole L*C rows: the same
+elementwise operations in the same order, and so the same bytes. Max-pool
+takes ``np.maximum`` of its two lanes and builds its bool mask only
+when a train-mode pass records a backward cache; its backward routes
+the gradient with bit masks rather than ``np.where``.
+
 Blocking: an eval-mode trunk, :func:`trunk_features` included, runs
 over its whole input in blocks of ``TRUNK_ROWS`` rows (the training
 batch size), so that a block's conv intermediates stay in a 2 MiB L2
@@ -216,6 +226,18 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1)).sum(axis=(0, 2))
 
 
+def _along_length(v: np.ndarray, length: int) -> np.ndarray:
+    """A per-channel (C,) vector repeated for each of ``length``
+    positions: a C-contiguous (L, C) array. Against a C-contiguous
+    (n, L, C) array NumPy merges the last two axes of both, so one inner
+    loop runs over each whole L*C row, not over C elements. One
+    channel's (1,) vector is returned as it is: it broadcasts as a
+    scalar."""
+    if len(v) == 1:
+        return v
+    return v[None].repeat(length, axis=0)
+
+
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(n*L, C*k) same-padded patches of an (n, L, C) input; column
     c*k + j holds channel c at offset j - (k - 1) // 2, or 0 where that
@@ -250,9 +272,10 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DataError(f"conv1d bias {b.shape} vs {w.shape[0]} channels")
     n, length, c_in = x.shape
     c_out, _, k = w.shape
-    y = _im2col(x, k) @ w.reshape(c_out, c_in * k).T
-    y += b
-    return y.reshape(n, length, c_out)
+    y = (_im2col(x, k) @ w.reshape(c_out, c_in * k).T).reshape(
+        n, length, c_out)
+    y += _along_length(b, length)
+    return y
 
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
@@ -306,8 +329,8 @@ def batchnorm1d_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         mean, var = running_mean, running_var
         new_mean, new_var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x - mean) * inv_std
-    y = gamma * xhat + beta
+    xhat = (x - _along_length(mean, length)) * _along_length(inv_std, length)
+    y = _along_length(gamma, length) * xhat + _along_length(beta, length)
     cache = (xhat, inv_std.astype(x.dtype), gamma, train)
     return y.astype(x.dtype, copy=False), cache, new_mean, new_var
 
@@ -319,18 +342,19 @@ def batchnorm1d_backward(dy: np.ndarray, cache,
     if dy.shape != xhat.shape:
         raise DataError(f"batchnorm gradient {dy.shape}, expected "
                         f"{xhat.shape}")
+    n, length, _ = dy.shape
     dgamma = _channel_sum(dy * xhat)
     dbeta = dy.sum(axis=(0, 1))
-    dxhat = dy * gamma
+    dxhat = dy * _along_length(gamma, length)
     if not train:
         # running stats are constants, so the chain is elementwise
-        return dxhat * inv_std, dgamma, dbeta
-    n, length, _ = dy.shape
+        return dxhat * _along_length(inv_std, length), dgamma, dbeta
     count = n * length
     sum_dxhat = dxhat.sum(axis=(0, 1))
     sum_dxhat_xhat = _channel_sum(dxhat * xhat)
-    dx = (inv_std / count
-          * (count * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
+    dx = (_along_length(inv_std / count, length)
+          * (count * dxhat - _along_length(sum_dxhat, length)
+             - xhat * _along_length(sum_dxhat_xhat, length)))
     return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 
 
@@ -343,29 +367,43 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0)
 
 
-def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def maxpool1d_forward(x: np.ndarray, train: bool = True,
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
     """Kernel-2 stride-2 max pooling along L of (n, L, C) inputs; a
     trailing odd row is dropped.
 
-    Returns (y, second) where the bool mask ``second`` is True where a
-    window's second lane wins (strictly; ties take the first lane, as
-    an argmax does), for the backward pass.
+    Returns (y, second). In train mode the bool mask ``second`` is True
+    where a window's second lane wins (strictly; ties take the first
+    lane, as an argmax does), for the backward pass; in eval mode it is
+    None and is not computed. A tie of -0.0 and +0.0 yields the first
+    lane's zero. A NaN in either lane makes the window NaN (the NaN
+    propagates, as ``np.maximum`` does), while the mask, whose compare
+    is false against NaN, routes that window's gradient to the first
+    lane.
     """
     if x.ndim != 3:
         raise DataError(f"maxpool expects (n, length, c), got {x.shape}")
     end = 2 * (x.shape[1] // 2)
     first, last = x[:, 0:end:2], x[:, 1:end:2]
-    second = last > first
-    return np.where(second, last, first), second
+    # this operand order keeps ``first`` on a signed-zero tie
+    y = np.maximum(last, first)
+    return y, (last > first if train else None)
 
 
 def maxpool1d_backward(dy: np.ndarray, second: np.ndarray,
                        input_length: int) -> np.ndarray:
-    """Routes each output gradient to its window's winning row."""
+    """Routes each output gradient to its window's winning row.
+
+    Works on the gradient's bits: each lane is ``dy`` ANDed with an
+    all-ones or all-zeros word, so a losing lane holds +0.0 and a
+    winning one ``dy`` exactly, signed zeros and NaNs included."""
     n, half, c = dy.shape
+    bits = np.dtype(f"u{dy.itemsize}")
     dx = np.zeros((n, input_length, c), dtype=dy.dtype)
-    dx[:, 0:2 * half:2] = np.where(second, 0, dy)
-    dx[:, 1:2 * half:2] = np.where(second, dy, 0)
+    to_first = second.astype(bits) - bits.type(1)  # all ones where not second
+    dx_bits, dy_bits = dx.view(bits), dy.view(bits)
+    np.bitwise_and(dy_bits, to_first, out=dx_bits[:, 0:2 * half:2])
+    np.bitwise_and(dy_bits, ~to_first, out=dx_bits[:, 1:2 * half:2])
     return dx
 
 
@@ -445,7 +483,8 @@ def _trunk(config: NetworkConfig, params: dict, X: np.ndarray,
             momentum=config.bn_momentum)
         conv = conv1d_forward(y, params[f"{prefix}.weight"],
                               params[f"{prefix}.bias"])
-        h, second = maxpool1d_forward(relu_forward(conv))
+        h, second = maxpool1d_forward(relu_forward(conv),
+                                      train=cache is not None)
         if cache is not None:
             cache.bn_updates[f"{prefix}.bn.running_mean"] = new_mean
             cache.bn_updates[f"{prefix}.bn.running_var"] = new_var

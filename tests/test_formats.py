@@ -8,12 +8,18 @@ must update the digests, and bump the version in the file header.
 """
 
 import hashlib
+import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beatnet
 from beatnet.config import Settings
 from beatnet.container import pack_str, read_framed, write_framed, \
     write_text
@@ -50,15 +56,24 @@ TRANSFER_MEAN_LOSS = [0.6932830532391866, 0.6930174215634664,
 TRANSFER_TRAIN_MCC = [0.04880953245633801, 0.7308635239791557, 0.0]
 
 # Training from scratch at the default geometry, under the same machine
-# assumption as TRANSFER_BLAKE2B (x86-64, OpenBLAS, 1 or 2 threads). It
-# pins what the transfer pin cannot: the train-mode trunk, whose
-# BatchNorm and conv reductions change their float32 sums if their
-# summation order changes, with dropout on and a short final batch.
-SCRATCH_BLAKE2B = "9fcf27d87642c814ede4751bdacb6a84"
-SCRATCH_MEAN_LOSS = [0.6803714323043824, 0.6060801847775777,
-                     0.5108699981371562]
-SCRATCH_TRAIN_MCC = [0.6756639246921762, 0.9190867733214366,
-                     0.9190867733214366]
+# assumption as TRANSFER_BLAKE2B (x86-64, OpenBLAS). It pins what the
+# transfer pin cannot: the train-mode trunk, whose BatchNorm and conv
+# reductions change their float32 sums if their summation order
+# changes, with dropout on and a short final batch. Its bytes depend on
+# the BLAS thread count: the conv weight gradient's GEMM
+# (``dy_flat.T @ _im2col(x, k)`` in ``conv1d_backward``, whose inner
+# dimension is every batch position) sums in another order on 2 OpenBLAS
+# threads than on 1. So each thread count has its own pin, and each is
+# checked in a child process that sets OPENBLAS_NUM_THREADS, since
+# OpenBLAS reads it once, when it loads.
+SCRATCH_PINS = {  # threads: (checkpoint digest, mean_loss, train_mcc)
+    1: ("5b3114c53f401f614481bbde436a6d47",
+        [0.6803714386622111, 0.6060801871617635, 0.5108700076738993],
+        [0.6756639246921762, 0.9190867733214366, 0.9190867733214366]),
+    2: ("9fcf27d87642c814ede4751bdacb6a84",
+        [0.6803714323043824, 0.6060801847775777, 0.5108699981371562],
+        [0.6756639246921762, 0.9190867733214366, 0.9190867733214366]),
+}
 
 # Eval-mode logits of 2500 rows at the default geometry, under the same
 # machine assumption. The head sees chunks of 1024 + 1024 + 452 rows,
@@ -133,18 +148,38 @@ def test_transfer_result_pinned(tmp_path):
     assert history.train_mcc == TRANSFER_TRAIN_MCC
 
 
+SCRATCH_TRAIN = """
+import json, sys
+from beatnet.config import Settings
+from beatnet.nn import NetworkConfig
+from beatnet.segments import TRAIN, build_labeled_dataset
+from beatnet.synthetic import make_synthetic_records
+from beatnet.train import save_checkpoint, train
+
+# the transfer pin's target: 9 batches of 16, then a short one of 6
+records = make_synthetic_records(n_subjects=3, seed=5)
+target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
+                               {r.subject_id for r in records})
+params, history = train(target, Settings(
+    epochs=3, batch_size=16, lr=0.1, seed=7))
+save_checkpoint(params, NetworkConfig(), sys.argv[1])
+print(json.dumps([history.mean_loss, history.train_mcc]))
+"""
+
+
 def test_scratch_train_pinned(tmp_path):
-    # the transfer pin's target: 9 batches of 16, then a short one of 6
-    records = make_synthetic_records(n_subjects=3, seed=5)
-    target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
-                                   {r.subject_id for r in records})
-    params, history = train(target, Settings(
-        epochs=3, batch_size=16, lr=0.1, seed=7))
-    path = tmp_path / "scratch.hbdl"
-    save_checkpoint(params, NetworkConfig(), path)
-    assert file_digest(path) == SCRATCH_BLAKE2B
-    assert history.mean_loss == SCRATCH_MEAN_LOSS
-    assert history.train_mcc == SCRATCH_TRAIN_MCC
+    src = Path(beatnet.__file__).resolve().parents[1]
+    for threads, pin in SCRATCH_PINS.items():
+        path = tmp_path / f"scratch-{threads}.hbdl"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", SCRATCH_TRAIN, str(path)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        mean_loss, train_mcc = json.loads(done.stdout)
+        assert (file_digest(path), mean_loss, train_mcc) == pin, threads
 
 
 def test_predict_logits_pinned():

@@ -3,7 +3,8 @@ arbitrary text the manifest, CSV and INI readers. The only error bytes,
 manifests and CSV records may raise is DataError; an INI file may raise
 only UsageError. NumPy warnings count as failures too, as everywhere
 in the suite. Records at any rate from 8 Hz up are windowed to the
-same bytes as the per-window oracle gives.
+same bytes as the per-window oracle gives, and max-pool routes values
+and gradients as its argmax oracle does, bit for bit.
 
 Runs are derandomized, so every run draws the same examples.
 """
@@ -13,7 +14,7 @@ import pytest
 
 from beatnet.config import Settings, load_settings, render_snapshot
 from beatnet.errors import DataError, UsageError
-from beatnet.nn import init_params
+from beatnet.nn import init_params, maxpool1d_backward, maxpool1d_forward
 from beatnet.records import CsvSchema, EcgRecord, ingest_csv, \
     parse_manifest
 from beatnet.segments import build_labeled_dataset, load_cache, \
@@ -23,10 +24,12 @@ from beatnet.train import load_checkpoint, save_checkpoint
 from beatnet.wfdb_io import decode_signal, parse_annotations, parse_header
 
 from gradcheck import SMALL_NET
-from helpers import ref_segment_arrays, reframe
+from helpers import channels_last, ref_maxpool1d_backward, \
+    ref_maxpool1d_forward, ref_segment_arrays, reframe
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
+hnp = pytest.importorskip("hypothesis.extra.numpy")
 example, given, settings = (hypothesis.example, hypothesis.given,
                             hypothesis.settings)
 
@@ -276,3 +279,32 @@ def test_segment_arrays_matches_per_window_oracle(record, max_duration):
     X_ref, y_ref = ref_segment_arrays(record, max_duration)
     assert X.shape == X_ref.shape
     assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+
+
+@st.composite
+def pool_inputs(draw):
+    """(x, dy) for max-pool: (n, L, C) lanes from a small value set, so
+    windows tie often (signed zeros, equal pairs, infinities), and a
+    gradient with signed zeros and negatives; no NaN, whose routing the
+    argmax oracle does not share (see maxpool1d_forward)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, length, c = (draw(st.integers(1, hi)) for hi in (3, 9, 9))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf,
+                                       -np.inf]),
+                      st.floats(allow_nan=False, width=32))
+    x = draw(hnp.arrays(dtype, (n, length, c), elements=value))
+    dy = draw(hnp.arrays(dtype, (n, length // 2, c), elements=value))
+    return x, dy
+
+
+@FUZZ
+@given(pool_inputs())
+def test_maxpool_matches_argmax_oracle(case):
+    x, dy = case
+    y, second = maxpool1d_forward(x)
+    ref_y, ref_idx = ref_maxpool1d_forward(x.transpose(0, 2, 1))
+    assert y.tobytes() == channels_last(ref_y).tobytes()
+    assert (second == (channels_last(ref_idx) == 1)).all()
+    dx = maxpool1d_backward(dy, second, x.shape[1])
+    ref_dx = ref_maxpool1d_backward(channels_last(dy), ref_idx, x.shape[1])
+    assert dx.tobytes() == channels_last(ref_dx).tobytes()

@@ -313,6 +313,100 @@ def test_maxpool_matches_channels_first_kernels(rows, block):
                                                            length)))
 
 
+
+# --- the memory-bound kernels at their edges, bit for bit ---
+
+# every ordered pair of these lanes: +-0 ties both ways, equal pairs,
+# infinities and negatives
+POOL_LANES = (-0.0, 0.0, -1.5, 1.5, 2.0, -np.inf, np.inf)
+
+
+def pool_case(dtype, c: int, odd: bool):
+    """(x, dy): every ordered lane pair in some window and channel, and
+    a gradient with negative values and signed zeros."""
+    pairs = np.array([(a, b) for a in POOL_LANES for b in POOL_LANES])
+    rng = np.random.default_rng(c)
+    windows = np.concatenate([pairs] * c)[rng.permutation(len(pairs) * c)]
+    x = windows.reshape(1, c, -1).transpose(0, 2, 1)  # windows run along L
+    if odd:
+        x = np.concatenate([x, np.full((1, 1, c), 9.0)], axis=1)
+    x = np.ascontiguousarray(x.reshape(1, -1, c), dtype=dtype)
+    dy = rng.choice([-2.5, -0.0, 0.0, 1.25], size=(1, len(pairs), c))
+    return x, dy.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [1, 8])
+@pytest.mark.parametrize("odd", [False, True])
+def test_maxpool_ties_and_signed_zeros_match_oracle(dtype, c, odd):
+    x, dy = pool_case(dtype, c, odd)
+    length = x.shape[1]
+    y, second = maxpool1d_forward(x)
+    ref_y, ref_idx = ref_maxpool1d_forward(x.transpose(0, 2, 1))
+    assert_same_bytes(y, channels_last(ref_y))
+    np.testing.assert_array_equal(second, channels_last(ref_idx) == 1)
+    eval_y, no_mask = maxpool1d_forward(x, train=False)
+    assert no_mask is None
+    assert_same_bytes(eval_y, y)
+    assert_same_bytes(maxpool1d_backward(dy, second, length),
+                      channels_last(ref_maxpool1d_backward(
+                          channels_last(dy), ref_idx, length)))
+
+
+def test_maxpool_of_a_transposed_gradient():
+    # the flatten's inverse hands the last pool a non-contiguous gradient
+    x, dy = pool_case(np.float32, 8, True)
+    _, second = maxpool1d_forward(x)
+    strided = channels_last(dy).transpose(0, 2, 1)
+    assert not strided.flags.c_contiguous
+    assert_same_bytes(maxpool1d_backward(strided, second, x.shape[1]),
+                      maxpool1d_backward(dy, second, x.shape[1]))
+
+
+def test_maxpool_propagates_nan_and_routes_its_gradient_first():
+    nan = np.nan
+    x = column(nan, 1.0, 1.0, nan, nan, nan, -0.0, nan)
+    y, second = maxpool1d_forward(x)
+    assert np.isnan(y).all()  # np.where(last > first, ...) kept 1.0, -0.0
+    assert not second.any()   # no compare with NaN is true
+    dx = maxpool1d_backward(column(1.0, 2.0, 3.0, 4.0), second, 8)
+    np.testing.assert_array_equal(
+        dx, column(1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0))
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("c", [1, 8, 64])
+def test_batchnorm_channel_counts_match_channels_first_kernels(c, train):
+    rng = np.random.default_rng(30 + c)
+    x = 2.0 * draw(rng, (5, c, 7)) + 1.0
+    gamma, beta, running_mean = (draw(rng, c) for _ in range(3))
+    running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    y, cache, new_mean, new_var = batchnorm1d_forward(
+        channels_last(x), gamma, beta, running_mean, running_var, train)
+    ref_y, ref_cache, ref_mean, ref_var = ref_batchnorm1d_forward(
+        x, gamma, beta, running_mean, running_var, train)
+    assert_same_bytes(y, channels_last(ref_y))
+    assert_same_bytes(cache[0], channels_last(ref_cache[0]))
+    assert_same_bytes(new_mean, ref_mean)
+    assert_same_bytes(new_var, ref_var)
+    dy = draw(rng, (5, 7, c))
+    grads = batchnorm1d_backward(dy, cache)
+    ref_grads = ref_batchnorm1d_backward(dy.transpose(0, 2, 1), ref_cache)
+    assert_same_bytes(grads[0], channels_last(ref_grads[0]))
+    for grad, ref_grad in zip(grads[1:], ref_grads[1:]):
+        assert_same_bytes(grad, ref_grad)
+
+
+@pytest.mark.parametrize("c_in", [1, 3])
+def test_conv_bias_of_one_output_channel_matches_oracle(c_in):
+    rng = np.random.default_rng(40 + c_in)
+    x = draw(rng, (4, c_in, 9))
+    w = draw(rng, (1, c_in, 3))
+    b = draw(rng, 1)
+    assert_same_bytes(conv1d_forward(channels_last(x), w, b),
+                      channels_last(ref_conv1d_forward(x, w, b)))
+
+
 # --- dropout ---
 
 
