@@ -32,7 +32,7 @@ from .segments import (
     save_cache,
     split_subjects,
 )
-from .train import load_checkpoint, save_checkpoint, transfer
+from .train import load_checkpoint, save_checkpoint
 from .wfdb_io import (
     BeatAnnotations,
     WfdbHeader,
@@ -53,6 +53,5 @@ __all__ = [
     "forward", "ingest_csv", "init_params", "label_window", "load_cache",
     "load_checkpoint", "mcc", "parse_annotations", "parse_header",
     "precision_sensitivity_f1", "resample_linear", "save_cache",
-    "save_checkpoint", "split_subjects", "transfer",
-    "weighted_cross_entropy",
+    "save_checkpoint", "split_subjects", "weighted_cross_entropy",
 ]

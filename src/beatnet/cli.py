@@ -19,6 +19,7 @@ from pathlib import Path
 from .config import Settings, load_settings
 from .errors import DataError, NumericError, UsageError
 from .experiments import (
+    SOURCE_SUBSET,
     build_synthetic_caches,
     evaluate_dataset,
     load_cache_checked,
@@ -26,6 +27,7 @@ from .experiments import (
     run_experiment,
     run_ingest,
     write_reports,
+    write_snapshot,
     write_summary,
     write_trained,
 )
@@ -70,7 +72,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train from scratch on one cache")
     p.add_argument("--caches", required=True, help="cache directory")
-    p.add_argument("--subset", default="NormalSinus+LongTerm")
+    p.add_argument("--subset", default=SOURCE_SUBSET)
     p.add_argument("--partition", default=TRAIN, choices=PARTITIONS)
     p.add_argument("--out", required=True)
     add_common(p)
@@ -152,6 +154,7 @@ def _train_like(args) -> None:
     make_out_dir(args.out)  # inputs checked, nothing trained yet
     params, history = train(dataset, settings, init=init)
     write_trained(args.out, params, history, settings)
+    write_snapshot(args.out, settings)
     final = history.train_mcc[-1] if len(history) else float("nan")
     print(f"trained {settings.epochs} epochs on {len(dataset)} segments "
           f"(final train MCC {final:.3f}); checkpoint in {args.out}")

@@ -10,12 +10,13 @@ training run's last scoring pass instead of a second network pass.
 
 Experiments and the single-stage CLI commands write their run
 directories only through :func:`write_trained` (checkpoint, training
-log, config snapshot) and :func:`write_reports` (reports as CSV + JSON,
-an SVG chart). An experiment adds a run_info.json with content hashes
-of the caches and checkpoints used (no timestamps, so reruns are
-byte-comparable). Training logs include wall-clock times and are the
-one deliberately non-reproducible file. A run checks its inputs before
-it creates its directory, so a refused run leaves none behind.
+log), :func:`write_snapshot` (the config snapshot, once per run) and
+:func:`write_reports` (reports as CSV + JSON, an SVG chart). An
+experiment adds a run_info.json with content hashes of the caches and
+checkpoints used (no timestamps, so reruns are byte-comparable).
+Training logs include wall-clock times and are the one deliberately
+non-reproducible file. A run checks its inputs before it creates its
+directory, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -75,15 +76,18 @@ def make_out_dir(path) -> Path:
 
 def write_trained(out_dir, params: dict, history: TrainHistory,
                   settings: Settings, suffix: str = "") -> Path:
-    """Write a trained model into ``out_dir``: checkpoint{suffix}.hbdl,
-    train_log{suffix}.csv and the snapshot of the settings it trained
-    with. Returns the checkpoint's path."""
+    """Write a trained model into ``out_dir``: checkpoint{suffix}.hbdl
+    and train_log{suffix}.csv. Returns the checkpoint's path."""
     out_dir = make_out_dir(out_dir)
     checkpoint = out_dir / f"checkpoint{suffix}.hbdl"
     save_checkpoint(params, settings.network_config(), checkpoint)
     write_text(out_dir / f"train_log{suffix}.csv", history.to_csv())
-    write_text(out_dir / CONFIG_SNAPSHOT, render_snapshot(settings))
     return checkpoint
+
+
+def write_snapshot(out_dir, settings: Settings) -> None:
+    """Write the config.ini snapshot of a run's ``settings``, once."""
+    write_text(Path(out_dir) / CONFIG_SNAPSHOT, render_snapshot(settings))
 
 
 def write_reports(out_dir, reports: list[EvalReport], title: str) -> None:
@@ -269,7 +273,7 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
 
     write_reports(out_dir, reports,
                   f"Experiment {experiment_id}: MCC with 90% CIs")
-    write_text(out_dir / CONFIG_SNAPSHOT, render_snapshot(settings))
+    write_snapshot(out_dir, settings)
     info = {
         "experiment": experiment_id,
         "seed": settings.seed,

@@ -11,10 +11,10 @@ arrays keyed by layer name, and no forward or backward call mutates
 them. BatchNorm's train-mode forward returns candidate running-stat
 updates; committing them is the trainer's job. Only a train-mode pass
 records the intermediates :func:`backward` needs; an eval-mode pass
-keeps none. :func:`forward` runs the trunk (the conv blocks and the
-flatten) and the head (Dropout onward) together; :func:`trunk_features` and
-:func:`forward_head` run them apart, which lets a frozen trunk's
-features be computed once and reused.
+keeps none. :func:`trunk_features` is the trunk (the conv blocks and
+the flatten): train mode given a cache, eval mode in ``TRUNK_ROWS``-row
+blocks without one. :func:`forward` runs it and the head (Dropout
+onward, :func:`forward_head`) together.
 
 Unconventional but deliberate: BatchNorm comes before the convolution
 inside each block, and there is no ReLU after the final FC layer.
@@ -43,10 +43,10 @@ takes ``np.maximum`` of its two lanes and builds its bool mask only
 when a train-mode pass records a backward cache; its backward routes
 the gradient with bit masks rather than ``np.where``.
 
-Blocking: an eval-mode trunk, :func:`trunk_features` included, runs
-over its whole input in blocks of ``TRUNK_ROWS`` rows (the training
-batch size), so that a block's conv intermediates stay in a 2 MiB L2
-cache rather than spilling tens of MiB (Goto & van de Geijn 2008).
+Blocking: an eval-mode :func:`trunk_features` runs over its whole
+input in blocks of ``TRUNK_ROWS`` rows (the training batch size), so
+that a block's conv intermediates stay in a 2 MiB L2 cache rather than
+spilling tens of MiB (Goto & van de Geijn 2008).
 :func:`predict_logits` runs the network in chunks of
 ``EVAL_BATCH_ROWS`` rows. A trunk row gives the same bytes in a block
 of any size; fc0's GEMM does not (its float32 logits at 1024 rows
@@ -457,20 +457,21 @@ class ForwardCache:
     bn_updates: dict = field(default_factory=dict)
 
 
-def _trunk(config: NetworkConfig, params: dict, X: np.ndarray,
-           cache: ForwardCache | None = None) -> np.ndarray:
+def trunk_features(config: NetworkConfig, params: dict, X: np.ndarray,
+                   cache: ForwardCache | None = None) -> np.ndarray:
     """The four conv blocks on (n, input_length) rows; returns their
     flattened (n, flatten_width) output. Given a ``cache``, runs in
     train mode and appends its intermediates (the flatten last) and BN
     updates to it; without one, runs in eval mode, keeps no
-    intermediates and works in blocks of ``TRUNK_ROWS`` rows (see the
-    module docstring)."""
+    intermediates and works in blocks of ``TRUNK_ROWS`` rows. Eval mode
+    makes each row's features independent of the rest of its batch, so
+    a frozen trunk's can be computed once and reused."""
     if X.ndim != 2 or X.shape[1] != config.input_length:
         raise DataError(
             f"expected (n, {config.input_length}) input, got {X.shape}")
     if cache is None and len(X) > TRUNK_ROWS:
         return np.concatenate([
-            _trunk(config, params, X[start:start + TRUNK_ROWS])
+            trunk_features(config, params, X[start:start + TRUNK_ROWS])
             for start in range(0, len(X), TRUNK_ROWS)])
     h = X.reshape(len(X), config.input_length, 1)  # one channel: no copy
     for b in range(len(config.conv_blocks)):
@@ -512,23 +513,11 @@ def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
     mode it is None. No parameter is mutated here.
     """
     cache = ForwardCache() if train else None
-    features = _trunk(config, params, batch, cache)
+    features = trunk_features(config, params, batch, cache)
     logits, head = forward_head(config, params, features, train, rng)
     if train:
         cache.layers += head.layers
     return logits, cache
-
-
-def trunk_features(config: NetworkConfig, params: dict,
-                   X: np.ndarray) -> np.ndarray:
-    """Eval-mode trunk output, (n, flatten_width), for (n, input_length)
-    rows, computed in blocks of ``TRUNK_ROWS`` rows.
-
-    The input of :func:`forward_head` when the trunk is frozen: eval
-    mode makes each row's features independent of the rest of its
-    batch, so they can be computed once and reused.
-    """
-    return _trunk(config, params, X)
 
 
 def forward_head(config: NetworkConfig, params: dict, features: np.ndarray,

@@ -79,30 +79,15 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def _copy_params(init: dict, config: NetworkConfig) -> dict:
-    """Validate an initial parameter dict against the config and copy it."""
-    layout = param_layout(config)
-    missing = [name for name, _ in layout if name not in init]
-    if missing:
-        raise DataError(f"initial parameters missing {missing}")
-    extra = set(init) - {name for name, _ in layout}
-    if extra:
-        raise DataError(f"initial parameters have unknown keys "
-                        f"{sorted(extra)}")
-    out = {}
-    for name, shape in layout:
-        arr = np.asarray(init[name], dtype=np.float32)
-        if arr.shape != shape:
-            raise DataError(f"{name}: shape {arr.shape}, config wants "
-                            f"{shape}")
-        out[name] = arr.copy()
-    return out
-
-
 def train(dataset: LabeledDataset, settings: Settings,
           init: dict | None = None) -> tuple[dict, TrainHistory]:
     """Train from scratch, or fine-tune the FC head of ``init`` with its
     trunk frozen, on one dataset.
+
+    ``init`` is a checkpoint's parameters, already checked against
+    ``settings`` by :func:`load_checkpoint` and :func:`check_architecture`.
+    They are copied, not checked again: ``init`` is never written to, and
+    no returned array shares memory with it.
 
     Returns the final parameters and the per-epoch history. The same
     (dataset, settings, init) always produces bitwise-identical results.
@@ -114,7 +99,7 @@ def train(dataset: LabeledDataset, settings: Settings,
     weights = ClassWeights(settings.w_nobeat, settings.w_beat)
     rng = np.random.default_rng(settings.seed)
     if init is not None:
-        params = _copy_params(init, network)
+        params = {name: arr.copy() for name, arr in init.items()}
         inputs = trunk_features(network, params, dataset.X)
         step = forward_head
     else:
@@ -151,18 +136,6 @@ def train(dataset: LabeledDataset, settings: Settings,
         history.train_mcc.append(mcc_from_labels(history.predictions, y))
         history.seconds.append(time.perf_counter() - started)
     return params, history
-
-
-def transfer(checkpoint_path, dataset: LabeledDataset,
-             settings: Settings) -> tuple[dict, TrainHistory]:
-    """Fine-tune a saved model's FC head on a new dataset, its conv
-    trunk frozen.
-
-    The checkpoint's architecture must equal ``settings.network_config()``.
-    """
-    params, net_config = load_checkpoint(checkpoint_path)
-    check_architecture(checkpoint_path, net_config, settings)
-    return train(dataset, settings, init=params)
 
 
 def check_architecture(checkpoint_path, net_config: NetworkConfig,

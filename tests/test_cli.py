@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beatnet import errors
+from beatnet import errors, experiments
 from beatnet.cli import main
 from beatnet.config import Settings, load_settings, parse_fraction, \
     render_snapshot
@@ -359,10 +359,19 @@ def test_ingest_error_names_the_record_once(tmp_path, monkeypatch, capsys):
 # --- experiment protocol ---
 
 
-def test_experiment_pipeline(tmp_path):
+def test_experiment_pipeline(tmp_path, monkeypatch):
     cfg = fast_config(tmp_path)
     caches = build_caches(tmp_path)
     runs = tmp_path / "runs"
+    snapshots = []  # the directory of each config.ini write
+    write_text = experiments.write_text
+
+    def spy(path, text):
+        if Path(path).name == "config.ini":
+            snapshots.append(Path(path).parent)
+        write_text(path, text)
+
+    monkeypatch.setattr(experiments, "write_text", spy)
 
     out1 = runs / "exp1"
     assert main(["experiment", "--id", "1", "--caches", str(caches),
@@ -410,6 +419,9 @@ def test_experiment_pipeline(tmp_path):
                  "--out", str(tuned), "--config", cfg]) == 0
     assert ((tuned / "checkpoint.hbdl").read_bytes()
             == (out3 / "checkpoint_arrhythmia.hbdl").read_bytes())
+    # each run, an experiment with any number of targets included,
+    # writes its snapshot once
+    assert snapshots == [out1, out2, out3, single, tuned]
 
     # experiments 2 and 3 score the same Test segments
     test2 = {r.subset_name: r.n_segments for r in reports2}
@@ -631,16 +643,17 @@ def test_data_errors_exit_2(tmp_path, capsys):
         at = payload.index(b'"dropout_p": 0.5')
         payload[at:at + 16] = b'"dropout_p": 1.5'
 
-    # experiment 2 on a checkpoint of another architecture than the
-    # configured one evaluates nothing
+    # experiments 2 and 3 and transfer on a checkpoint of another
+    # architecture than the configured one train and evaluate nothing
     narrow = tmp_path / "narrow.ini"
     narrow.write_text("[network]\nconv_channels = 4,8,8,8\n"
                       "fc_sizes = 16,8,2\n")
     targets = tmp_path / "targets"
     assert main(["build-dataset", "--out", str(targets), "--subjects", "2",
                  "--tags", "Arrhythmia"]) == 0
-    for experiment in ("2", "3"):
-        assert main(["experiment", "--id", experiment,
+    for command in (["experiment", "--id", "2"], ["experiment", "--id", "3"],
+                    ["transfer", "--subset", "Arrhythmia"]):
+        assert main([*command,
                      "--caches", str(targets), "--out", str(tmp_path / "o9"),
                      "--config", str(narrow), "--checkpoint", str(good)]) == 2
         err = capsys.readouterr().err

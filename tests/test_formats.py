@@ -36,8 +36,8 @@ from beatnet.segments import (
     segment_arrays,
 )
 from beatnet.synthetic import make_synthetic_records
-from beatnet.train import load_checkpoint, save_checkpoint, train, \
-    transfer
+from beatnet.train import check_architecture, load_checkpoint, \
+    save_checkpoint, train
 
 from gradcheck import SMALL_NET
 from helpers import reframe
@@ -139,8 +139,10 @@ def test_transfer_result_pinned(tmp_path):
     target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
                                    {r.subject_id for r in records})
     assert len(target) == 150  # 9 batches of 16, then a short one of 6
-    params, history = transfer(source, target, Settings(
-        epochs=3, batch_size=16, lr=0.1, seed=3))
+    settings = Settings(epochs=3, batch_size=16, lr=0.1, seed=3)
+    init, net = load_checkpoint(source)
+    check_architecture(source, net, settings)
+    params, history = train(target, settings, init=init)
     path = tmp_path / "head.hbdl"
     save_checkpoint(params, NetworkConfig(), path)
     assert file_digest(path) == TRANSFER_BLAKE2B

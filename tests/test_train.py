@@ -19,10 +19,10 @@ from beatnet.segments import TRAIN, build_labeled_dataset, build_subsets
 from beatnet.synthetic import make_synthetic_records
 from beatnet.train import (
     TrainHistory,
+    check_architecture,
     load_checkpoint,
     save_checkpoint,
     train,
-    transfer,
 )
 
 from helpers import BAD_GEOMETRY, edit_checkpoint_header
@@ -153,13 +153,28 @@ def test_transfer_freezes_trunk_and_matches_checkpoint_arch(tmp_path):
     save_checkpoint(base_params, SMALL_NET, ckpt)
 
     target = small_dataset(seed=5)
-    tuned, history = transfer(ckpt, target, base_cfg)
+    init, net_config = load_checkpoint(ckpt)
+    check_architecture(ckpt, net_config, base_cfg)
+    tuned, history = train(target, base_cfg, init=init)
     assert len(history) == 2
     for key in CONV_KEYS:
         assert tuned[key].tobytes() == base_params[key].tobytes(), key
 
     with pytest.raises(DataError, match="checkpoint architecture .* differs"):
-        transfer(ckpt, target, small(epochs=1, fc_sizes=(8, 4, 2)))
+        check_architecture(ckpt, net_config,
+                           small(epochs=1, fc_sizes=(8, 4, 2)))
+
+
+def test_train_owns_its_parameters():
+    # a head-only run copies init: it writes none of init's arrays and
+    # returns none that share memory with them
+    init = init_params(SMALL_NET, np.random.default_rng(8))
+    before = {key: arr.tobytes() for key, arr in init.items()}
+    params, history = train(small_dataset(seed=3), small(epochs=1), init=init)
+    assert len(history) == 1
+    assert {key: arr.tobytes() for key, arr in init.items()} == before
+    assert not [key for key in params
+                if np.shares_memory(params[key], init[key])]
 
 
 def test_transfer_zero_epochs_reproduces_checkpoint(tmp_path):
@@ -167,7 +182,9 @@ def test_transfer_zero_epochs_reproduces_checkpoint(tmp_path):
     params, _ = train(ds, small(epochs=1, batch_size=32))
     ckpt = tmp_path / "m.hbdl"
     save_checkpoint(params, SMALL_NET, ckpt)
-    back, history = transfer(ckpt, ds, small(epochs=0))
+    init, net_config = load_checkpoint(ckpt)
+    check_architecture(ckpt, net_config, small(epochs=0))
+    back, history = train(ds, small(epochs=0), init=init)
     assert len(history) == 0
     assert params_equal(back, params)
 
