@@ -13,6 +13,9 @@ CSV record::
     record=w01 subject=p01 tag=BaselineFlexComp csv=wcs/p01.csv fs=256 \
         value_col=ecg marker_col=beat header=true
 
+A line takes ``record``, ``subject``, ``tag`` and the keys of its own
+kind; an unknown key, or a key of the other kind, is refused.
+
 Relative paths resolve against the manifest's directory, or against the
 ``BEATNET_DATA_ROOT`` environment variable when it is set.
 """
@@ -232,6 +235,14 @@ _CSV_KEYS = {"csv", "fs", "value_col", "time_col", "marker_col", "beats",
 _COMMON_KEYS = {"record", "subject", "tag"}
 
 
+def _refuse_keys(kv: dict, keys: set, line_no: int, kind: str) -> None:
+    """Refuse a line's keys that belong to the other record kind."""
+    foreign = sorted(keys & set(kv))
+    if foreign:
+        raise DataError(
+            f"line {line_no}: {kind} record does not take keys {foreign}")
+
+
 def parse_manifest(text: str) -> list[RecordSource]:
     """Parse manifest text into record sources (no file access)."""
     sources = []
@@ -271,6 +282,7 @@ def parse_manifest(text: str) -> list[RecordSource]:
                     f"line {line_no}: record is both WFDB (hea=) and CSV (csv=)")
             if "ann" not in kv:
                 raise DataError(f"line {line_no}: WFDB record needs ann=")
+            _refuse_keys(kv, _CSV_KEYS, line_no, "WFDB")
             try:
                 channel = int(kv.get("channel", "0"))
             except ValueError:
@@ -283,6 +295,7 @@ def parse_manifest(text: str) -> list[RecordSource]:
             if "fs" not in kv or "value_col" not in kv:
                 raise DataError(
                     f"line {line_no}: CSV record needs fs= and value_col=")
+            _refuse_keys(kv, _WFDB_KEYS, line_no, "CSV")
             try:
                 fs = float(kv["fs"])
             except ValueError:

@@ -14,7 +14,9 @@ block gathers its samples and evaluates ``np.interp``'s own formula on
 them at once. The result is bit-equal to ``np.interp`` run per window.
 
 Subjects are partitioned before segments are pooled, so no subject
-contributes windows to both Train and Test of the same subset.
+contributes windows to both Train and Test of the same subset. A
+partition's columns are sized once from ``window_count`` of its records,
+and each record's windows are copied into its own rows.
 """
 
 from __future__ import annotations
@@ -243,26 +245,20 @@ def build_labeled_dataset(records: list[EcgRecord], subset_name: str,
     subjects = frozenset(subjects)
     chosen = [r for r in records if r.subject_id in subjects]
     table = tuple((r.record_id, r.subject_id) for r in chosen)
-    xs, ys, recs, wins = [], [], [], []
+    counts = np.array([window_count(r.duration, max_duration) for r in chosen],
+                      dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    n = int(counts.sum())
+    X = np.empty((n, SEGMENT_LENGTH), dtype=np.float32)
+    y = np.empty(n, dtype=np.uint8)
     for k, rec in enumerate(chosen):
+        rows = slice(starts[k], starts[k] + counts[k])
         try:
-            X, y = segment_arrays(rec, max_duration=max_duration)
+            X[rows], y[rows] = segment_arrays(rec, max_duration=max_duration)
         except DataError as exc:
             raise DataError(f"record {rec.record_id!r}: {exc}") from exc
-        xs.append(X)
-        ys.append(y)
-        recs.append(np.full(y.size, k, dtype=np.uint32))
-        wins.append(np.arange(y.size, dtype=np.uint32))
-    if xs:
-        X = np.concatenate(xs)
-        y = np.concatenate(ys)
-        record_index = np.concatenate(recs)
-        window_index = np.concatenate(wins)
-    else:
-        X = np.empty((0, SEGMENT_LENGTH), dtype=np.float32)
-        y = np.empty(0, dtype=np.uint8)
-        record_index = np.empty(0, dtype=np.uint32)
-        window_index = np.empty(0, dtype=np.uint32)
+    record_index = np.repeat(np.arange(len(chosen), dtype=np.uint32), counts)
+    window_index = (np.arange(n) - np.repeat(starts, counts)).astype(np.uint32)
     return LabeledDataset(subset_name, partition, X, y, record_index,
                           window_index, table, subjects)
 

@@ -3,8 +3,8 @@ signal files (formats 212 and 16) and MIT-format binary annotation files.
 
 Only single-segment records are supported, and only signal formats 212
 (two 12-bit two's-complement samples packed into three bytes) and 16
-(little-endian 16-bit two's complement). Everything else is rejected
-loudly rather than decoded approximately.
+(little-endian 16-bit two's complement), in millivolts or microvolts.
+Everything else is rejected loudly rather than decoded approximately.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ SUPPORTED_FORMATS = (212, 16)
 # WFDB default gain (ADC units per millivolt) used when a header stores 0
 # or omits the gain field entirely.
 DEFAULT_GAIN = 200.0
+
+# Signal units decoded to millivolts: how many of each make one mV.
+UNITS_PER_MV = {"mV": 1, "uV": 1000}
 
 # Annotation code numbers for the standard mnemonics (annot.c table).
 SYMBOL_TO_CODE = {
@@ -48,7 +51,7 @@ class SignalSpec:
 
     file_name: str
     format_code: int
-    gain: float        # ADC units per millivolt
+    gain: float        # ADC units per one of ``units``
     baseline: int      # ADC value corresponding to 0 mV
     units: str
     description: str
@@ -254,12 +257,19 @@ def decode_signal(raw_bytes: bytes, header: WfdbHeader, channel: int) -> np.ndar
     ``raw_bytes`` is the content of the .dat file named by the channel's
     signal line. Samples of all signals sharing that file are interleaved
     sample-by-sample; the output is ``(adc - baseline) / gain`` as float32,
-    with exactly ``header.n_samples`` values.
+    with exactly ``header.n_samples`` values. A ``uV`` signal's gain is
+    per microvolt, so it is divided by ``gain * 1000``; a channel in any
+    unit other than ``mV`` or ``uV`` is refused.
     """
     if not 0 <= channel < header.n_signals:
         raise DataError(
             f"channel {channel} not in record with {header.n_signals} signals")
     spec = header.signals[channel]
+    per_mv = UNITS_PER_MV.get(spec.units)
+    if per_mv is None:
+        raise DataError(
+            f"signal file {spec.file_name}: units {spec.units!r} not "
+            f"supported (expected one of {tuple(UNITS_PER_MV)})")
     group = [i for i, s in enumerate(header.signals)
              if s.file_name == spec.file_name]
     n_group = len(group)
@@ -280,7 +290,7 @@ def decode_signal(raw_bytes: bytes, header: WfdbHeader, channel: int) -> np.ndar
 
     adc_ch = adc[pos::n_group]
     mv = (adc_ch - np.int32(spec.baseline)).astype(np.float32)
-    mv /= np.float32(spec.gain)
+    mv /= np.float32(spec.gain * per_mv)
     return mv
 
 

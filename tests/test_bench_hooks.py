@@ -17,6 +17,7 @@ import pytest
 
 import beatnet.experiments
 import beatnet.nn
+import beatnet.segments
 import beatnet.train
 from beatnet.config import Settings
 from beatnet.nn import EVAL_BATCH_ROWS, init_params
@@ -168,6 +169,24 @@ def test_experiment3_reads_the_checkpoint_once(workloads, monkeypatch,
         assert count(args, kwargs, result)["segments"] == (
             SMALL.epochs * len(expected))
     assert subsets == ["Arrhythmia", "BaselineFlexComp"]
+
+
+def test_partition_windows_each_record_through_segment_arrays(workloads,
+                                                              monkeypatch):
+    # segments.segment_arrays.windows_per_s and wfdb_io.useful_sample_ratio
+    # count the windows of these calls: one per chosen record
+    records = make_synthetic_records(n_subjects=4, seed=2)
+    chosen = records[1:]
+    calls = spy(monkeypatch, beatnet.segments, "segment_arrays")
+    ds = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
+                               {r.subject_id for r in chosen})
+    assert len(calls) == len(chosen)
+    assert all(args[0] is rec for (args, _, _), rec in zip(calls, chosen))
+    count = next(t.count for t in workloads.TRACE_TARGETS
+                 if (t.module, t.attr) == ("beatnet.segments",
+                                           "segment_arrays"))
+    assert sum(count(args, kwargs, result)["windows"]
+               for args, kwargs, result in calls) == len(ds) > 0
 
 
 def test_head_only_train_scores_each_epoch_with_predict_logits(monkeypatch,

@@ -356,6 +356,22 @@ def test_ingest_error_names_the_record_once(tmp_path, monkeypatch, capsys):
         assert err.count(record_id) == 1, err
 
 
+def test_ingest_refuses_unknown_signal_units(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("BEATNET_DATA_ROOT", raising=False)
+    write_wfdb_record(tmp_path, "r1", 250.0, [[0] * 500], units="mmHg",
+                      annotation_bytes=simple_annotation_stream([]))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("record=r1 subject=s tag=Arrhythmia hea=r1.hea "
+                        "ann=r1.atr\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--manifest", str(manifest),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("data error: record 'r1': signal file r1.dat: units 'mmHg' "
+            "not supported") in err
+    assert not out.exists()
+
+
 # --- experiment protocol ---
 
 

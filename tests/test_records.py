@@ -221,6 +221,12 @@ BAD_MANIFEST_LINES = {
         "unknown tag 'Nope'",
     "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr extra=1":
         r"unknown keys \['extra'\]",
+    "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr fs=500 "
+    "value_col=3":
+        r"WFDB record does not take keys \['fs', 'value_col'\]",
+    "record=1 subject=1 tag=Arrhythmia csv=a.csv fs=1 value_col=0 "
+    "channel=1 ann=x.atr":
+        r"CSV record does not take keys \['ann', 'channel'\]",
     "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr channel=x":
         "channel must be an integer",
     "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr csv=a.csv fs=1 "

@@ -262,6 +262,28 @@ def test_segment_arrays_memory_is_bounded():
     assert peak < X.nbytes + y.nbytes + 12 * 2**20
 
 
+def test_build_labeled_dataset_memory_is_bounded():
+    # four hours at 360 Hz: the partition's columns plus one record's
+    # windows from segment_arrays, not every record's windows twice
+    fs = 360.0
+    rng = np.random.default_rng(4)
+    records = [EcgRecord(f"r{k}", f"s{k}", "Arrhythmia", fs,
+                         rng.normal(size=int(3600 * fs)).astype(np.float32),
+                         np.arange(100 + k, int(3600 * fs), 300,
+                                   dtype=np.int64))
+               for k in range(4)]
+    tracemalloc.start()
+    try:
+        ds = build_labeled_dataset(records, "Arrhythmia", TRAIN,
+                                   {r.subject_id for r in records})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.X.shape == (4 * 14400, SEGMENT_LENGTH)
+    one_record = 14400 * (SEGMENT_LENGTH * 4 + 1)
+    assert peak < ds.X.nbytes + ds.y.nbytes + one_record + 12 * 2**20
+
+
 # --- subject splitting ---
 
 
@@ -451,6 +473,28 @@ def test_dataset_columns_locate_windows():
         assert ds.X[rows].tobytes() == X.tobytes()
         start += len(y)
     assert start == len(ds)
+
+
+def test_dataset_columns_around_a_zero_window_record():
+    # 50 samples at 250 Hz is 0.2 s: shorter than one window
+    rng = np.random.default_rng(13)
+    first, third = make_synthetic_records(n_subjects=2, seed=13)
+    short = EcgRecord("short", "subj-short", "NormalSinus", 250.0,
+                      rng.normal(size=50).astype(np.float32),
+                      np.array([], dtype=np.int64))
+    records = [first, short, third]
+    ds = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
+                               {r.subject_id for r in records})
+    assert ds.record_table == tuple((r.record_id, r.subject_id)
+                                    for r in records)
+    n1, n3 = (window_count(r.duration) for r in (first, third))
+    assert len(ds) == n1 + n3
+    # no row points at the short record, and the third restarts at 0
+    np.testing.assert_array_equal(ds.record_index,
+                                  np.repeat([0, 2], [n1, n3]))
+    np.testing.assert_array_equal(
+        ds.window_index, np.concatenate([np.arange(n1), np.arange(n3)]))
+    assert ds.record_index.dtype == ds.window_index.dtype == np.uint32
 
 
 def test_dataset_invariants_enforced():

@@ -33,11 +33,13 @@ from helpers import (
 
 
 def header_for(n_samples, fmt=212, gain=1.0, baseline=0, n_signals=1,
-               fs=250, file_names=None):
+               fs=250, file_names=None, units=None):
     lines = [f"X {n_signals} {fs} {n_samples}"]
     for ch in range(n_signals):
         fname = file_names[ch] if file_names else "X.dat"
-        lines.append(f"{fname} {fmt} {gain:g}({baseline})/mV 12 0 0 0 0 ch{ch}")
+        unit = units[ch] if units else "mV"
+        lines.append(f"{fname} {fmt} {gain:g}({baseline})/{unit} "
+                     f"12 0 0 0 0 ch{ch}")
     return parse_header("\n".join(lines))
 
 
@@ -204,6 +206,28 @@ def test_decode_applies_gain_and_baseline():
     raw = ref_pack_16([1024, 1224, 824])
     mv = decode_signal(raw, hdr, 0)
     np.testing.assert_allclose(mv, [0.0, 1.0, -1.0], atol=1e-7)
+
+
+def test_decode_microvolt_signal():
+    # gain is per unit of the signal line: 200 ADC units per uV
+    raw = ref_pack_16([1200, -1200])
+    mv = decode_signal(raw, header_for(2, fmt=16, gain=200.0), 0)
+    assert mv.tobytes() == np.array([6.0, -6.0], np.float32).tobytes()
+    uv = decode_signal(raw, header_for(2, fmt=16, gain=200.0,
+                                       units=("uV",)), 0)
+    assert uv.tobytes() == (np.array([1200, -1200], np.float32)
+                            / np.float32(200_000)).tobytes()
+    np.testing.assert_allclose(uv, [0.006, -0.006], rtol=1e-6)
+
+
+def test_decode_refuses_other_units():
+    # a channel in another unit is refused; its neighbour still decodes
+    hdr = header_for(2, fmt=16, n_signals=2, units=("mV", "mmHg"))
+    raw = ref_pack_16([1, 2, 3, 4])
+    with pytest.raises(DataError,
+                       match="signal file X.dat: units 'mmHg' not supported"):
+        decode_signal(raw, hdr, 1)
+    np.testing.assert_array_equal(decode_signal(raw, hdr, 0), [1.0, 3.0])
 
 
 def test_decode_interleaved_channels():
