@@ -229,18 +229,14 @@ class RecordSource:
     schema: CsvSchema | None = None
 
 
-_WFDB_KEYS = {"hea", "ann", "channel"}
-_CSV_KEYS = {"csv", "fs", "value_col", "time_col", "marker_col", "beats",
-             "header"}
-_COMMON_KEYS = {"record", "subject", "tag"}
-
-
-def _refuse_keys(kv: dict, keys: set, line_no: int, kind: str) -> None:
-    """Refuse a line's keys that belong to the other record kind."""
-    foreign = sorted(keys & set(kv))
-    if foreign:
-        raise DataError(
-            f"line {line_no}: {kind} record does not take keys {foreign}")
+_COMMON_KEYS = ("record", "subject", "tag")
+# Keys each record kind needs, the first of which marks the kind, and the
+# keys it takes besides those and the common ones.
+_KIND_KEYS = {
+    "WFDB": (("hea", "ann"), ("channel",)),
+    "CSV": (("csv", "fs", "value_col"),
+            ("time_col", "marker_col", "beats", "header")),
+}
 
 
 def parse_manifest(text: str) -> list[RecordSource]:
@@ -260,11 +256,7 @@ def parse_manifest(text: str) -> list[RecordSource]:
             if key in kv:
                 raise DataError(f"line {line_no}: duplicate key {key!r}")
             kv[key] = value
-        unknown = set(kv) - _COMMON_KEYS - _WFDB_KEYS - _CSV_KEYS
-        if unknown:
-            raise DataError(
-                f"line {line_no}: unknown keys {sorted(unknown)}")
-        for req in ("record", "subject", "tag"):
+        for req in _COMMON_KEYS:
             if req not in kv:
                 raise DataError(f"line {line_no}: missing {req}=")
         if kv["tag"] not in DATASET_TAGS:
@@ -276,13 +268,23 @@ def parse_manifest(text: str) -> list[RecordSource]:
                 f"line {line_no}: duplicate record id {kv['record']!r}")
         seen_ids.add(kv["record"])
 
-        if "hea" in kv:
-            if "csv" in kv:
-                raise DataError(
-                    f"line {line_no}: record is both WFDB (hea=) and CSV (csv=)")
-            if "ann" not in kv:
-                raise DataError(f"line {line_no}: WFDB record needs ann=")
-            _refuse_keys(kv, _CSV_KEYS, line_no, "WFDB")
+        if "hea" in kv and "csv" in kv:
+            raise DataError(
+                f"line {line_no}: record is both WFDB (hea=) and CSV (csv=)")
+        kind = "WFDB" if "hea" in kv else "CSV" if "csv" in kv else None
+        if kind is None:
+            raise DataError(
+                f"line {line_no}: record needs either hea= or csv=")
+        needs, takes = _KIND_KEYS[kind]
+        foreign = sorted(set(kv).difference(_COMMON_KEYS, needs, takes))
+        if foreign:
+            raise DataError(
+                f"line {line_no}: {kind} record does not take keys {foreign}")
+        if not all(key in kv for key in needs):
+            raise DataError(f"line {line_no}: {kind} record needs "
+                            + " and ".join(f"{k}=" for k in needs[1:]))
+
+        if kind == "WFDB":
             try:
                 channel = int(kv.get("channel", "0"))
             except ValueError:
@@ -291,11 +293,7 @@ def parse_manifest(text: str) -> list[RecordSource]:
             sources.append(RecordSource(
                 kv["record"], kv["subject"], kv["tag"], "wfdb",
                 paths={"hea": kv["hea"], "ann": kv["ann"]}, channel=channel))
-        elif "csv" in kv:
-            if "fs" not in kv or "value_col" not in kv:
-                raise DataError(
-                    f"line {line_no}: CSV record needs fs= and value_col=")
-            _refuse_keys(kv, _WFDB_KEYS, line_no, "CSV")
+        else:
             try:
                 fs = float(kv["fs"])
             except ValueError:
@@ -315,9 +313,6 @@ def parse_manifest(text: str) -> list[RecordSource]:
             sources.append(RecordSource(
                 kv["record"], kv["subject"], kv["tag"], "csv",
                 paths=paths, fs=fs, schema=schema))
-        else:
-            raise DataError(
-                f"line {line_no}: record needs either hea= or csv=")
     return sources
 
 

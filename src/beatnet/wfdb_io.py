@@ -4,7 +4,14 @@ signal files (formats 212 and 16) and MIT-format binary annotation files.
 Only single-segment records are supported, and only signal formats 212
 (two 12-bit two's-complement samples packed into three bytes) and 16
 (little-endian 16-bit two's complement), in millivolts or microvolts.
-Everything else is rejected loudly rather than decoded approximately.
+Everything else is rejected loudly rather than decoded approximately:
+so is a baseline or ADC zero outside the signed 32-bit range, and a
+channel whose divisor, gain times units per mV, is not a positive,
+normal, finite float32.
+
+Samples stay 16-bit integers until the final conversion: format 16 is
+read in place, format 212 unpacks into one int16 array, and only the
+decoded channel is widened to subtract its baseline.
 """
 
 from __future__ import annotations
@@ -40,6 +47,10 @@ SYMBOL_TO_CODE = {
 # by default.
 DEFAULT_BEAT_SYMBOLS = ("N", "L", "R", "B", "A", "a", "J", "S", "V", "r",
                         "F", "e", "j", "n", "E", "f", "Q", "?")
+
+# A channel's divisor, gain x units per mV, must be a normal float32.
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # Pseudo annotation codes that carry fields instead of events.
 _SKIP, _NUM, _SUB, _CHN, _AUX = 59, 60, 61, 62, 63
@@ -189,8 +200,12 @@ def parse_header(header_text: str) -> WfdbHeader:
                 adc_zero = int(tokens[4])
             except ValueError as exc:
                 raise DataError(f"non-numeric ADC zero in {ln!r}") from exc
+        field = "baseline"
         if baseline is None:
-            baseline = adc_zero
+            baseline, field = adc_zero, "ADC zero"
+        if not -2**31 <= baseline < 2**31:  # a C int in WFDB
+            raise DataError(f"{field} {baseline} in {ln!r} is outside the "
+                            f"signed 32-bit range")
         description = " ".join(tokens[8:]) if len(tokens) > 8 else ""
         signals.append(SignalSpec(file_name, fmt, gain, baseline,
                                   units, description))
@@ -203,28 +218,20 @@ def _decode_212(raw: bytes, total: int) -> np.ndarray:
 
     Layout per group: byte0 = low 8 bits of s0; low nibble of byte1 =
     high 4 bits of s0; high nibble of byte1 = high 4 bits of s1;
-    byte2 = low 8 bits of s1.
+    byte2 = low 8 bits of s1. An odd count's pad byte may be missing;
+    ``decode_signal`` checks the length. Returns int16 samples.
     """
-    need = (3 * total + 1) // 2
-    if len(raw) < need:
-        raise DataError(
-            f"format 212 needs {need} bytes for {total} samples, "
-            f"file has {len(raw)}")
-    groups = (total + 1) // 2
-    buf = np.zeros(groups * 3, dtype=np.uint8)
-    avail = min(len(raw), groups * 3)
-    buf[:avail] = np.frombuffer(raw, dtype=np.uint8, count=avail)
-    b0 = buf[0::3].astype(np.int32)
-    b1 = buf[1::3].astype(np.int32)
-    b2 = buf[2::3].astype(np.int32)
-    s0 = ((b1 & 0x0F) << 8) | b0
-    s1 = ((b1 & 0xF0) << 4) | b2
-    adc = np.empty(groups * 2, dtype=np.int32)
-    adc[0::2] = s0
-    adc[1::2] = s1
-    adc = adc[:total]
-    adc[adc > 2047] -= 4096
-    return adc
+    groups, need = (total + 1) // 2, (3 * total + 1) // 2
+    b = np.zeros((groups, 3), dtype=np.int16)
+    b.reshape(-1)[:need] = np.frombuffer(raw, dtype=np.uint8, count=need)
+    adc = np.empty((groups, 2), dtype=np.int16)
+    adc[:, 0] = b[:, 1] & 0x0F
+    adc[:, 1] = b[:, 1] >> 4
+    adc <<= 8
+    adc |= b[:, 0::2]
+    adc <<= 4  # sign-extend bit 11 through the top nibble
+    adc >>= 4
+    return adc.reshape(-1)[:total]
 
 
 def encode_212(adc: np.ndarray) -> bytes:
@@ -265,31 +272,37 @@ def decode_signal(raw_bytes: bytes, header: WfdbHeader, channel: int) -> np.ndar
         raise DataError(
             f"channel {channel} not in record with {header.n_signals} signals")
     spec = header.signals[channel]
+    if spec.format_code not in SUPPORTED_FORMATS:  # a hand-built header
+        raise DataError(f"signal format {spec.format_code} not supported "
+                        f"(supported: {SUPPORTED_FORMATS})")
     per_mv = UNITS_PER_MV.get(spec.units)
     if per_mv is None:
         raise DataError(
             f"signal file {spec.file_name}: units {spec.units!r} not "
             f"supported (expected one of {tuple(UNITS_PER_MV)})")
+    # checked before the cast, which would overflow to inf or round to 0
+    if not _FLOAT32_TINY <= spec.gain * per_mv <= _FLOAT32_MAX:
+        raise DataError(
+            f"signal file {spec.file_name}: gain {spec.gain} per "
+            f"{spec.units} is not a positive, normal float32 divisor")
     group = [i for i, s in enumerate(header.signals)
              if s.file_name == spec.file_name]
     n_group = len(group)
     pos = group.index(channel)
     total = header.n_samples * n_group
+    need = (3 * total + 1) // 2 if spec.format_code == 212 else 2 * total
+    if len(raw_bytes) < need:
+        raise DataError(
+            f"format {spec.format_code} needs {need} bytes for {total} "
+            f"samples, file has {len(raw_bytes)}")
 
     if spec.format_code == 212:
         adc = _decode_212(raw_bytes, total)
-    elif spec.format_code == 16:
-        need = 2 * total
-        if len(raw_bytes) < need:
-            raise DataError(
-                f"format 16 needs {need} bytes for {total} samples, "
-                f"file has {len(raw_bytes)}")
-        adc = np.frombuffer(raw_bytes, dtype="<i2", count=total).astype(np.int32)
-    else:  # unreachable via parse_header, defensive for hand-built headers
-        raise DataError(f"signal format {spec.format_code}")
-
-    adc_ch = adc[pos::n_group]
-    mv = (adc_ch - np.int32(spec.baseline)).astype(np.float32)
+    else:
+        adc = np.frombuffer(raw_bytes, dtype="<i2", count=total)
+    # widened explicitly: int16 minus a 32-bit baseline may not fit int16
+    mv = np.subtract(adc[pos::n_group], spec.baseline,
+                     dtype=np.int64).astype(np.float32)
     mv /= np.float32(spec.gain * per_mv)
     return mv
 

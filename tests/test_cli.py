@@ -372,6 +372,25 @@ def test_ingest_refuses_unknown_signal_units(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_ingest_refuses_baseline_outside_int32(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.delenv("BEATNET_DATA_ROOT", raising=False)
+    write_wfdb_record(tmp_path, "r1", 250.0, [[0] * 500], fmt=16,
+                      baseline=99999999999,
+                      annotation_bytes=simple_annotation_stream([]))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("record=r1 subject=s tag=Arrhythmia hea=r1.hea "
+                        "ann=r1.atr\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--manifest", str(manifest),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("data error: record 'r1': baseline 99999999999 in 'r1.dat 16 "
+            "200(99999999999)/mV") in err
+    assert "outside the signed 32-bit range" in err
+    assert not out.exists()
+
+
 # --- experiment protocol ---
 
 

@@ -44,7 +44,8 @@ HEA_TOKENS = ("X 2 250 7 \n X.dat 212 200(0)/mV 12 0 \n "
 HEA_TOKEN = st.one_of(
     st.sampled_from(["", "\n", "X/2", "0", "1", "3", "-1", "nan", "inf",
                      "1e999", "360/21600(0)", "8", "212x2", "212:1", "0(5)",
-                     "1e+e", "--5(0)/mV", "x"]),
+                     "1e+e", "--5(0)/mV", "x", "200(99999999999)",
+                     "1e39"]),
     st.text(alphabet="0123456789.+-e()/x:X", max_size=8))
 
 
@@ -55,10 +56,9 @@ def edited_header(edits):
     return " ".join(tokens).encode()
 
 
-HEADER_BYTES = st.one_of(
-    st.binary(max_size=120),
-    st.lists(st.tuples(st.integers(min_value=0), HEA_TOKEN), min_size=1,
-             max_size=4).map(edited_header))
+EDITED_HEADER = st.lists(st.tuples(st.integers(min_value=0), HEA_TOKEN),
+                        min_size=1, max_size=4).map(edited_header)
+HEADER_BYTES = st.one_of(st.binary(max_size=120), EDITED_HEADER)
 
 TWO_CHANNELS = parse_header("X 2 250 7\nX.dat 212\nX.dat 212\n")
 
@@ -86,6 +86,24 @@ def test_parse_annotations_raises_only_data_errors(raw):
 @given(st.binary(max_size=40), st.integers(-2, 3))
 def test_decode_signal_raises_only_data_errors(raw, channel):
     only_data_errors(decode_signal, raw, TWO_CHANNELS, channel)
+
+
+# the gain field of signal 0, a format-212 channel
+GAIN_AT = HEA_TOKENS.index("200(0)/mV")
+
+
+@FUZZ
+@given(EDITED_HEADER, st.binary(max_size=64))
+# a baseline past int32 and a gain past float32, with a long enough file
+@example(edited_header([(GAIN_AT, "200(99999999999)")]), bytes(64))
+@example(edited_header([(GAIN_AT, "1e39")]), bytes(64))
+def test_decode_parsed_header_raises_only_data_errors(raw_header, raw):
+    try:
+        header = parse_header(raw_header.decode())
+    except DataError:
+        return
+    for channel in range(header.n_signals):
+        only_data_errors(decode_signal, raw, header, channel)
 
 
 def splice(payload, whole, at, chunk):

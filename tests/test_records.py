@@ -220,7 +220,7 @@ BAD_MANIFEST_LINES = {
     "record=1 subject=1 tag=Nope hea=a.hea ann=a.atr":
         "unknown tag 'Nope'",
     "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr extra=1":
-        r"unknown keys \['extra'\]",
+        r"WFDB record does not take keys \['extra'\]",
     "record=1 subject=1 tag=Arrhythmia hea=a.hea ann=a.atr fs=500 "
     "value_col=3":
         r"WFDB record does not take keys \['fs', 'value_col'\]",

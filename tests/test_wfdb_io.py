@@ -4,6 +4,10 @@ Byte-level cases are checked against the scalar reference packers in
 helpers.py, which share no code with the vectorized decoders.
 """
 
+import re
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,6 +118,14 @@ MALFORMED_HEADERS = {
     # a gain the pattern once let through
     "X 1 250 10\nX.dat 16 1e+e\n": r"unparseable gain field '1e\+e'",
     "X 1 250 10\nX.dat 16 --5(0)/mV\n": "unparseable gain field '--5",
+    # baselines are C ints in WFDB; NumPy would refuse these at decode
+    "r 1 250 10\nr.dat 16 200(99999999999) 16 0\n":
+        r"baseline 99999999999 in 'r.dat 16 200\(99999999999\) 16 0' is "
+        r"outside the signed 32-bit range",
+    "X 1 250 10\nX.dat 16 200(-2147483649)\n":
+        "baseline -2147483649 in .* outside the signed 32-bit range",
+    "X 1 250 10\nX.dat 212 200 12 2147483648\n":
+        "ADC zero 2147483648 in .* outside the signed 32-bit range",
 }
 
 
@@ -260,6 +272,63 @@ def test_decode_truncated_data():
     hdr16 = header_for(4, fmt=16)
     with pytest.raises(DataError, match="format 16 needs 8 bytes"):
         decode_signal(ref_pack_16([1, 2, 3, 4])[:-1], hdr16, 0)
+
+
+def test_decode_extreme_baselines_do_not_wrap():
+    # int16 samples minus a 32-bit baseline leave the int16 and int32 range
+    hdr = header_for(2, fmt=16, baseline=2**31 - 1)
+    mv = decode_signal(ref_pack_16([-32768, 32767]), hdr, 0)
+    assert mv.tobytes() == np.array([-32768 - (2**31 - 1),
+                                     32767 - (2**31 - 1)],
+                                    np.float32).tobytes()
+    assert header_for(1, baseline=-2**31).signals[0].baseline == -2**31
+
+
+# gain -> the float32 divisor it would give: overflows to inf (1e39),
+# is inf already (1e400) or underflows to zero (1e-320)
+BAD_GAINS = {"1e39": "1e+39", "1e400": "inf", "1e-320": "1e-320"}
+
+
+@pytest.mark.parametrize("gain", list(BAD_GAINS))
+def test_decode_refuses_gain_without_float32_divisor(gain):
+    hdr = parse_header(f"X 1 250 2\nX.dat 16 {gain}(0)/mV\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"signal file X.dat: gain {BAD_GAINS[gain]} per mV is not a "
+            f"positive, normal float32 divisor")):
+        decode_signal(ref_pack_16([1, 2]), hdr, 0)
+
+
+def test_decode_refuses_microvolt_gain_that_overflows_divisor():
+    # 1e36 is a float32, 1e36 * 1000 is not
+    raw = ref_pack_16([1, 2])
+    assert decode_signal(raw, header_for(2, fmt=16, gain=1e36), 0).all()
+    with pytest.raises(DataError, match="gain 1e.36 per uV is not"):
+        decode_signal(raw, header_for(2, fmt=16, gain=1e36,
+                                      units=("uV",)), 0)
+
+
+def test_decode_refuses_format_of_hand_built_header():
+    hdr = header_for(2, fmt=16)
+    spec = replace(hdr.signals[0], format_code=8)
+    with pytest.raises(DataError, match="signal format 8 not supported"):
+        decode_signal(ref_pack_16([1, 2]), replace(hdr, signals=(spec,)), 0)
+
+
+def test_decode_signal_memory_is_bounded():
+    # one hour of a 2-channel, 360 Hz format-212 record: int16 samples
+    # until the final conversion, not int32 copies of every byte column
+    n = 3600 * 360
+    rng = np.random.default_rng(11)
+    raw = encode_212(rng.integers(-2048, 2048, 2 * n))
+    hdr = header_for(n, n_signals=2, gain=200.0, baseline=1024)
+    tracemalloc.start()
+    try:
+        mv = decode_signal(raw, hdr, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mv.shape == (n,)
+    assert peak < 5 * mv.nbytes, peak / mv.nbytes
 
 
 def test_decode_channel_out_of_range():
