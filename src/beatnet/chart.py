@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+from .errors import DataError
 from .metrics import EvalReport
 
 _WIDTH, _HEIGHT = 840, 480
@@ -27,7 +28,7 @@ def _fmt(x: float) -> str:
 def render_mcc_chart(reports: list[EvalReport], title: str) -> str:
     """Grouped bar chart of each report's MCC point value and CI."""
     if not reports:
-        raise ValueError("cannot chart zero reports")
+        raise DataError("cannot chart zero reports")
     subsets: list[str] = []
     for r in reports:
         if r.subset_name not in subsets:

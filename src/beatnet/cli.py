@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import nn
 from .config import Settings, load_settings
 from .errors import DataError, NumericError, UsageError
 from .experiments import (
@@ -166,7 +167,8 @@ def _cmd_evaluate(args) -> None:
                                   args.partition)
     params, net_config = load_checkpoint(args.checkpoint)
     make_out_dir(args.out)
-    report = evaluate_dataset(params, net_config, dataset, settings)
+    report = evaluate_dataset(nn.predict_logits(net_config, params, dataset.X),
+                              dataset, settings)
     write_reports(args.out, [report], "MCC with 90% bootstrap CIs")
     m = report.metrics["mcc"]
     print(f"{args.subset} {args.partition}: MCC {m.point:.3f} "

@@ -5,8 +5,10 @@ reports metrics on its Train and Test partitions. Experiment 2 takes
 the experiment-1 checkpoint as-is and evaluates it on every other
 subset's Test partition. Experiment 3 fine-tunes that checkpoint's FC
 head (conv trunk frozen) on each target subset's Train partition, then
-reports on Train and Test. A trained partition's report reuses its
-training run's last scoring pass instead of a second network pass.
+reports on Train and Test. A run scores each partition once, as
+logits: a trained partition's are its training run's last scoring pass,
+any other's come from ``nn.predict_logits``. :func:`evaluate_dataset`
+builds a report from logits and runs no network.
 
 Experiments and the single-stage CLI commands write their run
 directories only through :func:`write_trained` (checkpoint, training
@@ -15,8 +17,10 @@ log), :func:`write_snapshot` (the config snapshot, once per run) and
 experiment adds a run_info.json with content hashes of the caches and
 checkpoints used (no timestamps, so reruns are byte-comparable).
 Training logs include wall-clock times and are the one deliberately
-non-reproducible file. A run checks its inputs before it creates its
-directory, so a refused run leaves none behind.
+non-reproducible file. A run loads and checks all its inputs (every
+cache of every subset, and the checkpoint) before it creates its
+directory, so a refused run leaves none behind; the writers expect the
+directory to exist.
 """
 
 from __future__ import annotations
@@ -29,13 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .chart import render_mcc_chart
 from .config import Settings, load_settings, render_snapshot, section_items
 from .container import write_text
 from .errors import DataError, UsageError
 from .metrics import REPORT_CSV_HEADER, EvalReport, build_report, \
     reports_from_json, reports_to_csv, reports_to_json
-from .nn import predict_labels
 from .records import SUBSET_NAMES, load_manifest, load_record
 from .segments import (
     TEST,
@@ -76,9 +80,10 @@ def make_out_dir(path) -> Path:
 
 def write_trained(out_dir, params: dict, history: TrainHistory,
                   settings: Settings, suffix: str = "") -> Path:
-    """Write a trained model into ``out_dir``: checkpoint{suffix}.hbdl
-    and train_log{suffix}.csv. Returns the checkpoint's path."""
-    out_dir = make_out_dir(out_dir)
+    """Write a trained model into the existing ``out_dir``:
+    checkpoint{suffix}.hbdl and train_log{suffix}.csv. Returns the
+    checkpoint's path."""
+    out_dir = Path(out_dir)
     checkpoint = out_dir / f"checkpoint{suffix}.hbdl"
     save_checkpoint(params, settings.network_config(), checkpoint)
     write_text(out_dir / f"train_log{suffix}.csv", history.to_csv())
@@ -91,9 +96,9 @@ def write_snapshot(out_dir, settings: Settings) -> None:
 
 
 def write_reports(out_dir, reports: list[EvalReport], title: str) -> None:
-    """Write ``reports`` into ``out_dir`` as CSV, as JSON and as an MCC
-    chart headed ``title``."""
-    out_dir = make_out_dir(out_dir)
+    """Write ``reports`` into the existing ``out_dir`` as CSV, as JSON
+    and as an MCC chart headed ``title``."""
+    out_dir = Path(out_dir)
     write_text(out_dir / REPORTS_CSV, reports_to_csv(reports))
     write_text(out_dir / REPORTS_JSON, reports_to_json(reports))
     write_text(out_dir / CHART_FILE, render_mcc_chart(reports, title))
@@ -110,6 +115,9 @@ def cache_file(cache_dir: Path, subset: str, partition: str) -> Path:
 
 def load_cache_checked(cache_dir: Path, subset: str,
                         partition: str) -> LabeledDataset:
+    """The cache of ``subset``'s ``partition``; a missing one, one that
+    holds another subset or partition, or one with no segments raises
+    DataError naming the file."""
     path = cache_file(cache_dir, subset, partition)
     if not path.exists():
         raise DataError(f"no cache for {subset} {partition} at {path}; "
@@ -118,6 +126,9 @@ def load_cache_checked(cache_dir: Path, subset: str,
     if ds.subset_name != subset or ds.partition != partition:
         raise DataError(f"cache {path} holds {ds.subset_name} "
                         f"{ds.partition}, expected {subset} {partition}")
+    if len(ds) == 0:
+        raise DataError(f"cache {path} holds no segments of {subset} "
+                        f"{partition}")
     return ds
 
 
@@ -186,16 +197,14 @@ def _file_hash(path: Path) -> str:
     return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
 
 
-def evaluate_dataset(params, net_config, dataset: LabeledDataset,
-                     settings: Settings, preds=None) -> EvalReport:
-    """The bootstrap report of ``params`` on ``dataset``; ``preds``, labels
-    ``params`` already gave it, replace the network pass."""
+def evaluate_dataset(logits: np.ndarray, dataset: LabeledDataset,
+                     settings: Settings) -> EvalReport:
+    """The bootstrap report of ``logits``, a network's (n, 2) scores of
+    ``dataset``'s rows: their argmax against its labels."""
     if len(dataset) == 0:
         raise DataError(f"{dataset.subset_name} {dataset.partition} has "
                         f"no segments to evaluate")
-    if preds is None:
-        preds = predict_labels(net_config, params, dataset.X)
-    return build_report(preds, dataset.y.astype(np.int64),
+    return build_report(logits.argmax(axis=1), dataset.y.astype(np.int64),
                         dataset.subset_name, dataset.partition,
                         settings.bootstrap_reps, settings.bootstrap_fraction,
                         settings.seed)
@@ -218,12 +227,13 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
     """Run one experiment end to end; returns its reports.
 
     ``seed``, when given, replaces ``settings.seed``. ``checkpoint`` (the
-    experiment-1 output) is required for experiments 2 and 3; it is read
-    and checked once, before the run creates ``out_dir``. Target subsets
-    without caches are skipped so the protocol runs on whichever datasets
-    are actually present; having none at all is an error. Every
-    experiment walks the same loop over its subsets and their partitions;
-    they differ only in where a subset's parameters come from.
+    experiment-1 output) is required for experiments 2 and 3. It and
+    every subset's caches are read and checked once, before the run
+    creates ``out_dir``. Target subsets without caches are skipped so the
+    protocol runs on whichever datasets are actually present; having none
+    at all is an error. Every experiment walks the same loop over its
+    subsets and their partitions; they differ only in where a subset's
+    parameters come from.
     """
     if experiment_id not in (1, 2, 3):
         raise UsageError(f"experiment id must be 1, 2 or 3, got "
@@ -252,24 +262,28 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
         if not targets:
             raise DataError(f"no target subset caches in {cache_dir}")
 
-    reports = []
-    caches = []
-    params = source  # experiment 2 evaluates the checkpoint as it is
     # experiment 1 has no targets: it trains and scores the source itself
-    for subset in targets or [SOURCE_SUBSET]:
-        datasets = [load_cache_checked(cache_dir, subset, p)
-                    for p in partitions]
-        caches.extend(cache_file(cache_dir, subset, p) for p in partitions)
-        make_out_dir(out_dir)  # inputs checked, nothing trained yet
-        preds = [None] * len(datasets)
+    subsets = targets or [SOURCE_SUBSET]
+    datasets = {subset: [load_cache_checked(cache_dir, subset, p)
+                         for p in partitions] for subset in subsets}
+    caches = [cache_file(cache_dir, subset, p)
+              for subset in subsets for p in partitions]
+    make_out_dir(out_dir)  # inputs checked, nothing trained yet
+
+    reports = []
+    params = source  # experiment 2 evaluates the checkpoint as it is
+    for subset, parts in datasets.items():
+        logits = [None] * len(parts)
         if experiment_id != 2:
-            params, history = train(datasets[0], settings, init=source)
-            preds[0] = history.predictions  # Train, scored in training
+            params, history = train(parts[0], settings, init=source)
+            logits[0] = history.logits  # Train, scored in training
             suffix = f"_{subset_slug(subset)}" if targets else ""
             checkpoints.append(write_trained(out_dir, params, history,
                                              settings, suffix))
-        reports.extend(evaluate_dataset(params, net_config, ds, settings, p)
-                       for ds, p in zip(datasets, preds))
+        for ds, scores in zip(parts, logits):
+            if scores is None:
+                scores = nn.predict_logits(net_config, params, ds.X)
+            reports.append(evaluate_dataset(scores, ds, settings))
 
     write_reports(out_dir, reports,
                   f"Experiment {experiment_id}: MCC with 90% CIs")

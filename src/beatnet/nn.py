@@ -4,7 +4,10 @@ Architecture: four convolutional blocks, each BatchNorm -> Conv1d
 (same padding, stride 1) -> ReLU -> MaxPool (kernel 2, stride 2), then
 flatten, Dropout, and three fully connected layers with ReLU between
 them; the final layer emits two logits. SoftMax is folded into the loss
-(:mod:`beatnet.loss`); inference takes the argmax of the logits.
+(:mod:`beatnet.loss`). :func:`predict_logits` is the one scoring pass:
+callers keep its logits, take their argmax as the class, and call it
+as ``nn.predict_logits``, so a wrapper set on this module sees every
+pass.
 
 Everything is functional: parameters live in a plain dict of float32
 arrays keyed by layer name, and no forward or backward call mutates
@@ -435,7 +438,7 @@ def dropout_forward(x: np.ndarray, p: float, train: bool,
     if not train or p == 0.0:
         return x, None
     if rng is None:
-        raise ValueError("train-mode dropout with p > 0 needs an rng")
+        raise DataError("train-mode dropout with p > 0 needs an rng")
     mask = (rng.random(x.shape) >= p).astype(x.dtype) / np.asarray(
         1.0 - p, dtype=x.dtype)
     return x * mask, mask
@@ -599,9 +602,3 @@ def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
     return np.concatenate([
         step(config, params, X[start:start + EVAL_BATCH_ROWS], train=False)[0]
         for start in range(0, len(X), EVAL_BATCH_ROWS)])
-
-
-def predict_labels(config: NetworkConfig, params: dict, X: np.ndarray,
-                   step=None) -> np.ndarray:
-    """Hard class decisions (argmax of the logits)."""
-    return predict_logits(config, params, X, step).argmax(axis=1)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .config import Settings
 from .container import read_framed, write_framed
 from .errors import DataError, NumericError
@@ -45,7 +46,6 @@ from .nn import (
     forward_head,
     init_params,
     param_layout,
-    predict_labels,
     trunk_features,
 )
 from .optim import AdaDeltaState, adadelta_step
@@ -61,12 +61,13 @@ class TrainHistory:
     MCC of an eval pass over the training data, and wall-clock seconds.
     The seconds time the epochs alone: a transfer run's one-off frozen
     trunk feature pass comes before the first epoch and is in none.
-    ``predictions`` are the last eval pass's labels (None if no epoch ran)."""
+    ``logits`` are the last eval pass's (n, 2) float32 logits, whose
+    argmax the last MCC scores (None if no epoch ran)."""
 
     mean_loss: list[float] = field(default_factory=list)
     train_mcc: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
-    predictions: np.ndarray | None = None
+    logits: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.mean_loss)
@@ -131,9 +132,10 @@ def train(dataset: LabeledDataset, settings: Settings,
                 params[name] = value
             loss_sum += loss * (len(batch_idx)
                                 if settings.reduction == "mean" else 1.0)
-        history.predictions = predict_labels(network, params, inputs, step)
+        history.logits = nn.predict_logits(network, params, inputs, step)
         history.mean_loss.append(loss_sum / n)
-        history.train_mcc.append(mcc_from_labels(history.predictions, y))
+        history.train_mcc.append(mcc_from_labels(
+            history.logits.argmax(axis=1), y))
         history.seconds.append(time.perf_counter() - started)
     return params, history
 

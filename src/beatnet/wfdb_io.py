@@ -244,7 +244,7 @@ def encode_212(adc: np.ndarray) -> bytes:
     """
     adc = np.asarray(adc, dtype=np.int64)
     if adc.size and (adc.min() < -2048 or adc.max() > 2047):
-        raise ValueError("format 212 values must fit 12-bit two's complement")
+        raise DataError("format 212 values must fit 12-bit two's complement")
     total = adc.size
     groups = (total + 1) // 2
     vals = np.zeros(groups * 2, dtype=np.int64)

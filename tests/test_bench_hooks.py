@@ -262,3 +262,24 @@ def test_zero_epochs_still_report_train(tmp_path, big_caches):
             experiment_id, caches, tmp_path / f"e{experiment_id}", settings,
             checkpoint=checkpoint)
         assert [r.partition for r in reports] == [TRAIN, TEST]
+
+
+def test_experiment2_scores_each_target_test_with_predict_logits(
+        monkeypatch, tmp_path):
+    # a run's scoring passes reach the benchmark's nn.predict_logits
+    # wrapper only if the run looks the function up through beatnet.nn
+    caches = tmp_path / "caches"
+    beatnet.experiments.build_synthetic_caches(
+        caches, SMALL, n_subjects=4, tags=("Arrhythmia", "BaselineFlexComp"))
+    net = SMALL.network_config()
+    checkpoint = tmp_path / "m.hbdl"
+    beatnet.train.save_checkpoint(
+        init_params(net, np.random.default_rng(0)), net, checkpoint)
+    calls = spy(monkeypatch, beatnet.nn, "predict_logits")
+    reports = beatnet.experiments.run_experiment(
+        2, caches, tmp_path / "exp2", SMALL, checkpoint=checkpoint)
+    tests = [load_cache(beatnet.experiments.cache_file(caches, subset, TEST))
+             for subset in ("Arrhythmia", "BaselineFlexComp")]
+    assert len(calls) == len(tests) == len(reports)
+    for (args, _, _), test in zip(calls, tests):
+        assert np.array_equal(args[2], test.X)

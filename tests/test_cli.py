@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, run outputs, determinism."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -21,12 +22,13 @@ from beatnet.errors import DataError, NumericError, UsageError
 from beatnet.experiments import cache_file
 from beatnet.metrics import reports_from_json
 from beatnet.nn import NetworkConfig, init_params
-from beatnet.segments import SEGMENT_LENGTH, TEST, LabeledDataset, \
+from beatnet.segments import SEGMENT_LENGTH, TEST, TRAIN, LabeledDataset, \
     load_cache, save_cache
 from beatnet.train import save_checkpoint
 
-from helpers import BAD_GEOMETRY, edit_checkpoint_header, reframe, \
-    simple_annotation_stream, write_wfdb_record
+from helpers import BAD_GEOMETRY, ann_word, edit_checkpoint_header, \
+    end_marker, reframe, simple_annotation_stream, skip_block, \
+    write_wfdb_record
 
 # Small network and short training so end-to-end runs stay fast.
 FAST_INI = """\
@@ -133,6 +135,14 @@ def build_caches(tmp_path, tags="NormalSinus,LongTerm,Arrhythmia,"
                  "--subjects", str(subjects), "--tags", tags])
     assert code == 0
     return caches
+
+
+def fast_checkpoint(tmp_path, cfg) -> Path:
+    """A seeded checkpoint of ``cfg``'s network."""
+    net = load_settings(cfg).network_config()
+    path = tmp_path / "m.hbdl"
+    save_checkpoint(init_params(net, np.random.default_rng(0)), net, path)
+    return path
 
 
 # --- settings files ---
@@ -388,6 +398,28 @@ def test_ingest_refuses_baseline_outside_int32(tmp_path, monkeypatch,
     assert ("data error: record 'r1': baseline 99999999999 in 'r1.dat 16 "
             "200(99999999999)/mV") in err
     assert "outside the signed 32-bit range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gain,annotations,message", [
+    (-200.0, simple_annotation_stream([]), "negative gain -200"),
+    # a negative SKIP interval puts the second beat before the first
+    (200.0,
+     ann_word(1, 100) + skip_block(-50) + ann_word(1, 0) + end_marker(),
+     "decoded beat indices not strictly increasing"),
+], ids=["negative-gain", "negative-skip"])
+def test_ingest_refuses_bad_record(tmp_path, monkeypatch, capsys, gain,
+                                   annotations, message):
+    monkeypatch.delenv("BEATNET_DATA_ROOT", raising=False)
+    write_wfdb_record(tmp_path, "r1", 250.0, [[0] * 500], gain=gain,
+                      annotation_bytes=annotations)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("record=r1 subject=s tag=Arrhythmia hea=r1.hea "
+                        "ann=r1.atr\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--manifest", str(manifest),
+                 "--out", str(out)]) == 2
+    assert f"data error: record 'r1': {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -715,20 +747,42 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert re.search(f"data error: unreadable checkpoint header in "
                          f".*{match}", err)
 
-    # a cache with no segments
+    # a cache with no segments is refused, naming it, before any run
+    # creates its --out
     short = tmp_path / "short"
     short.mkdir()
-    save_cache(LabeledDataset(
-        "NormalSinus+LongTerm", TEST,
-        np.empty((0, SEGMENT_LENGTH), np.float32), np.empty(0, np.uint8),
-        np.empty(0, np.uint32), np.empty(0, np.uint32), ()),
-        cache_file(short, "NormalSinus+LongTerm", TEST))
+    for subset, partition in [("NormalSinus+LongTerm", TEST),
+                              ("Arrhythmia", TRAIN), ("Arrhythmia", TEST)]:
+        save_cache(LabeledDataset(
+            subset, partition,
+            np.empty((0, SEGMENT_LENGTH), np.float32), np.empty(0, np.uint8),
+            np.empty(0, np.uint32), np.empty(0, np.uint32), ()),
+            cache_file(short, subset, partition))
     assert main(["evaluate", "--caches", str(short),
                  "--subset", "NormalSinus+LongTerm", "--partition", "Test",
                  "--checkpoint", str(good),
                  "--out", str(tmp_path / "o7"), "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "NormalSinus+LongTerm Test" in err
+    assert not (tmp_path / "o7").exists()
+    fast = fast_checkpoint(tmp_path, cfg)
+    common = ["--caches", str(short), "--config", cfg,
+              "--out", str(tmp_path / "o7")]
+    for argv, partition in [
+            (["train", "--subset", "Arrhythmia"], TRAIN),
+            (["transfer", "--subset", "Arrhythmia"], TRAIN),
+            (["evaluate", "--subset", "Arrhythmia", "--partition", TEST],
+             TEST),
+            (["experiment", "--id", "2"], TEST),
+            (["experiment", "--id", "3"], TRAIN)]:
+        if argv[0] != "train":
+            argv = [*argv, "--checkpoint", str(fast)]
+        assert main([*argv, *common]) == 2, argv
+        err = capsys.readouterr().err
+        empty_cache = cache_file(short, "Arrhythmia", partition)
+        assert (f"data error: cache {empty_cache} holds no segments of "
+                f"Arrhythmia {partition}") in err
+        assert not (tmp_path / "o7").exists(), argv
 
     # one window's worth of samples at 250 Hz rounds down to 62, which
     # holds no window: nothing is written
@@ -835,6 +889,46 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("damage", ["seven-bytes", "another-cache"])
+def test_bad_later_target_cache_leaves_no_out(tmp_path, capsys, damage):
+    # experiments 2 and 3 load every target's caches before they create
+    # --out, so a bad cache of the last target leaves nothing behind of
+    # the targets before it
+    cfg = fast_config(tmp_path)
+    caches = build_caches(tmp_path)
+    ckpt = fast_checkpoint(tmp_path, cfg)
+    bad = cache_file(caches, "BaselineFlexComp", TEST)
+    if damage == "seven-bytes":
+        bad.write_bytes(b"damaged")
+        message = str(bad)
+    else:
+        bad.write_bytes(cache_file(caches, "Arrhythmia", TRAIN).read_bytes())
+        message = (f"cache {bad} holds Arrhythmia Train, expected "
+                   f"BaselineFlexComp Test")
+    for experiment_id in ("2", "3"):
+        out = tmp_path / f"exp{experiment_id}"
+        assert main(["experiment", "--id", experiment_id,
+                     "--caches", str(caches), "--out", str(out),
+                     "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not out.exists()
+
+
+def test_experiment_without_target_caches_exits_2(tmp_path, capsys):
+    cfg = fast_config(tmp_path)
+    caches = build_caches(tmp_path, tags="NormalSinus,LongTerm", subjects=4)
+    ckpt = fast_checkpoint(tmp_path, cfg)
+    for experiment_id in ("2", "3"):
+        out = tmp_path / f"exp{experiment_id}"
+        assert main(["experiment", "--id", experiment_id,
+                     "--caches", str(caches), "--out", str(out),
+                     "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: no target subset caches in {caches}" in err
+        assert not out.exists()
+
+
 def test_module_entry_points_exit_with_one_message(tmp_path):
     """``python -m beatnet`` and ``python -m beatnet.cli`` both run the
     CLI: an error is an exit code and one message line (so no
@@ -871,6 +965,25 @@ def test_every_error_class_has_an_exit_code(monkeypatch):
 
         monkeypatch.setattr("beatnet.cli._cmd_report", fail)
         assert main(["report", "--dir", "x"]) == code
+
+
+def test_package_raises_only_error_families():
+    # every raise in the package names one of the three classes the CLI
+    # maps to an exit code; a bare raise re-raises what it caught
+    families = {"UsageError", "DataError", "NumericError"}
+    package = Path(errors.__file__).parent
+    others = []
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(
+                exc, "id", None)
+            if name not in families:
+                others.append(f"{source.name}:{node.lineno} raises "
+                              f"{ast.unparse(node.exc)}")
+    assert others == []
 
 
 def test_numeric_errors_exit_3(tmp_path, capsys):

@@ -198,9 +198,9 @@ def test_decode_212_round_trip_odd_and_even_lengths():
 
 
 def test_encode_212_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="12-bit"):
         encode_212(np.array([2048]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="12-bit"):
         encode_212(np.array([-2049]))
 
 
