@@ -21,6 +21,11 @@ non-reproducible file. A run loads and checks all its inputs (every
 cache of every subset, and the checkpoint) before it creates its
 directory, so a refused run leaves none behind; the writers expect the
 directory to exist.
+
+Ingest and ``build-dataset`` write their caches concurrently, on the
+threads of :func:`beatnet.segments.run_in_threads`: the blake2b digest
+and the file writes release the interpreter lock. ``dataset_stats.csv``
+is written after every cache, on the calling thread.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ from .metrics import REPORT_CSV_HEADER, EvalReport, build_report, \
     reports_from_json, reports_to_csv, reports_to_json
 from .records import SUBSET_NAMES, load_manifest, load_record
 from .segments import (
+    PARTITIONS,
     TEST,
     TRAIN,
     WINDOW_SECONDS,
     LabeledDataset,
     build_subsets,
     load_cache,
+    run_in_threads,
     save_cache,
     stats_csv,
 )
@@ -133,8 +140,10 @@ def load_cache_checked(cache_dir: Path, subset: str,
 
 
 def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
-    """Write every dataset's cache and the stats file, or, when there is
-    no dataset or any dataset has no segments, nothing at all."""
+    """Write every dataset's cache, concurrently, then the stats file; or,
+    when there is no dataset or any dataset has no segments, nothing at
+    all. A cache that cannot be written raises DataError naming it, and
+    the stats file is not written."""
     if not datasets:
         raise DataError("no records to build a dataset from; no caches "
                         "written")
@@ -146,13 +155,11 @@ def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
                 f"records are shorter than one {WINDOW_SECONDS} s window; "
                 f"no caches written")
     make_out_dir(out_dir)
-    written = []
-    for ds in ordered:
-        path = cache_file(out_dir, ds.subset_name, ds.partition)
-        save_cache(ds, path)
-        written.append(path)
+    paths = [cache_file(out_dir, ds.subset_name, ds.partition)
+             for ds in ordered]
+    run_in_threads(lambda k: save_cache(ordered[k], paths[k]), len(paths))
     write_text(out_dir / STATS_FILE, stats_csv(ordered))
-    return written
+    return paths
 
 
 def run_ingest(manifest_path, out_dir, settings: Settings) -> list[Path]:
@@ -210,13 +217,25 @@ def evaluate_dataset(logits: np.ndarray, dataset: LabeledDataset,
                         settings.seed)
 
 
-def _present_targets(cache_dir: Path, partitions) -> list[str]:
-    """Non-source subsets whose caches exist for all wanted partitions."""
+def _present_targets(cache_dir: Path) -> list[str]:
+    """Non-source subsets with caches in ``cache_dir``.
+
+    Ingest writes a subset's Train and Test caches together, so a subset
+    with only one of them is a damaged directory, not an absent dataset:
+    it raises DataError naming the missing file.
+    """
     out = []
     for subset in SUBSET_NAMES:
         if subset == SOURCE_SUBSET:
             continue
-        if all(cache_file(cache_dir, subset, p).exists() for p in partitions):
+        missing = [p for p in PARTITIONS
+                   if not cache_file(cache_dir, subset, p).exists()]
+        if len(missing) == 1:
+            raise DataError(
+                f"no cache for {subset} {missing[0]} at "
+                f"{cache_file(cache_dir, subset, missing[0])}, but its "
+                f"other partition's cache exists")
+        if not missing:
             out.append(subset)
     return out
 
@@ -231,9 +250,10 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
     every subset's caches are read and checked once, before the run
     creates ``out_dir``. Target subsets without caches are skipped so the
     protocol runs on whichever datasets are actually present; having none
-    at all is an error. Every experiment walks the same loop over its
-    subsets and their partitions; they differ only in where a subset's
-    parameters come from.
+    at all, or a target with only one of its two caches, is an error.
+    Every experiment walks the same loop over its subsets and their
+    partitions; they differ only in where a subset's parameters come
+    from.
     """
     if experiment_id not in (1, 2, 3):
         raise UsageError(f"experiment id must be 1, 2 or 3, got "
@@ -258,7 +278,7 @@ def run_experiment(experiment_id: int, cache_dir, out_dir,
         check_architecture(checkpoint, found, settings)
         checkpoints = [Path(checkpoint)]
         partitions = (TEST,) if experiment_id == 2 else (TRAIN, TEST)
-        targets = _present_targets(cache_dir, partitions)
+        targets = _present_targets(cache_dir)
         if not targets:
             raise DataError(f"no target subset caches in {cache_dir}")
 

@@ -319,10 +319,16 @@ def batchnorm1d_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         if count < 2:
             raise DataError(
                 f"batch statistics need >= 2 values per channel, got {count}")
-        # mean and var on the channels-first copy: see _channel_sum
+        # mean and var on the channels-first copy (see _channel_sum), by
+        # np.var's own steps with the mean summed once; with one channel
+        # xt is x itself, so the deviations go to a new array
         xt = np.ascontiguousarray(x.transpose(0, 2, 1))
-        mean = xt.mean(axis=(0, 2))
-        var = xt.var(axis=(0, 2))
+        mean = xt.sum(axis=(0, 2), keepdims=True)
+        mean /= count
+        dev = xt - mean
+        np.square(dev, out=dev)
+        var = dev.sum(axis=(0, 2)) / count
+        mean = mean.reshape(c)
         unbiased = var * (count / (count - 1))
         new_mean = ((1.0 - momentum) * running_mean
                     + momentum * mean).astype(x.dtype)

@@ -12,17 +12,26 @@ interpolation kernel: every full window shares the same sample grid, so
 the interval each output point falls in is found once per record, and a
 block gathers its samples and evaluates ``np.interp``'s own formula on
 them at once. The result is bit-equal to ``np.interp`` run per window.
+A record of more than one block shares its blocks among ``WORKERS``
+threads, the calling thread among them (:func:`run_in_threads`). Each
+block writes only its own rows, and NumPy releases the interpreter lock
+inside the kernel's array operations. The threads split one block's
+worth of windows between them, so together they hold the temporaries of
+one ``WINDOW_BLOCK`` block, however many there are.
 
 Subjects are partitioned before segments are pooled, so no subject
 contributes windows to both Train and Test of the same subset. A
 partition's columns are sized once from ``window_count`` of its records,
-and each record's windows are copied into its own rows.
+and each record's windows are resampled straight into its own rows.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +56,49 @@ PARTITIONS = (TRAIN, TEST)
 
 WINDOW_BLOCK = 1024  # windows per block of the resampling kernel
 
+# Threads that ingest runs on, the calling thread among them: the CPUs
+# this process may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
 _CACHE_MAGIC = b"HBDS"
 _CACHE_VERSION = 1
+
+
+def run_in_threads(task, n_tasks: int) -> None:
+    """Call ``task(k)`` once for each k in ``range(n_tasks)``, on up to
+    ``WORKERS`` threads of which the calling thread is one.
+
+    Each thread takes the next k until none is left or a call has
+    failed. Every thread started is joined before this returns, and a
+    failed call's exception is raised here. With one task or one worker
+    no thread is started.
+    """
+    lock = threading.Lock()
+    pending = iter(range(n_tasks))
+    failed = threading.Event()
+
+    def work():
+        while not failed.is_set():
+            with lock:
+                k = next(pending, None)
+            if k is None:
+                return
+            try:
+                task(k)
+            except BaseException:
+                failed.set()  # the other threads take no further task
+                raise
+
+    helpers = min(WORKERS, n_tasks) - 1
+    if helpers < 1:
+        work()
+        return
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
 
 
 def _label_windows(t0: np.ndarray, beats: np.ndarray) -> np.ndarray:
@@ -73,7 +123,8 @@ def label_window(t0: float, beats: np.ndarray) -> int:
 def _resample_windows(samples: np.ndarray, starts: np.ndarray, size: int,
                       fs: float, out: np.ndarray) -> None:
     """Resample the windows ``samples[start:start + size]`` into the rows
-    of ``out``, ``WINDOW_BLOCK`` windows at a time.
+    of ``out``, in blocks of windows shared among the threads of
+    :func:`run_in_threads`.
 
     Each row is bit-equal to ``np.interp(x, xp, window)`` with ``xp =
     arange(size) / fs`` and ``x = arange(250) / 1000``: in float64, the
@@ -96,8 +147,16 @@ def _resample_windows(samples: np.ndarray, starts: np.ndarray, size: int,
     offset = x - xp[j]
     dxp = np.diff(xp)
     windows = sliding_window_view(samples, size)
-    for b0 in range(0, len(starts), WINDOW_BLOCK):
-        w = windows[starts[b0:b0 + WINDOW_BLOCK]]
+    n = len(starts)
+    rows = WINDOW_BLOCK
+    if n > WINDOW_BLOCK:
+        # each of the WORKERS threads takes 1/WORKERS of a block at a
+        # time, so that their temporaries add up to one block's
+        rows = max(1, WINDOW_BLOCK // WORKERS)
+
+    def resample_block(k):
+        block = slice(k * rows, (k + 1) * rows)
+        w = windows[starts[block]]
         slope = np.subtract(w[:, 1:], w[:, :-1], dtype=np.float64)
         slope /= dxp
         left = np.take(w, j, axis=1)
@@ -105,7 +164,9 @@ def _resample_windows(samples: np.ndarray, starts: np.ndarray, size: int,
         v *= offset
         v += left
         v[:, copied] = left[:, copied]
-        out[b0:b0 + WINDOW_BLOCK] = v
+        out[block] = v
+
+    run_in_threads(resample_block, -(-n // rows))
 
 
 def resample_linear(samples: np.ndarray, fs_in: float) -> np.ndarray:
@@ -132,6 +193,7 @@ def window_count(duration: float, max_duration: float = MAX_RECORD_SECONDS) -> i
 
 def segment_arrays(record: EcgRecord,
                    max_duration: float = MAX_RECORD_SECONDS,
+                   out: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Window, label and resample one record.
 
@@ -139,10 +201,15 @@ def segment_arrays(record: EcgRecord,
     uint8 of BEAT/NO_BEAT labels from the record's own beat times.
     Window i starts at t0 = 0.25 i s, at sample round(t0 * fs) (halves
     up), and spans ceil(0.25 fs) + 1 samples, fewer where the record
-    ends first.
+    ends first. Given ``out``, an (n_windows, 250) float32 array such as
+    a partition's rows, the windows are written into it and X is ``out``.
     """
     n_windows = window_count(record.duration, max_duration)
-    X = np.empty((n_windows, SEGMENT_LENGTH), dtype=np.float32)
+    X = (np.empty((n_windows, SEGMENT_LENGTH), dtype=np.float32)
+         if out is None else out)
+    if X.shape != (n_windows, SEGMENT_LENGTH) or X.dtype != np.float32:
+        raise DataError(f"out is {X.dtype} {X.shape}, expected float32 "
+                        f"({n_windows}, {SEGMENT_LENGTH})")
     t0 = np.arange(n_windows) * WINDOW_SECONDS
     y = _label_windows(t0, record.beat_times)
     samples = record.samples
@@ -210,7 +277,10 @@ class LabeledDataset:
                             f"{n} labels x {SEGMENT_LENGTH} samples")
         if self.record_index.shape != (n,) or self.window_index.shape != (n,):
             raise DataError("index arrays must parallel labels")
-        if n and not np.all(np.isfinite(self.X)):
+        # block by block: a mask of the whole of X would take a quarter
+        # of X's own bytes
+        if not all(np.isfinite(self.X[k:k + WINDOW_BLOCK]).all()
+                   for k in range(0, n, WINDOW_BLOCK)):
             raise DataError("dataset contains non-finite sample values")
         if n and not np.all((self.y == NO_BEAT) | (self.y == BEAT)):
             raise DataError("labels must be BEAT or NO_BEAT")
@@ -254,7 +324,8 @@ def build_labeled_dataset(records: list[EcgRecord], subset_name: str,
     for k, rec in enumerate(chosen):
         rows = slice(starts[k], starts[k] + counts[k])
         try:
-            X[rows], y[rows] = segment_arrays(rec, max_duration=max_duration)
+            _, y[rows] = segment_arrays(rec, max_duration=max_duration,
+                                        out=X[rows])
         except DataError as exc:
             raise DataError(f"record {rec.record_id!r}: {exc}") from exc
     record_index = np.repeat(np.arange(len(chosen), dtype=np.uint32), counts)

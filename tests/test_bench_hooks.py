@@ -189,6 +189,21 @@ def test_partition_windows_each_record_through_segment_arrays(workloads,
                for args, kwargs, result in calls) == len(ds) > 0
 
 
+def test_segment_arrays_result_is_the_partitions_rows(monkeypatch):
+    # segment_arrays' windows go straight into the partition: the X it
+    # returns, which the windows count reads, is each record's own rows
+    records = make_synthetic_records(n_subjects=3, seed=4)
+    calls = spy(monkeypatch, beatnet.segments, "segment_arrays")
+    ds = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
+                               {r.subject_id for r in records})
+    assert len(calls) == len(records)
+    for k, (_, _, (X, _)) in enumerate(calls):
+        start = int(np.flatnonzero(ds.record_index == k)[0])
+        assert X.base is ds.X
+        assert X.ctypes.data == ds.X[start].ctypes.data
+        assert X.shape[0] == np.count_nonzero(ds.record_index == k)
+
+
 def test_head_only_train_scores_each_epoch_with_predict_logits(monkeypatch,
                                                                dataset):
     # the head-only scoring pass runs in the same chunks as every other

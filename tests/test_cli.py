@@ -9,12 +9,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beatnet import errors, experiments
+from beatnet import errors, experiments, segments
 from beatnet.cli import main
 from beatnet.config import Settings, load_settings, parse_fraction, \
     render_snapshot
@@ -421,6 +422,72 @@ def test_ingest_refuses_bad_record(tmp_path, monkeypatch, capsys, gain,
                  "--out", str(out)]) == 2
     assert f"data error: record 'r1': {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def ten_minute_manifest(tmp_path_factory):
+    """Four 10 min records, two subjects in each of two subsets: 2400
+    windows, so three resampling blocks and a last window that ends at
+    the record's end."""
+    data = tmp_path_factory.mktemp("ten_minutes")
+    rng = np.random.default_rng(11)
+    lines = []
+    for k, (tag, fs) in enumerate([("Arrhythmia", 360.0)] * 2
+                                  + [("NormalSinus", 128.0)] * 2):
+        n = int(600 * fs)
+        beats = list(range(40 + k, n, int(0.8 * fs)))
+        write_wfdb_record(
+            data, f"r{k}", fs, [rng.integers(-900, 900, n)],
+            annotation_bytes=simple_annotation_stream(
+                [(b, 1) for b in beats]))
+        lines.append(f"record=r{k} subject=s{k} tag={tag} hea=r{k}.hea "
+                     f"ann=r{k}.atr\n")
+    manifest = data / "manifest.txt"
+    manifest.write_text("".join(lines))
+    return manifest
+
+
+def test_ingest_bytes_do_not_depend_on_workers(tmp_path, monkeypatch,
+                                               ten_minute_manifest):
+    monkeypatch.delenv("BEATNET_DATA_ROOT", raising=False)
+    trees = []
+    for workers in (1, 3):
+        monkeypatch.setattr(segments, "WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        before = threading.active_count()
+        written = experiments.run_ingest(ten_minute_manifest, out,
+                                         Settings())
+        assert threading.active_count() == before
+        assert [p.name for p in written] == [
+            "arrhythmia.test.hbds", "arrhythmia.train.hbds",
+            "normalsinus-longterm.test.hbds",
+            "normalsinus-longterm.train.hbds"]
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert set(trees[0]) == {p.name for p in written} | {
+        experiments.STATS_FILE}
+    assert trees[0] == trees[1]
+    assert len(load_cache(tmp_path / "w3" / "arrhythmia.test.hbds")) == 2400
+
+
+@pytest.mark.parametrize("failing", ["arrhythmia.test", "arrhythmia.train",
+                                     "normalsinus-longterm.test",
+                                     "normalsinus-longterm.train"])
+def test_ingest_cache_write_failure_names_the_cache(
+        tmp_path, monkeypatch, ten_minute_manifest, failing):
+    # a directory where the cache goes: its rename fails on whichever
+    # thread writes it, after its temporary file is complete
+    monkeypatch.delenv("BEATNET_DATA_ROOT", raising=False)
+    monkeypatch.setattr(segments, "WORKERS", 3)
+    out = tmp_path / "out"
+    blocked = out / f"{failing}.hbds"
+    blocked.mkdir(parents=True)
+    before = threading.active_count()
+    with pytest.raises(DataError,
+                       match=f"cannot write {re.escape(str(blocked))}"):
+        experiments.run_ingest(ten_minute_manifest, out, Settings())
+    assert threading.active_count() == before
+    assert not list(out.glob(".*.tmp"))
+    assert not (out / experiments.STATS_FILE).exists()
 
 
 # --- experiment protocol ---
@@ -927,6 +994,28 @@ def test_experiment_without_target_caches_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"data error: no target subset caches in {caches}" in err
         assert not out.exists()
+
+
+def test_target_with_one_cache_exits_2(tmp_path, capsys):
+    # ingest writes a subset's two caches together: a target with one of
+    # them is refused, naming the other, not dropped from the protocol
+    cfg = fast_config(tmp_path)
+    caches = build_caches(tmp_path)
+    ckpt = fast_checkpoint(tmp_path, cfg)
+    for partition in (TEST, TRAIN):
+        gone = cache_file(caches, "Arrhythmia", partition)
+        kept = gone.read_bytes()
+        gone.unlink()
+        for experiment_id in ("2", "3"):
+            out = tmp_path / f"exp{experiment_id}"
+            assert main(["experiment", "--id", experiment_id,
+                         "--caches", str(caches), "--out", str(out),
+                         "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+            err = capsys.readouterr().err
+            assert (f"data error: no cache for Arrhythmia {partition} at "
+                    f"{gone}" in err)
+            assert not out.exists()
+        gone.write_bytes(kept)
 
 
 def test_module_entry_points_exit_with_one_message(tmp_path):

@@ -1,11 +1,15 @@
 """Windowing, labeling, resampling, splitting and dataset cache tests."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from beatnet import segments
 from beatnet.errors import DataError
 from beatnet.records import EcgRecord
 from beatnet.segments import (
@@ -22,6 +26,7 @@ from beatnet.segments import (
     label_window,
     load_cache,
     resample_linear,
+    run_in_threads,
     save_cache,
     segment_arrays,
     split_subjects,
@@ -282,6 +287,115 @@ def test_build_labeled_dataset_memory_is_bounded():
     assert ds.X.shape == (4 * 14400, SEGMENT_LENGTH)
     one_record = 14400 * (SEGMENT_LENGTH * 4 + 1)
     assert peak < ds.X.nbytes + ds.y.nbytes + one_record + 12 * 2**20
+
+
+def test_segment_arrays_memory_is_bounded_on_four_threads(monkeypatch):
+    # the threads split one block's temporaries, not one block each
+    monkeypatch.setattr(segments, "WORKERS", 4)
+    test_segment_arrays_memory_is_bounded()
+
+
+def test_build_labeled_dataset_writes_windows_in_place():
+    # four hours at 360 Hz: the partition's columns plus a few blocks of
+    # temporaries; no record's windows are held a second time
+    fs = 360.0
+    rng = np.random.default_rng(5)
+    records = [EcgRecord(f"r{k}", f"s{k}", "Arrhythmia", fs,
+                         rng.normal(size=int(3600 * fs)).astype(np.float32),
+                         np.arange(100 + k, int(3600 * fs), 300,
+                                   dtype=np.int64))
+               for k in range(4)]
+    tracemalloc.start()
+    try:
+        ds = build_labeled_dataset(records, "Arrhythmia", TRAIN,
+                                   {r.subject_id for r in records})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.X.shape == (4 * 14400, SEGMENT_LENGTH)
+    assert peak < ds.X.nbytes + ds.y.nbytes + 12 * 2**20
+
+
+def test_segment_arrays_writes_into_out():
+    rec = odd_record(360.0, 300.0, seed=6)
+    X, y = segment_arrays(rec)
+    out = np.full((len(y) + 2, SEGMENT_LENGTH), -1.0, dtype=np.float32)
+    X_out, y_out = segment_arrays(rec, out=out[1:-1])
+    assert X_out.base is out
+    assert out[1:-1].tobytes() == X.tobytes()
+    assert (out[[0, -1]] == -1.0).all()
+    assert y_out.tobytes() == y.tobytes()
+    for bad in (out, out[1:-1].astype(np.float64)):
+        with pytest.raises(DataError, match="expected float32"):
+            segment_arrays(rec, out=bad)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_segment_arrays_bytes_do_not_depend_on_workers(monkeypatch, workers):
+    # 2400 windows: three blocks, then a window that ends at the record's
+    # end; 1025 windows: two blocks
+    for rec in (odd_record(360.0, 600.0, seed=7),
+                odd_record(128.0, 256.25, seed=8)):
+        monkeypatch.setattr(segments, "WORKERS", 1)
+        X, y = segment_arrays(rec)
+        monkeypatch.setattr(segments, "WORKERS", workers)
+        X_threads, y_threads = segment_arrays(rec)
+        assert X_threads.tobytes() == X.tobytes()
+        assert y_threads.tobytes() == y.tobytes()
+
+
+def test_only_records_of_several_blocks_start_threads(monkeypatch):
+    pools = []
+    real = segments.ThreadPoolExecutor
+
+    def counted(n):
+        pools.append(n)
+        return real(n)
+
+    monkeypatch.setattr(segments, "ThreadPoolExecutor", counted)
+    monkeypatch.setattr(segments, "WORKERS", 4)
+    segment_arrays(odd_record(360.0, 256.0, seed=9))  # 1024 windows
+    resample_linear(np.arange(100.0), 360.0)
+    assert pools == []
+    segment_arrays(odd_record(360.0, 600.0, seed=9))  # 2400 windows
+    assert pools == [3]  # the calling thread is the fourth
+
+
+def test_run_in_threads_runs_each_task_once(monkeypatch):
+    # more threads than cores, switching as often as the interpreter can
+    monkeypatch.setattr(segments, "WORKERS", 8)
+    done = []
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run_in_threads,
+                                  args=(done.append, 5000))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(done) == list(range(5000))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_in_threads_raises_a_failed_task(monkeypatch, workers):
+    monkeypatch.setattr(segments, "WORKERS", workers)
+    done = []
+    before = threading.active_count()
+
+    def task(k):
+        if k == 3:
+            raise DataError("task 3 failed")
+        time.sleep(0.001)
+        done.append(k)
+
+    with pytest.raises(DataError, match="task 3 failed"):
+        run_in_threads(task, 1000)
+    assert 3 not in done and len(done) < 100  # the rest were not started
+    assert threading.active_count() == before
 
 
 # --- subject splitting ---
