@@ -46,30 +46,70 @@ takes ``np.maximum`` of its two lanes and builds its bool mask only
 when a train-mode pass records a backward cache; its backward routes
 the gradient with bit masks rather than ``np.where``.
 
-Blocking: an eval-mode :func:`trunk_features` runs over its whole
-input in blocks of ``TRUNK_ROWS`` rows (the training batch size), so
-that a block's conv intermediates stay in a 2 MiB L2 cache rather than
-spilling tens of MiB (Goto & van de Geijn 2008).
-:func:`predict_logits` runs the network in chunks of
+Threads and blocks: an eval-mode :func:`trunk_features` runs over its
+whole input in blocks of ``TRUNK_ROWS`` rows (the training batch size),
+so that a block's conv intermediates stay in a 2 MiB L2 cache rather
+than spilling tens of MiB (Goto & van de Geijn 2008). The blocks are
+independent, so they are shared among the threads of
+:func:`beatnet.segments.run_in_threads`, each writing its rows of one
+output. :func:`predict_logits` runs the network in chunks of
 ``EVAL_BATCH_ROWS`` rows. A trunk row gives the same bytes in a block
 of any size; fc0's GEMM does not (its float32 logits at 1024 rows
 differ in the last bits from those at 512 or fewer), so only the trunk
-is blocked and the head keeps its chunks.
+is blocked and the head keeps its chunks. :func:`backward` hands each
+conv layer's weight and bias gradients to one helper thread and walks
+on down the input-gradient chain, which the next layer waits for (the
+split of Qi et al. 2023, Zero Bubble Pipeline Parallelism); a conv's
+input gradient runs in blocks of ``CONV_DX_ROWS`` rows, for L2 again.
+Both use ``segments.WORKERS`` threads while the BLAS runs one thread
+(:func:`_workers`), and none otherwise. No thread changes a byte: each
+computes what the caller would, and every thread is joined before the
+call that started it returns.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import segments
 from .errors import DataError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
 EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
 TRUNK_ROWS = 64  # rows per block of an eval-mode trunk
+CONV_DX_ROWS = 16  # rows per block of a conv's input-gradient GEMM
+
+
+def _blas_threads() -> int:
+    """OpenBLAS's own thread count, read as OpenBLAS reads it when it
+    loads: the first of its variables set to a positive count, else one
+    thread per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return segments.WORKERS
+
+
+BLAS_THREADS = _blas_threads()
+
+
+def _workers() -> int:
+    """Threads the network runs on, the calling thread among them:
+    ``segments.WORKERS`` while the BLAS runs one thread, else 1. Calls
+    into a multi-threaded OpenBLAS from two threads at once contend for
+    its one pool of threads, which wait for work by spinning."""
+    return segments.WORKERS if BLAS_THREADS == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -283,19 +323,53 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) for conv1d_forward, all channels-last."""
-    n, length, c_in = x.shape
-    c_out, _, k = w.shape
-    if dy.shape != (n, length, c_out):
+    """Gradients (dx, dw, db) for conv1d_forward, all channels-last.
+
+    :func:`backward` calls its two halves, :func:`_conv_param_grads` and
+    :func:`_conv_input_grad`, on two threads."""
+    _check_conv_grad(x, w, dy)
+    return _conv_input_grad(w, dy), *_conv_param_grads(x, w.shape, dy)
+
+
+def _check_conv_grad(x: np.ndarray, w: np.ndarray, dy: np.ndarray) -> None:
+    n, length, _ = x.shape
+    if dy.shape != (n, length, w.shape[0]):
         raise DataError(f"conv1d gradient {dy.shape}, expected "
-                        f"{(n, length, c_out)}")
-    db = _channel_sum(dy)
-    dy_flat = dy.reshape(n * length, c_out)
+                        f"{(n, length, w.shape[0])}")
+
+
+def _conv_param_grads(x: np.ndarray, shape: tuple, dy: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(dw, db) of conv1d_forward for (c_out, c_in, k) weights."""
+    c_out, c_in, k = shape
+    dy_flat = dy.reshape(-1, c_out)
     dw = (dy_flat.T @ _im2col(x, k)).reshape(c_out, c_in, k)
-    # dx is dy correlated with the flipped kernels, transposed over channels
+    return dw, _channel_sum(dy)
+
+
+def _conv_input_grad(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """dx of conv1d_forward: dy correlated with the flipped kernels,
+    transposed over channels.
+
+    One GEMM per block of ``CONV_DX_ROWS`` rows, the last block taking
+    the rest, so that a block's patch matrix stays in L2. A row's dx
+    depends on that row alone, and at the default geometry each block
+    gives the bytes of one GEMM over every row. Two cases would not, so
+    they are not blocked: a last block of fewer rows, which OpenBLAS may
+    hand to its small-matrix kernel, and one input channel, where the
+    product is matrix-vector and OpenBLAS splits it among its threads
+    by row count."""
+    n, length, c_out = dy.shape
+    _, c_in, k = w.shape
     wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-    dx = (_im2col(dy, k) @ wflip.T).reshape(n, length, c_in)
-    return dx, dw, db
+    dx = np.empty((n, length, c_in), dtype=np.result_type(dy, w))
+    inner = (range(CONV_DX_ROWS, n - CONV_DX_ROWS + 1, CONV_DX_ROWS)
+             if c_in > 1 else ())
+    bounds = [0, *inner, n]
+    for start, stop in zip(bounds, bounds[1:]):
+        np.matmul(_im2col(dy[start:stop], k), wflip.T,
+                  out=dx[start:stop].reshape(-1, c_in))
+    return dx
 
 
 def batchnorm1d_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -472,16 +546,30 @@ def trunk_features(config: NetworkConfig, params: dict, X: np.ndarray,
     flattened (n, flatten_width) output. Given a ``cache``, runs in
     train mode and appends its intermediates (the flatten last) and BN
     updates to it; without one, runs in eval mode, keeps no
-    intermediates and works in blocks of ``TRUNK_ROWS`` rows. Eval mode
+    intermediates and works in blocks of ``TRUNK_ROWS`` rows, on
+    :func:`_workers` threads. Eval mode
     makes each row's features independent of the rest of its batch, so
     a frozen trunk's can be computed once and reused."""
     if X.ndim != 2 or X.shape[1] != config.input_length:
         raise DataError(
             f"expected (n, {config.input_length}) input, got {X.shape}")
     if cache is None and len(X) > TRUNK_ROWS:
-        return np.concatenate([
-            trunk_features(config, params, X[start:start + TRUNK_ROWS])
-            for start in range(0, len(X), TRUNK_ROWS)])
+        out = None
+        lock = threading.Lock()
+
+        def block(k):
+            nonlocal out
+            rows = slice(k * TRUNK_ROWS, (k + 1) * TRUNK_ROWS)
+            features = trunk_features(config, params, X[rows])
+            with lock:  # the first block done sizes the output
+                if out is None:
+                    out = np.empty((len(X), features.shape[1]),
+                                   features.dtype)
+            out[rows] = features
+
+        segments.run_in_threads(block, -(-len(X) // TRUNK_ROWS),
+                                _workers())
+        return out
     h = X.reshape(len(X), config.input_length, 1)  # one channel: no copy
     for b in range(len(config.conv_blocks)):
         prefix = f"conv{b}"
@@ -564,36 +652,72 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
     Walks the cached layers in reverse. A cache from :func:`forward`
     yields every trainable parameter; one from :func:`forward_head`
     alone ends at its dropout entry, so the walk stops there and only
-    FC gradients are returned.
+    FC gradients are returned. A conv layer's weight and bias gradients
+    go to :func:`_side_thread` as soon as its ``dy`` is known, while the
+    walk carries on down the input-gradient chain.
     """
     grads: dict[str, np.ndarray] = {}
+    convs = []
     dy = dlogits
-    for kind, name, stored in reversed(cache.layers):
-        if kind == "fc":
-            dy, dw, db = linear_backward(stored, params[f"{name}.weight"], dy)
-            grads[f"{name}.weight"] = dw
-            grads[f"{name}.bias"] = db
-        elif kind == "relu":
-            dy = relu_backward(dy, stored)
-        elif kind == "dropout":
-            dy = dropout_backward(dy, stored)
-        elif kind == "flatten":  # undo _flatten: (n, C*L) -> (n, L, C)
-            n, length, c = stored
-            dy = dy.reshape(n, c, length).transpose(0, 2, 1)
-        elif kind == "pool":
-            second, input_length = stored
-            dy = maxpool1d_backward(dy, second, input_length)
-        elif kind == "conv":
-            dy, dw, db = conv1d_backward(stored, params[f"{name}.weight"], dy)
-            grads[f"{name}.weight"] = dw
-            grads[f"{name}.bias"] = db
-        elif kind == "bn":
-            dy, dgamma, dbeta = batchnorm1d_backward(dy, stored)
-            grads[f"{name}.bn.gamma"] = dgamma
-            grads[f"{name}.bn.beta"] = dbeta
-        else:  # pragma: no cover - layer kinds are fixed above
-            raise DataError(f"unknown cached layer kind {kind!r}")
+    with _side_thread() as submit:
+        for kind, name, stored in reversed(cache.layers):
+            if kind == "fc":
+                dy, dw, db = linear_backward(stored,
+                                             params[f"{name}.weight"], dy)
+                grads[f"{name}.weight"] = dw
+                grads[f"{name}.bias"] = db
+            elif kind == "relu":
+                dy = relu_backward(dy, stored)
+            elif kind == "dropout":
+                dy = dropout_backward(dy, stored)
+            elif kind == "flatten":  # undo _flatten: (n, C*L) -> (n, L, C)
+                n, length, c = stored
+                dy = dy.reshape(n, c, length).transpose(0, 2, 1)
+            elif kind == "pool":
+                second, input_length = stored
+                dy = maxpool1d_backward(dy, second, input_length)
+            elif kind == "conv":
+                w = params[f"{name}.weight"]
+                _check_conv_grad(stored, w, dy)
+                # filled in below; the keys keep the walk's order
+                grads[f"{name}.weight"] = grads[f"{name}.bias"] = None
+                convs.append((name, submit(_conv_param_grads, stored,
+                                           w.shape, dy)))
+                dy = _conv_input_grad(w, dy)
+            elif kind == "bn":
+                dy, dgamma, dbeta = batchnorm1d_backward(dy, stored)
+                grads[f"{name}.bn.gamma"] = dgamma
+                grads[f"{name}.bn.beta"] = dbeta
+            else:  # pragma: no cover - layer kinds are fixed above
+                raise DataError(f"unknown cached layer kind {kind!r}")
+    for name, future in convs:
+        grads[f"{name}.weight"], grads[f"{name}.bias"] = future.result()
     return grads
+
+
+@contextmanager
+def _side_thread():
+    """Yields ``submit(fn, *args)``, which returns a future of
+    ``fn(*args)``.
+
+    When :func:`_workers` is more than 1, the calls run in turn on one
+    helper thread, each in a copy of the caller's context (so the
+    caller's ``np.errstate`` holds there), and the thread is joined when
+    the block exits, before any future's result or failure is read.
+    With one worker each call runs on the caller, at once, and no thread
+    is started."""
+    if _workers() < 2:
+        yield _call_now
+        return
+    with ThreadPoolExecutor(1) as pool:
+        yield lambda fn, *args: pool.submit(
+            contextvars.copy_context().run, fn, *args)
+
+
+def _call_now(fn, *args) -> Future:
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,

@@ -27,6 +27,7 @@ and each record's windows are resampled straight into its own rows.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import struct
@@ -56,8 +57,8 @@ PARTITIONS = (TRAIN, TEST)
 
 WINDOW_BLOCK = 1024  # windows per block of the resampling kernel
 
-# Threads that ingest runs on, the calling thread among them: the CPUs
-# this process may run on.
+# Threads that ingest and the network run on, the calling thread among
+# them: the CPUs this process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -65,14 +66,17 @@ _CACHE_MAGIC = b"HBDS"
 _CACHE_VERSION = 1
 
 
-def run_in_threads(task, n_tasks: int) -> None:
+def run_in_threads(task, n_tasks: int, workers: int | None = None) -> None:
     """Call ``task(k)`` once for each k in ``range(n_tasks)``, on up to
-    ``WORKERS`` threads of which the calling thread is one.
+    ``workers`` threads (``WORKERS`` by default) of which the calling
+    thread is one.
 
     Each thread takes the next k until none is left or a call has
     failed. Every thread started is joined before this returns, and a
     failed call's exception is raised here. With one task or one worker
-    no thread is started.
+    no thread is started. Each helper thread runs in a copy of the
+    caller's context, so the caller's ``np.errstate``, a context variable
+    that new threads do not inherit, holds in every task.
     """
     lock = threading.Lock()
     pending = iter(range(n_tasks))
@@ -90,12 +94,13 @@ def run_in_threads(task, n_tasks: int) -> None:
                 failed.set()  # the other threads take no further task
                 raise
 
-    helpers = min(WORKERS, n_tasks) - 1
+    helpers = min(WORKERS if workers is None else workers, n_tasks) - 1
     if helpers < 1:
         work()
         return
     with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
+        futures = [pool.submit(contextvars.copy_context().run, work)
+                   for _ in range(helpers)]
         work()
     for future in futures:
         future.result()

@@ -29,7 +29,7 @@ from beatnet.train import save_checkpoint
 
 from helpers import BAD_GEOMETRY, ann_word, edit_checkpoint_header, \
     end_marker, reframe, simple_annotation_stream, skip_block, \
-    write_wfdb_record
+    use_workers, write_wfdb_record
 
 # Small network and short training so end-to-end runs stay fast.
 FAST_INI = """\
@@ -1085,3 +1085,10 @@ def test_numeric_errors_exit_3(tmp_path, capsys):
                      "--out", str(tmp_path / "o"), "--config", cfg])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_numeric_errors_exit_3_on_threads(tmp_path, capsys, monkeypatch):
+    # the helper threads of training and scoring keep the caller's
+    # np.errstate, so they raise nothing the caller would not
+    use_workers(monkeypatch, 2)
+    test_numeric_errors_exit_3(tmp_path, capsys)

@@ -4,11 +4,15 @@ The conv, BatchNorm and max-pool kernels take channels-last (n, L, C)
 arrays.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from beatnet import nn, segments
 from beatnet.errors import DataError
 from beatnet.nn import (
     EVAL_BATCH_ROWS,
@@ -35,12 +39,14 @@ from beatnet.nn import (
 
 from helpers import (
     channels_last,
+    count_thread_starts,
     ref_batchnorm1d_backward,
     ref_batchnorm1d_forward,
     ref_conv1d_backward,
     ref_conv1d_forward,
     ref_maxpool1d_backward,
     ref_maxpool1d_forward,
+    use_workers,
 )
 
 NET = NetworkConfig()  # the default geometry
@@ -624,6 +630,12 @@ def test_eval_pass_memory_is_bounded():
     assert peak < 16 * 2 ** 20, peak
 
 
+def test_eval_pass_memory_is_bounded_on_two_threads(monkeypatch):
+    # each thread holds one block's intermediates at a time
+    use_workers(monkeypatch, 2)
+    test_eval_pass_memory_is_bounded()
+
+
 def test_trunk_features_of_no_rows():
     params = init_params(NET, np.random.default_rng(16))
     features = trunk_features(NET, params,
@@ -675,3 +687,126 @@ def test_predict_logits_accepts_2d_and_batches():
     np.testing.assert_allclose(
         logits, forward(NET, params, X, train=False)[0],
         atol=1e-6)
+
+
+# --- threads and blocks ---
+
+
+@pytest.mark.parametrize("n", [1, 17, 63, 64, 65])
+def test_conv_dx_blocks_equal_one_gemm(n):
+    # full and short batches at each default block's geometry
+    rng = np.random.default_rng(24)
+    for b, (c_in, c_out, k) in enumerate(NET.conv_blocks):
+        length = NET.input_length // 2 ** b
+        w = rng.normal(size=(c_out, c_in, k)).astype(np.float32)
+        dy = rng.normal(size=(n, length, c_out)).astype(np.float32)
+        wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
+        one_gemm = nn._im2col(dy, k) @ wflip.T
+        dx, _, _ = conv1d_backward(np.zeros((n, length, c_in), np.float32),
+                                   w, dy)
+        assert dx.tobytes() == one_gemm.tobytes(), (n, b)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_eval_bytes_do_not_depend_on_workers(monkeypatch, workers):
+    rng = np.random.default_rng(25)
+    params = init_params(NET, rng)
+    X = rng.normal(size=(EVAL_BATCH_ROWS + 77, 250)).astype(np.float32)
+
+    def run():
+        return (predict_logits(NET, params, X).tobytes(),
+                trunk_features(NET, params, X).tobytes())
+
+    use_workers(monkeypatch, 1)
+    started = count_thread_starts(monkeypatch)
+    alone = run()
+    assert started == []
+    use_workers(monkeypatch, workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the blocks race for the output
+    try:
+        assert run() == alone
+    finally:
+        sys.setswitchinterval(interval)
+    assert started
+
+
+def test_backward_runs_conv_weight_grads_on_one_helper(monkeypatch):
+    rng = np.random.default_rng(26)
+    params = init_params(NET, rng)
+    logits, cache = forward(NET, params, rng.normal(size=(65, 250)).astype(
+        np.float32), train=True, rng=rng)
+    dlogits = rng.normal(size=logits.shape).astype(np.float32)
+    started = count_thread_starts(monkeypatch)
+    use_workers(monkeypatch, 1)
+    alone = backward(NET, params, cache, dlogits)
+    assert started == []
+    use_workers(monkeypatch, 2)
+    grads = backward(NET, params, cache, dlogits)
+    assert len(started) == 1
+    assert list(grads) == list(alone)  # the keys in the walk's order
+    assert all(grads[k].tobytes() == alone[k].tobytes() for k in alone)
+
+
+def test_backward_raises_a_helper_failure_after_joining(monkeypatch):
+    use_workers(monkeypatch, 2)
+    rng = np.random.default_rng(27)
+    params = init_params(NET, rng)
+    logits, cache = forward(NET, params, rng.normal(size=(8, 250)).astype(
+        np.float32), train=True, rng=rng)
+    helpers = []
+
+    def failing(x, shape, dy):
+        helpers.append(threading.get_ident())
+        time.sleep(0.02)  # still running when the caller's walk ends
+        raise DataError(f"weight gradient {shape} failed")
+
+    monkeypatch.setattr(nn, "_conv_param_grads", failing)
+    before = threading.active_count()
+    with pytest.raises(DataError, match=r"\(64, 32, 3\) failed"):
+        backward(NET, params, cache, np.ones_like(logits))
+    assert threading.active_count() == before
+    assert len(helpers) == 4
+    assert threading.get_ident() not in helpers
+
+
+def test_helper_thread_keeps_the_callers_errstate(monkeypatch):
+    use_workers(monkeypatch, 2)
+    with np.errstate(divide="raise"):
+        with nn._side_thread() as submit:
+            where = submit(threading.get_ident)
+            divided = submit(np.divide, np.ones(1), np.zeros(1))
+    assert where.result() != threading.get_ident()
+    with pytest.raises(FloatingPointError):
+        divided.result()
+
+
+def test_network_runs_on_one_thread_beside_a_threaded_blas(monkeypatch):
+    monkeypatch.setattr(segments, "WORKERS", 2)
+    monkeypatch.setattr(nn, "BLAS_THREADS", 2)
+    rng = np.random.default_rng(28)
+    params = init_params(NET, rng)
+    X = rng.normal(size=(130, 250)).astype(np.float32)
+    started = count_thread_starts(monkeypatch)
+    logits, cache = forward(NET, params, X, train=True, rng=rng)
+    backward(NET, params, cache, np.ones_like(logits))
+    predict_logits(NET, params, X)
+    assert started == []
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 6),
+    ({"OMP_NUM_THREADS": "3"}, 3),
+    ({"OMP_NUM_THREADS": "3", "GOTO_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": " 1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "x"}, 6),
+])
+def test_blas_threads_follow_openblas_variables(monkeypatch, env, threads):
+    monkeypatch.setattr(segments, "WORKERS", 6)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert nn._blas_threads() == threads

@@ -398,6 +398,25 @@ def test_run_in_threads_raises_a_failed_task(monkeypatch, workers):
     assert threading.active_count() == before
 
 
+def test_run_in_threads_keeps_the_callers_errstate(monkeypatch):
+    # np.errstate is a context variable, which a new thread does not
+    # inherit: each thread must still raise where the caller would
+    monkeypatch.setattr(segments, "WORKERS", 4)
+    barrier = threading.Barrier(4, timeout=30)
+    raised = []
+
+    def task(k):
+        barrier.wait()  # one task on each of the four threads
+        try:
+            np.divide(np.ones(1), np.zeros(1))
+        except FloatingPointError:
+            raised.append(threading.get_ident())
+
+    with np.errstate(divide="raise"):
+        run_in_threads(task, 4)
+    assert len(set(raised)) == 4
+
+
 # --- subject splitting ---
 
 

@@ -25,7 +25,12 @@ from beatnet.train import (
     train,
 )
 
-from helpers import BAD_GEOMETRY, edit_checkpoint_header
+from helpers import (
+    BAD_GEOMETRY,
+    count_thread_starts,
+    edit_checkpoint_header,
+    use_workers,
+)
 
 # Small architecture (same block structure, fewer channels) so the
 # training-behavior tests stay fast.
@@ -128,6 +133,31 @@ def test_train_updates_bn_running_stats():
     params, _ = train(ds, cfg)
     assert not np.array_equal(params["conv0.bn.running_mean"],
                               init["conv0.bn.running_mean"])
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_train_bytes_do_not_depend_on_workers(monkeypatch, workers):
+    # the default geometry, whose conv input gradients run in blocks;
+    # 150 rows: batches of 36, then a short one of 6
+    ds = small_dataset(seed=6)
+    cfg = Settings(epochs=1, batch_size=36, seed=2)
+    init = init_params(NetworkConfig(), np.random.default_rng(9))
+
+    def run():
+        return [(params, history.logits.tobytes(), history.mean_loss)
+                for params, history in (train(ds, cfg),
+                                        train(ds, cfg, init=init))]
+
+    use_workers(monkeypatch, 1)
+    started = count_thread_starts(monkeypatch)
+    alone = run()
+    assert started == []
+    use_workers(monkeypatch, workers)
+    for (params, logits, loss), (want, want_logits, want_loss) in zip(
+            run(), alone):
+        assert params_equal(params, want)
+        assert (logits, loss) == (want_logits, want_loss)
+    assert started
 
 
 # --- freezing / transfer ---
