@@ -326,7 +326,8 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     """Gradients (dx, dw, db) for conv1d_forward, all channels-last.
 
     :func:`backward` calls its two halves, :func:`_conv_param_grads` and
-    :func:`_conv_input_grad`, on two threads."""
+    :func:`_conv_input_grad`, on two threads when :func:`_workers`
+    allows."""
     _check_conv_grad(x, w, dy)
     return _conv_input_grad(w, dy), *_conv_param_grads(x, w.shape, dy)
 
