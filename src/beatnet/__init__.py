@@ -6,7 +6,18 @@ four-block convolutional network with a fully connected head from
 scratch (weighted cross-entropy, AdaDelta), optionally transfer it onto
 new data by fine-tuning only the head, and evaluate MCC, precision,
 sensitivity and F1 with bootstrap confidence intervals.
+
+The network runs on every CPU with threads of its own (:mod:`beatnet.nn`),
+so OpenBLAS gets one thread unless ``OPENBLAS_NUM_THREADS`` says
+otherwise: two threads that call a multi-threaded OpenBLAS at once wait
+on its one pool of threads. OpenBLAS reads the variable when NumPy
+loads, so this default holds where beatnet is imported first, as in the
+``beatnet`` command.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import Settings
 from .loss import ClassWeights, weighted_cross_entropy

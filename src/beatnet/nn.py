@@ -61,17 +61,18 @@ conv layer's weight and bias gradients to one helper thread and walks
 on down the input-gradient chain, which the next layer waits for (the
 split of Qi et al. 2023, Zero Bubble Pipeline Parallelism); a conv's
 input gradient runs in blocks of ``CONV_DX_ROWS`` rows, for L2 again.
-Both use ``segments.WORKERS`` threads while the BLAS runs one thread
-(:func:`_workers`), and none otherwise. No thread changes a byte: each
-computes what the caller would, and every thread is joined before the
-call that started it returns.
+Both run on ``segments.WORKERS`` threads, the caller among them, and
+start none on one CPU. No thread changes a byte: each computes what the
+caller would, and every thread is joined before the call that started
+it returns. The threads assume a one-thread BLAS, the package's default
+(:mod:`beatnet`): two threads that call a multi-threaded OpenBLAS at
+once wait on its one pool of threads.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -87,29 +88,7 @@ BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
 EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
 TRUNK_ROWS = 64  # rows per block of an eval-mode trunk
 CONV_DX_ROWS = 16  # rows per block of a conv's input-gradient GEMM
-
-
-def _blas_threads() -> int:
-    """OpenBLAS's own thread count, read as OpenBLAS reads it when it
-    loads: the first of its variables set to a positive count, else one
-    thread per CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return segments.WORKERS
-
-
-BLAS_THREADS = _blas_threads()
-
-
-def _workers() -> int:
-    """Threads the network runs on, the calling thread among them:
-    ``segments.WORKERS`` while the BLAS runs one thread, else 1. Calls
-    into a multi-threaded OpenBLAS from two threads at once contend for
-    its one pool of threads, which wait for work by spinning."""
-    return segments.WORKERS if BLAS_THREADS == 1 else 1
+SMALL_GEMM_MACS = 100 ** 3  # OpenBLAS's small-matrix kernel limit
 
 
 @dataclass(frozen=True)
@@ -326,8 +305,7 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     """Gradients (dx, dw, db) for conv1d_forward, all channels-last.
 
     :func:`backward` calls its two halves, :func:`_conv_param_grads` and
-    :func:`_conv_input_grad`, on two threads when :func:`_workers`
-    allows."""
+    :func:`_conv_input_grad`, on two threads."""
     _check_conv_grad(x, w, dy)
     return _conv_input_grad(w, dy), *_conv_param_grads(x, w.shape, dy)
 
@@ -354,18 +332,24 @@ def _conv_input_grad(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
     One GEMM per block of ``CONV_DX_ROWS`` rows, the last block taking
     the rest, so that a block's patch matrix stays in L2. A row's dx
-    depends on that row alone, and at the default geometry each block
-    gives the bytes of one GEMM over every row. Two cases would not, so
-    they are not blocked: a last block of fewer rows, which OpenBLAS may
-    hand to its small-matrix kernel, and one input channel, where the
-    product is matrix-vector and OpenBLAS splits it among its threads
-    by row count."""
+    depends on that row alone, and a block gives the bytes of one GEMM
+    over every row as long as OpenBLAS runs both through its blocked
+    kernel. It hands a GEMM of at most ``SMALL_GEMM_MACS`` multiply-adds
+    to a small-matrix kernel, whose bytes depend on the row count, and a
+    matrix-vector product (one input channel) to its threads by row
+    count; so a conv whose 16-row block would be either runs as one
+    GEMM. At the default geometry every conv but the first is blocked.
+    Checked against one GEMM in 29k cases (1 to 128 channels, kernels
+    of 1 to 15, lengths of 1 to 519, 1 to 130 rows) with one and two
+    OpenBLAS 0.3.31 threads on an AVX-512 Xeon."""
     n, length, c_out = dy.shape
     _, c_in, k = w.shape
+    blocked = (c_in > 1 and
+               CONV_DX_ROWS * length * c_in * c_out * k > SMALL_GEMM_MACS)
     wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
     dx = np.empty((n, length, c_in), dtype=np.result_type(dy, w))
     inner = (range(CONV_DX_ROWS, n - CONV_DX_ROWS + 1, CONV_DX_ROWS)
-             if c_in > 1 else ())
+             if blocked else ())
     bounds = [0, *inner, n]
     for start, stop in zip(bounds, bounds[1:]):
         np.matmul(_im2col(dy[start:stop], k), wflip.T,
@@ -548,7 +532,7 @@ def trunk_features(config: NetworkConfig, params: dict, X: np.ndarray,
     train mode and appends its intermediates (the flatten last) and BN
     updates to it; without one, runs in eval mode, keeps no
     intermediates and works in blocks of ``TRUNK_ROWS`` rows, on
-    :func:`_workers` threads. Eval mode
+    ``segments.WORKERS`` threads. Eval mode
     makes each row's features independent of the rest of its batch, so
     a frozen trunk's can be computed once and reused."""
     if X.ndim != 2 or X.shape[1] != config.input_length:
@@ -568,8 +552,7 @@ def trunk_features(config: NetworkConfig, params: dict, X: np.ndarray,
                                    features.dtype)
             out[rows] = features
 
-        segments.run_in_threads(block, -(-len(X) // TRUNK_ROWS),
-                                _workers())
+        segments.run_in_threads(block, -(-len(X) // TRUNK_ROWS))
         return out
     h = X.reshape(len(X), config.input_length, 1)  # one channel: no copy
     for b in range(len(config.conv_blocks)):
@@ -701,13 +684,13 @@ def _side_thread():
     """Yields ``submit(fn, *args)``, which returns a future of
     ``fn(*args)``.
 
-    When :func:`_workers` is more than 1, the calls run in turn on one
+    On more than one CPU (``segments.WORKERS``), the calls run in turn on one
     helper thread, each in a copy of the caller's context (so the
     caller's ``np.errstate`` holds there), and the thread is joined when
     the block exits, before any future's result or failure is read.
     With one worker each call runs on the caller, at once, and no thread
     is started."""
-    if _workers() < 2:
+    if segments.WORKERS < 2:
         yield _call_now
         return
     with ThreadPoolExecutor(1) as pool:

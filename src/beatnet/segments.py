@@ -66,10 +66,9 @@ _CACHE_MAGIC = b"HBDS"
 _CACHE_VERSION = 1
 
 
-def run_in_threads(task, n_tasks: int, workers: int | None = None) -> None:
+def run_in_threads(task, n_tasks: int) -> None:
     """Call ``task(k)`` once for each k in ``range(n_tasks)``, on up to
-    ``workers`` threads (``WORKERS`` by default) of which the calling
-    thread is one.
+    ``WORKERS`` threads of which the calling thread is one.
 
     Each thread takes the next k until none is left or a call has
     failed. Every thread started is joined before this returns, and a
@@ -94,7 +93,7 @@ def run_in_threads(task, n_tasks: int, workers: int | None = None) -> None:
                 failed.set()  # the other threads take no further task
                 raise
 
-    helpers = min(WORKERS if workers is None else workers, n_tasks) - 1
+    helpers = min(WORKERS, n_tasks) - 1
     if helpers < 1:
         work()
         return

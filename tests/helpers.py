@@ -8,9 +8,8 @@ every backward pass. The ``ref_*`` layer kernels are the channels-first
 channels-last; the channels-last kernels must reproduce their bytes.
 ``ref_segment_arrays`` is the per-window windowing loop, one
 ``np.interp`` call per window, that the block resampling kernel must
-reproduce byte for byte. ``use_workers`` sets the thread count that
-ingest and the network run on, and ``count_thread_starts`` records the
-threads a call starts.
+reproduce byte for byte. ``count_thread_starts`` records the threads a
+call starts.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import threading
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from beatnet import nn, segments
+from beatnet import segments
 from beatnet.errors import DataError
 
 # --- reference format-212 bit packing (two 12-bit samples per 3 bytes) ---
@@ -362,9 +361,3 @@ def count_thread_starts(monkeypatch) -> list[str]:
     monkeypatch.setattr(threading.Thread, "start", start)
     return started
 
-
-def use_workers(monkeypatch, workers: int) -> None:
-    """Run ingest and the network on ``workers`` threads, as on a
-    machine of that many CPUs whose BLAS runs one thread."""
-    monkeypatch.setattr(segments, "WORKERS", workers)
-    monkeypatch.setattr(nn, "BLAS_THREADS", 1)

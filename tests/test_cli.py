@@ -29,7 +29,7 @@ from beatnet.train import save_checkpoint
 
 from helpers import BAD_GEOMETRY, ann_word, edit_checkpoint_header, \
     end_marker, reframe, simple_annotation_stream, skip_block, \
-    use_workers, write_wfdb_record
+    write_wfdb_record
 
 # Small network and short training so end-to-end runs stay fast.
 FAST_INI = """\
@@ -1090,5 +1090,5 @@ def test_numeric_errors_exit_3(tmp_path, capsys):
 def test_numeric_errors_exit_3_on_threads(tmp_path, capsys, monkeypatch):
     # the helper threads of training and scoring keep the caller's
     # np.errstate, so they raise nothing the caller would not
-    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(segments, "WORKERS", 2)
     test_numeric_errors_exit_3(tmp_path, capsys)

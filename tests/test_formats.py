@@ -169,19 +169,35 @@ print(json.dumps([history.mean_loss, history.train_mcc]))
 """
 
 
-def test_scratch_train_pinned(tmp_path):
+def scratch_train(path, **env) -> tuple:
+    """(checkpoint digest, mean_loss, train_mcc) of SCRATCH_TRAIN, run in
+    a child process whose environment is ours updated with ``env``; a
+    value of None removes that variable."""
     src = Path(beatnet.__file__).resolve().parents[1]
+    env = {k: v for k, v in dict(os.environ, **env).items() if v is not None}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", SCRATCH_TRAIN, str(path)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    mean_loss, train_mcc = json.loads(done.stdout)
+    return file_digest(path), mean_loss, train_mcc
+
+
+def test_scratch_train_pinned(tmp_path):
     for threads, pin in SCRATCH_PINS.items():
         path = tmp_path / f"scratch-{threads}.hbdl"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(
-                       [str(src), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-c", SCRATCH_TRAIN, str(path)],
-            env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        mean_loss, train_mcc = json.loads(done.stdout)
-        assert (file_digest(path), mean_loss, train_mcc) == pin, threads
+        assert scratch_train(path, OPENBLAS_NUM_THREADS=str(threads)
+                             ) == pin, threads
+
+
+def test_scratch_train_defaults_to_one_blas_thread(tmp_path):
+    # importing beatnet before NumPy sets one OpenBLAS thread, so without
+    # the variable a run writes the one-thread bytes on any CPU count
+    assert scratch_train(tmp_path / "scratch.hbdl", OPENBLAS_NUM_THREADS=None,
+                         GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None
+                         ) == SCRATCH_PINS[1]
 
 
 def test_predict_logits_pinned():

@@ -46,7 +46,6 @@ from helpers import (
     ref_conv1d_forward,
     ref_maxpool1d_backward,
     ref_maxpool1d_forward,
-    use_workers,
 )
 
 NET = NetworkConfig()  # the default geometry
@@ -632,7 +631,7 @@ def test_eval_pass_memory_is_bounded():
 
 def test_eval_pass_memory_is_bounded_on_two_threads(monkeypatch):
     # each thread holds one block's intermediates at a time
-    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(segments, "WORKERS", 2)
     test_eval_pass_memory_is_bounded()
 
 
@@ -692,19 +691,36 @@ def test_predict_logits_accepts_2d_and_batches():
 # --- threads and blocks ---
 
 
+def conv_geometries(net):
+    """(c_in, c_out, k, length) of each of a network's convs."""
+    return [(c_in, c_out, k, net.input_length // 2 ** b)
+            for b, (c_in, c_out, k) in enumerate(net.conv_blocks)]
+
+
+# the default network's convs, the small training-test network's, and
+# two that would give other bytes in 16-row blocks: one OpenBLAS runs
+# through its small-matrix kernel, and one of one input channel
+DX_GEOMETRIES = [
+    *conv_geometries(NET),
+    *conv_geometries(NetworkConfig(conv_channels=(2, 3, 4, 4),
+                                   conv_kernels=(3, 3, 3, 3))),
+    (2, 8, 5, 31), (1, 64, 9, 250)]
+
+
+@pytest.mark.parametrize("geometry", DX_GEOMETRIES,
+                         ids=lambda g: "x".join(map(str, g)))
 @pytest.mark.parametrize("n", [1, 17, 63, 64, 65])
-def test_conv_dx_blocks_equal_one_gemm(n):
-    # full and short batches at each default block's geometry
+def test_conv_dx_blocks_equal_one_gemm(n, geometry):
+    # full and short batches
+    c_in, c_out, k, length = geometry
     rng = np.random.default_rng(24)
-    for b, (c_in, c_out, k) in enumerate(NET.conv_blocks):
-        length = NET.input_length // 2 ** b
-        w = rng.normal(size=(c_out, c_in, k)).astype(np.float32)
-        dy = rng.normal(size=(n, length, c_out)).astype(np.float32)
-        wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-        one_gemm = nn._im2col(dy, k) @ wflip.T
-        dx, _, _ = conv1d_backward(np.zeros((n, length, c_in), np.float32),
-                                   w, dy)
-        assert dx.tobytes() == one_gemm.tobytes(), (n, b)
+    w = rng.normal(size=(c_out, c_in, k)).astype(np.float32)
+    dy = rng.normal(size=(n, length, c_out)).astype(np.float32)
+    wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
+    one_gemm = nn._im2col(dy, k) @ wflip.T
+    dx, _, _ = conv1d_backward(np.zeros((n, length, c_in), np.float32),
+                               w, dy)
+    assert dx.tobytes() == one_gemm.tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -717,11 +733,11 @@ def test_eval_bytes_do_not_depend_on_workers(monkeypatch, workers):
         return (predict_logits(NET, params, X).tobytes(),
                 trunk_features(NET, params, X).tobytes())
 
-    use_workers(monkeypatch, 1)
+    monkeypatch.setattr(segments, "WORKERS", 1)
     started = count_thread_starts(monkeypatch)
     alone = run()
     assert started == []
-    use_workers(monkeypatch, workers)
+    monkeypatch.setattr(segments, "WORKERS", workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the blocks race for the output
     try:
@@ -738,10 +754,10 @@ def test_backward_runs_conv_weight_grads_on_one_helper(monkeypatch):
         np.float32), train=True, rng=rng)
     dlogits = rng.normal(size=logits.shape).astype(np.float32)
     started = count_thread_starts(monkeypatch)
-    use_workers(monkeypatch, 1)
+    monkeypatch.setattr(segments, "WORKERS", 1)
     alone = backward(NET, params, cache, dlogits)
     assert started == []
-    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(segments, "WORKERS", 2)
     grads = backward(NET, params, cache, dlogits)
     assert len(started) == 1
     assert list(grads) == list(alone)  # the keys in the walk's order
@@ -749,7 +765,7 @@ def test_backward_runs_conv_weight_grads_on_one_helper(monkeypatch):
 
 
 def test_backward_raises_a_helper_failure_after_joining(monkeypatch):
-    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(segments, "WORKERS", 2)
     rng = np.random.default_rng(27)
     params = init_params(NET, rng)
     logits, cache = forward(NET, params, rng.normal(size=(8, 250)).astype(
@@ -771,7 +787,7 @@ def test_backward_raises_a_helper_failure_after_joining(monkeypatch):
 
 
 def test_helper_thread_keeps_the_callers_errstate(monkeypatch):
-    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(segments, "WORKERS", 2)
     with np.errstate(divide="raise"):
         with nn._side_thread() as submit:
             where = submit(threading.get_ident)
@@ -779,34 +795,3 @@ def test_helper_thread_keeps_the_callers_errstate(monkeypatch):
     assert where.result() != threading.get_ident()
     with pytest.raises(FloatingPointError):
         divided.result()
-
-
-def test_network_runs_on_one_thread_beside_a_threaded_blas(monkeypatch):
-    monkeypatch.setattr(segments, "WORKERS", 2)
-    monkeypatch.setattr(nn, "BLAS_THREADS", 2)
-    rng = np.random.default_rng(28)
-    params = init_params(NET, rng)
-    X = rng.normal(size=(130, 250)).astype(np.float32)
-    started = count_thread_starts(monkeypatch)
-    logits, cache = forward(NET, params, X, train=True, rng=rng)
-    backward(NET, params, cache, np.ones_like(logits))
-    predict_logits(NET, params, X)
-    assert started == []
-
-
-@pytest.mark.parametrize("env, threads", [
-    ({}, 6),
-    ({"OMP_NUM_THREADS": "3"}, 3),
-    ({"OMP_NUM_THREADS": "3", "GOTO_NUM_THREADS": "2"}, 2),
-    ({"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": " 1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "x"}, 6),
-])
-def test_blas_threads_follow_openblas_variables(monkeypatch, env, threads):
-    monkeypatch.setattr(segments, "WORKERS", 6)
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert nn._blas_threads() == threads

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from beatnet import segments
 from beatnet.config import Settings
 from beatnet.errors import DataError, NumericError, UsageError
 from beatnet.nn import (
@@ -29,7 +30,6 @@ from helpers import (
     BAD_GEOMETRY,
     count_thread_starts,
     edit_checkpoint_header,
-    use_workers,
 )
 
 # Small architecture (same block structure, fewer channels) so the
@@ -148,11 +148,11 @@ def test_train_bytes_do_not_depend_on_workers(monkeypatch, workers):
                 for params, history in (train(ds, cfg),
                                         train(ds, cfg, init=init))]
 
-    use_workers(monkeypatch, 1)
+    monkeypatch.setattr(segments, "WORKERS", 1)
     started = count_thread_starts(monkeypatch)
     alone = run()
     assert started == []
-    use_workers(monkeypatch, workers)
+    monkeypatch.setattr(segments, "WORKERS", workers)
     for (params, logits, loss), (want, want_logits, want_loss) in zip(
             run(), alone):
         assert params_equal(params, want)
