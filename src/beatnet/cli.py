@@ -139,6 +139,9 @@ def _cmd_build_dataset(args) -> None:
         raise UsageError(f"--fs must be a finite rate >= "
                          f"{2 / WINDOW_SECONDS:g} Hz, two samples per "
                          f"{WINDOW_SECONDS} s window, got {args.fs}")
+    if not args.duration * args.fs < math.inf:
+        raise UsageError(f"--duration {args.duration} s times --fs "
+                         f"{args.fs} Hz is too many samples for a record")
     written = build_synthetic_caches(args.out, settings, args.subjects,
                                      args.duration, args.fs, tags=tags)
     print(f"wrote {len(written)} synthetic caches to {args.out}")

@@ -53,6 +53,7 @@ from .segments import (
     WINDOW_SECONDS,
     LabeledDataset,
     build_subsets,
+    cache_parts,
     load_cache,
     run_in_threads,
     save_cache,
@@ -141,9 +142,9 @@ def load_cache_checked(cache_dir: Path, subset: str,
 
 def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
     """Write every dataset's cache, concurrently, then the stats file; or,
-    when there is no dataset or any dataset has no segments, nothing at
-    all. A cache that cannot be written raises DataError naming it, and
-    the stats file is not written."""
+    when there is no dataset or any has no segments or does not fit the
+    cache format, nothing at all. A cache that cannot be written raises
+    DataError naming it, and the stats file is not written."""
     if not datasets:
         raise DataError("no records to build a dataset from; no caches "
                         "written")
@@ -154,12 +155,12 @@ def _write_caches(datasets: dict, out_dir: Path) -> list[Path]:
                 f"{ds.subset_name} {ds.partition} has no segments: its "
                 f"records are shorter than one {WINDOW_SECONDS} s window; "
                 f"no caches written")
+    jobs = [(ds, cache_file(out_dir, ds.subset_name, ds.partition),
+             cache_parts(ds)) for ds in ordered]  # no file written yet
     make_out_dir(out_dir)
-    paths = [cache_file(out_dir, ds.subset_name, ds.partition)
-             for ds in ordered]
-    run_in_threads(lambda k: save_cache(ordered[k], paths[k]), len(paths))
+    run_in_threads(lambda k: save_cache(*jobs[k]), len(jobs))
     write_text(out_dir / STATS_FILE, stats_csv(ordered))
-    return paths
+    return [path for _, path, _ in jobs]
 
 
 def run_ingest(manifest_path, out_dir, settings: Settings) -> list[Path]:

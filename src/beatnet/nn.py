@@ -52,15 +52,16 @@ so that a block's conv intermediates stay in a 2 MiB L2 cache rather
 than spilling tens of MiB (Goto & van de Geijn 2008). The blocks are
 independent, so they are shared among the threads of
 :func:`beatnet.segments.run_in_threads`, each writing its rows of one
-output. :func:`predict_logits` runs the network in chunks of
-``EVAL_BATCH_ROWS`` rows. A trunk row gives the same bytes in a block
-of any size; fc0's GEMM does not (its float32 logits at 1024 rows
-differ in the last bits from those at 512 or fewer), so only the trunk
-is blocked and the head keeps its chunks. :func:`backward` hands each
-conv layer's weight and bias gradients to one helper thread and walks
-on down the input-gradient chain, which the next layer waits for (the
-split of Qi et al. 2023, Zero Bubble Pipeline Parallelism); a conv's
-input gradient runs in blocks of ``CONV_DX_ROWS`` rows, for L2 again.
+output allocated before any block runs. :func:`predict_logits` runs
+the network in chunks of ``EVAL_BATCH_ROWS`` rows. A trunk row gives
+the same bytes in a block of any size; fc0's GEMM does not (its float32
+logits at 1024 rows differ in the last bits from those at 512 or
+fewer), so only the trunk is blocked and the head keeps its chunks.
+:func:`backward` hands each conv layer's weight and bias gradients to
+one helper thread and walks on down the input-gradient chain, which the
+next layer waits for (the split of Qi et al. 2023, Zero Bubble Pipeline
+Parallelism). Every conv's input gradient runs in blocks of
+``CONV_DX_ROWS`` rows, the last block taking the rest, for L2 again.
 Both run on ``segments.WORKERS`` threads, the caller among them, and
 start none on one CPU. No thread changes a byte: each computes what the
 caller would, and every thread is joined before the call that started
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -88,7 +88,6 @@ BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
 EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
 TRUNK_ROWS = 64  # rows per block of an eval-mode trunk
 CONV_DX_ROWS = 16  # rows per block of a conv's input-gradient GEMM
-SMALL_GEMM_MACS = 100 ** 3  # OpenBLAS's small-matrix kernel limit
 
 
 @dataclass(frozen=True)
@@ -331,26 +330,18 @@ def _conv_input_grad(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
     transposed over channels.
 
     One GEMM per block of ``CONV_DX_ROWS`` rows, the last block taking
-    the rest, so that a block's patch matrix stays in L2. A row's dx
-    depends on that row alone, and a block gives the bytes of one GEMM
-    over every row as long as OpenBLAS runs both through its blocked
-    kernel. It hands a GEMM of at most ``SMALL_GEMM_MACS`` multiply-adds
-    to a small-matrix kernel, whose bytes depend on the row count, and a
-    matrix-vector product (one input channel) to its threads by row
-    count; so a conv whose 16-row block would be either runs as one
-    GEMM. At the default geometry every conv but the first is blocked.
-    Checked against one GEMM in 29k cases (1 to 128 channels, kernels
-    of 1 to 15, lengths of 1 to 519, 1 to 130 rows) with one and two
-    OpenBLAS 0.3.31 threads on an AVX-512 Xeon."""
+    the rest (fewer than 2 * CONV_DX_ROWS rows make one block), so that
+    a block's patch matrix stays in L2; every conv, the first (one
+    input channel) included, is blocked by this one rule. A row's dx
+    depends on that row alone, but a GEMM's float32 bytes may depend on
+    its row count, so dx has the bytes of these blocks, which are not
+    always those of one GEMM over every row."""
     n, length, c_out = dy.shape
     _, c_in, k = w.shape
-    blocked = (c_in > 1 and
-               CONV_DX_ROWS * length * c_in * c_out * k > SMALL_GEMM_MACS)
     wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
     dx = np.empty((n, length, c_in), dtype=np.result_type(dy, w))
-    inner = (range(CONV_DX_ROWS, n - CONV_DX_ROWS + 1, CONV_DX_ROWS)
-             if blocked else ())
-    bounds = [0, *inner, n]
+    bounds = [0, *range(CONV_DX_ROWS, n - CONV_DX_ROWS + 1, CONV_DX_ROWS),
+              n]
     for start, stop in zip(bounds, bounds[1:]):
         np.matmul(_im2col(dy[start:stop], k), wflip.T,
                   out=dx[start:stop].reshape(-1, c_in))
@@ -539,18 +530,13 @@ def trunk_features(config: NetworkConfig, params: dict, X: np.ndarray,
         raise DataError(
             f"expected (n, {config.input_length}) input, got {X.shape}")
     if cache is None and len(X) > TRUNK_ROWS:
-        out = None
-        lock = threading.Lock()
+        # one block's dtype: the rows' promoted by the float32 parameters
+        out = np.empty((len(X), config.flatten_width),
+                       np.result_type(X.dtype, np.float32))
 
         def block(k):
-            nonlocal out
             rows = slice(k * TRUNK_ROWS, (k + 1) * TRUNK_ROWS)
-            features = trunk_features(config, params, X[rows])
-            with lock:  # the first block done sizes the output
-                if out is None:
-                    out = np.empty((len(X), features.shape[1]),
-                                   features.dtype)
-            out[rows] = features
+            out[rows] = trunk_features(config, params, X[rows])
 
         segments.run_in_threads(block, -(-len(X) // TRUNK_ROWS))
         return out

@@ -382,32 +382,41 @@ def stats_csv(datasets) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_cache(dataset: LabeledDataset, path) -> None:
+def save_cache(dataset: LabeledDataset, path, parts=None) -> None:
     """Write a dataset to a binary cache file.
 
     The file uses the shared frame of :mod:`beatnet.container` with
     magic "HBDS". Its body is all little-endian: u16 segment length, u8
     partition (0=Train, 1=Test), subset name, subject ids, record table,
     u32 segment count, then the column arrays (record index u32, window
-    index u32, labels u8, samples f32).
+    index u32, labels u8, samples f32): ``parts``, else the dataset's
+    :func:`cache_parts`, built before the file is opened.
     """
-    subjects = sorted(dataset.subject_ids)
-    parts = [struct.pack("<HB", SEGMENT_LENGTH,
-                         PARTITIONS.index(dataset.partition)),
-             pack_str(dataset.subset_name),
-             struct.pack("<H", len(subjects))]
-    parts.extend(pack_str(s) for s in subjects)
-    parts.append(struct.pack("<I", len(dataset.record_table)))
-    for rec_id, subj in dataset.record_table:
-        parts.append(pack_str(rec_id))
-        parts.append(pack_str(subj))
-    parts.append(struct.pack("<I", len(dataset)))
+    write_framed(path, _CACHE_MAGIC, _CACHE_VERSION,
+                 cache_parts(dataset) if parts is None else parts)
+
+
+def cache_parts(dataset: LabeledDataset) -> list:
+    """The body of ``dataset``'s cache; a count or string too large for
+    its field raises DataError naming the subset and partition."""
+    subjects, table = sorted(dataset.subject_ids), dataset.record_table
+    try:
+        head = [struct.pack("<HB", SEGMENT_LENGTH,
+                            PARTITIONS.index(dataset.partition)),
+                pack_str(dataset.subset_name),
+                struct.pack("<H", len(subjects)), *map(pack_str, subjects),
+                struct.pack("<I", len(table)),
+                *(pack_str(s) for row in table for s in row),
+                struct.pack("<I", len(dataset))]
+    except (DataError, struct.error) as exc:
+        raise DataError(f"cannot cache {dataset.subset_name} "
+                        f"{dataset.partition} of {len(subjects)} subjects: "
+                        f"{exc}") from exc
     # contiguous arrays go to the frame as buffers, without a bytes copy
-    parts.append(np.ascontiguousarray(dataset.record_index, "<u4"))
-    parts.append(np.ascontiguousarray(dataset.window_index, "<u4"))
-    parts.append(np.ascontiguousarray(dataset.y, np.uint8))
-    parts.append(np.ascontiguousarray(dataset.X, "<f4"))
-    write_framed(path, _CACHE_MAGIC, _CACHE_VERSION, parts)
+    return [*head, np.ascontiguousarray(dataset.record_index, "<u4"),
+            np.ascontiguousarray(dataset.window_index, "<u4"),
+            np.ascontiguousarray(dataset.y, np.uint8),
+            np.ascontiguousarray(dataset.X, "<f4")]
 
 
 def load_cache(path) -> LabeledDataset:

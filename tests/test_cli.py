@@ -490,6 +490,39 @@ def test_ingest_cache_write_failure_names_the_cache(
     assert not (out / experiments.STATS_FILE).exists()
 
 
+def one_row_dataset(partition: str, **fields) -> LabeledDataset:
+    """One Arrhythmia segment of record r, subject s, with ``fields``
+    replaced."""
+    return LabeledDataset(**dict(
+        subset_name="Arrhythmia", partition=partition,
+        X=np.zeros((1, SEGMENT_LENGTH), np.float32), y=np.zeros(1, np.uint8),
+        record_index=np.zeros(1, np.uint32),
+        window_index=np.zeros(1, np.uint32), record_table=(("r", "s"),),
+        subject_ids=frozenset({"s"})) | fields)
+
+
+@pytest.mark.parametrize("train_fields, match", [
+    # the subject count is a u16
+    ({"subject_ids": frozenset({"s", *(f"s{k}" for k in range(65535))})},
+     "of 65536 subjects: ushort format requires"),
+    # a string's byte length is a u16
+    ({"record_table": (("r", "s" * 70000),),
+      "subject_ids": frozenset({"s" * 70000})},
+     "of 1 subjects: string too long for a framed file: 70000 bytes")],
+    ids=["subjects", "subject-id"])
+def test_caches_the_format_cannot_hold_write_nothing(tmp_path, train_fields,
+                                                     match):
+    # the Test cache fits, but no cache is written before every one is
+    # built
+    datasets = {("Arrhythmia", TEST): one_row_dataset(TEST),
+                ("Arrhythmia", TRAIN): one_row_dataset(TRAIN, **train_fields)}
+    out = tmp_path / "out"
+    with pytest.raises(DataError,
+                       match=f"cannot cache Arrhythmia Train {match}"):
+        experiments._write_caches(datasets, out)
+    assert not out.exists()
+
+
 # --- experiment protocol ---
 
 
@@ -668,11 +701,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     for flags in (["--duration", "-1"], ["--duration", "0.2"],
                   ["--duration", "inf"], ["--subjects", "0"],
                   ["--subjects", "-3"], ["--fs", "0"], ["--fs", "nan"],
-                  ["--fs", "4"], ["--fs", "1"]):
+                  ["--fs", "4"], ["--fs", "1"],
+                  ["--duration", "1e200", "--fs", "1e200"]):
         assert main(["build-dataset", "--out", str(tmp_path / "c"),
                      *flags]) == 1
         err = capsys.readouterr().err
-        assert "usage error" in err and flags[0] in err
+        assert "usage error" in err and all(f in err for f in flags[::2])
     # a negative --seed is refused before anything is read or written
     (tmp_path / "w.csv").write_text("0.0\n" * 500)
     manifest = tmp_path / "manifest.txt"

@@ -75,6 +75,15 @@ SCRATCH_PINS = {  # threads: (checkpoint digest, mean_loss, train_mcc)
         [0.6756639246921762, 0.9190867733214366, 0.9190867733214366]),
 }
 
+# SCRATCH_TRAIN at batch 64 on 225 rows, at 1 OpenBLAS thread (the
+# package's default), under the same machine assumption. The final
+# batch of 33 rows runs each conv's input gradient in a 16-row block
+# and a 17-row one, the first conv's (one input channel) included.
+SCRATCH_33_ROWS_PIN = (
+    "8aa461fc38ecb22ed7a3733bdf6883ff",
+    [0.6605450251367357, 0.6216392612457275, 0.5814643557866415],
+    [0.0, 0.12990758700589988, 0.8329931278350429])
+
 # Eval-mode logits of 2500 rows at the default geometry, under the same
 # machine assumption. The head sees chunks of 1024 + 1024 + 452 rows,
 # and fc0's GEMM gives other low bits at 1024 rows than at 512 or
@@ -158,30 +167,38 @@ from beatnet.segments import TRAIN, build_labeled_dataset
 from beatnet.synthetic import make_synthetic_records
 from beatnet.train import save_checkpoint, train
 
-# the transfer pin's target: 9 batches of 16, then a short one of 6
-records = make_synthetic_records(n_subjects=3, seed=5)
+path, subjects, seconds, batch_size = sys.argv[1:]
+records = make_synthetic_records(n_subjects=int(subjects),
+                                 duration=float(seconds), seed=5)
 target = build_labeled_dataset(records, "NormalSinus+LongTerm", TRAIN,
                                {r.subject_id for r in records})
 params, history = train(target, Settings(
-    epochs=3, batch_size=16, lr=0.1, seed=7))
-save_checkpoint(params, NetworkConfig(), sys.argv[1])
-print(json.dumps([history.mean_loss, history.train_mcc]))
+    epochs=3, batch_size=int(batch_size), lr=0.1, seed=7))
+save_checkpoint(params, NetworkConfig(), path)
+print(json.dumps([len(target), history.mean_loss, history.train_mcc]))
 """
 
+# (subjects, seconds per record, batch size, rows) of SCRATCH_TRAIN's
+# target: the transfer pin's, 9 batches of 16 and a short one of 6
+SCRATCH_DATA = (3, 12.5, 16, 150)
 
-def scratch_train(path, **env) -> tuple:
-    """(checkpoint digest, mean_loss, train_mcc) of SCRATCH_TRAIN, run in
-    a child process whose environment is ours updated with ``env``; a
-    value of None removes that variable."""
+
+def scratch_train(path, data=SCRATCH_DATA, **env) -> tuple:
+    """(checkpoint digest, mean_loss, train_mcc) of SCRATCH_TRAIN on
+    ``data``, run in a child process whose environment is ours updated
+    with ``env``; a value of None removes that variable."""
     src = Path(beatnet.__file__).resolve().parents[1]
     env = {k: v for k, v in dict(os.environ, **env).items() if v is not None}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")])
+    *args, rows = data
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", SCRATCH_TRAIN, str(path)],
+        [sys.executable, "-W", "error", "-c", SCRATCH_TRAIN, str(path),
+         *map(str, args)],
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    mean_loss, train_mcc = json.loads(done.stdout)
+    n, mean_loss, train_mcc = json.loads(done.stdout)
+    assert n == rows
     return file_digest(path), mean_loss, train_mcc
 
 
@@ -198,6 +215,14 @@ def test_scratch_train_defaults_to_one_blas_thread(tmp_path):
     assert scratch_train(tmp_path / "scratch.hbdl", OPENBLAS_NUM_THREADS=None,
                          GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None
                          ) == SCRATCH_PINS[1]
+
+
+def test_scratch_train_with_a_33_row_final_batch_pinned(tmp_path):
+    # batches of 64, 64, 64 and 33 rows: every conv's input gradient runs
+    # over a short final batch, the first conv's (one input channel)
+    # included
+    assert scratch_train(tmp_path / "scratch.hbdl", (3, 18.75, 64, 225),
+                         OPENBLAS_NUM_THREADS="1") == SCRATCH_33_ROWS_PIN
 
 
 def test_predict_logits_pinned():

@@ -16,6 +16,7 @@ from beatnet import nn, segments
 from beatnet.errors import DataError
 from beatnet.nn import (
     EVAL_BATCH_ROWS,
+    TRUNK_ROWS,
     NetworkConfig,
     backward,
     batchnorm1d_backward,
@@ -698,29 +699,54 @@ def conv_geometries(net):
 
 
 # the default network's convs, the small training-test network's, and
-# two that would give other bytes in 16-row blocks: one OpenBLAS runs
-# through its small-matrix kernel, and one of one input channel
+# two whose blocks may give other bytes than one GEMM over every row:
+# one of at most 10**6 multiply-adds per 16-row block, whose GEMMs
+# OpenBLAS runs through its small-matrix kernel, and one of one input
+# channel, a matrix-vector product
 DX_GEOMETRIES = [
     *conv_geometries(NET),
     *conv_geometries(NetworkConfig(conv_channels=(2, 3, 4, 4),
                                    conv_kernels=(3, 3, 3, 3))),
     (2, 8, 5, 31), (1, 64, 9, 250)]
 
+# the rows of each block of CONV_DX_ROWS = 16, the last taking the rest
+DX_BLOCKS = {1: [1], 17: [17], 63: [16, 16, 31], 64: [16, 16, 16, 16],
+             65: [16, 16, 16, 17]}
+
 
 @pytest.mark.parametrize("geometry", DX_GEOMETRIES,
                          ids=lambda g: "x".join(map(str, g)))
-@pytest.mark.parametrize("n", [1, 17, 63, 64, 65])
+@pytest.mark.parametrize("n", list(DX_BLOCKS))
 def test_conv_dx_blocks_equal_one_gemm(n, geometry):
-    # full and short batches
+    # every conv, whatever its size, runs its input gradient as one GEMM
+    # per block, so each block has the bytes of a GEMM over its own rows
+    assert nn.CONV_DX_ROWS == 16
     c_in, c_out, k, length = geometry
     rng = np.random.default_rng(24)
     w = rng.normal(size=(c_out, c_in, k)).astype(np.float32)
     dy = rng.normal(size=(n, length, c_out)).astype(np.float32)
     wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-    one_gemm = nn._im2col(dy, k) @ wflip.T
     dx, _, _ = conv1d_backward(np.zeros((n, length, c_in), np.float32),
                                w, dy)
-    assert dx.tobytes() == one_gemm.tobytes()
+    stops = np.cumsum(DX_BLOCKS[n])
+    for start, stop in zip([0, *stops], stops):
+        one_gemm = nn._im2col(dy[start:stop], k) @ wflip.T
+        assert dx[start:stop].tobytes() == one_gemm.tobytes(), (start, stop)
+
+
+def test_blocked_eval_trunk_keeps_a_blocks_dtype():
+    # the output is allocated before any block runs, in the dtype one
+    # block returns: float64 rows through float32 parameters stay float64
+    params = init_params(NET, np.random.default_rng(28))
+    X = np.random.default_rng(29).normal(size=(TRUNK_ROWS + 3, 250))
+    one_block = trunk_features(NET, params, X[:TRUNK_ROWS])
+    features = trunk_features(NET, params, X)
+    assert one_block.dtype == features.dtype == np.float64
+    assert features[:TRUNK_ROWS].tobytes() == one_block.tobytes()
+    logits = predict_logits(NET, params, X)
+    assert logits.dtype == np.float64
+    assert logits.tobytes() == forward_head(NET, params, features,
+                                            train=False)[0].tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
