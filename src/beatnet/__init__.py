@@ -37,9 +37,7 @@ from .segments import (
     NO_BEAT,
     LabeledDataset,
     build_subsets,
-    label_window,
     load_cache,
-    resample_linear,
     save_cache,
     split_subjects,
 )
@@ -61,8 +59,8 @@ __all__ = [
     "LabeledDataset", "NO_BEAT", "NetworkConfig",
     "Settings", "WfdbHeader", "adadelta_step", "build_report",
     "build_subsets", "confusion", "decode_signal", "filter_beats",
-    "forward", "ingest_csv", "init_params", "label_window", "load_cache",
+    "forward", "ingest_csv", "init_params", "load_cache",
     "load_checkpoint", "mcc", "parse_annotations", "parse_header",
-    "precision_sensitivity_f1", "resample_linear", "save_cache",
-    "save_checkpoint", "split_subjects", "weighted_cross_entropy",
+    "precision_sensitivity_f1", "save_cache", "save_checkpoint",
+    "split_subjects", "weighted_cross_entropy",
 ]

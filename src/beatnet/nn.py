@@ -4,10 +4,14 @@ Architecture: four convolutional blocks, each BatchNorm -> Conv1d
 (same padding, stride 1) -> ReLU -> MaxPool (kernel 2, stride 2), then
 flatten, Dropout, and three fully connected layers with ReLU between
 them; the final layer emits two logits. SoftMax is folded into the loss
-(:mod:`beatnet.loss`). :func:`predict_logits` is the one scoring pass:
-callers keep its logits, take their argmax as the class, and call it
-as ``nn.predict_logits``, so a wrapper set on this module sees every
-pass.
+(:mod:`beatnet.loss`). :func:`forward` is the one network pass: it
+starts at layer ``start``, 0 for the whole network or ``HEAD`` (the
+number of conv blocks) for Dropout and the FC layers on the trunk's
+features, and the cache of a train-mode pass covers the layers it ran.
+:func:`predict_logits` is the one scoring pass: callers keep its
+logits, take their argmax as the class, and call it as
+``nn.predict_logits``, and it calls ``forward`` through this module for
+each chunk, so a wrapper set on this module sees every pass.
 
 Everything is functional: parameters live in a plain dict of float32
 arrays keyed by layer name, and no forward or backward call mutates
@@ -16,8 +20,9 @@ updates; committing them is the trainer's job. Only a train-mode pass
 records the intermediates :func:`backward` needs; an eval-mode pass
 keeps none. :func:`trunk_features` is the trunk (the conv blocks and
 the flatten): train mode given a cache, eval mode in ``TRUNK_ROWS``-row
-blocks without one. :func:`forward` runs it and the head (Dropout
-onward, :func:`forward_head`) together.
+blocks without one. :func:`forward` from 0 runs it and then the head;
+from ``HEAD`` it takes features that the trunk gave once and runs the
+head alone, as a frozen-trunk transfer run does.
 
 Unconventional but deliberate: BatchNorm comes before the convolution
 inside each block, and there is no ReLU after the final FC layer.
@@ -53,10 +58,11 @@ than spilling tens of MiB (Goto & van de Geijn 2008). The blocks are
 independent, so they are shared among the threads of
 :func:`beatnet.segments.run_in_threads`, each writing its rows of one
 output allocated before any block runs. :func:`predict_logits` runs
-the network in chunks of ``EVAL_BATCH_ROWS`` rows. A trunk row gives
-the same bytes in a block of any size; fc0's GEMM does not (its float32
-logits at 1024 rows differ in the last bits from those at 512 or
-fewer), so only the trunk is blocked and the head keeps its chunks.
+:func:`forward`, from either start, in chunks of ``EVAL_BATCH_ROWS``
+rows. A trunk row gives the same bytes in a block of any size; fc0's
+GEMM does not (its float32 logits at 1024 rows differ in the last bits
+from those at 512 or fewer), so only the trunk is blocked and the head
+keeps its chunks.
 :func:`backward` hands each conv layer's weight and bias gradients to
 one helper thread and walks on down the input-gradient chain, which the
 next layer waits for (the split of Qi et al. 2023, Zero Bubble Pipeline
@@ -88,6 +94,7 @@ BN_MOMENTUM = 0.1  # running <- 0.9 * running + 0.1 * batch
 EVAL_BATCH_ROWS = 1024  # rows per chunk of an eval-mode pass
 TRUNK_ROWS = 64  # rows per block of an eval-mode trunk
 CONV_DX_ROWS = 16  # rows per block of a conv's input-gradient GEMM
+HEAD = 4  # forward's start past the four conv blocks: the head
 
 
 @dataclass(frozen=True)
@@ -570,38 +577,29 @@ def _flatten(h: np.ndarray) -> np.ndarray:
     return h.transpose(0, 2, 1).reshape(len(h), h.shape[1] * h.shape[2])
 
 
-def forward(config: NetworkConfig, params: dict, batch: np.ndarray,
+def forward(config: NetworkConfig, params: dict, x: np.ndarray,
             train: bool, rng: np.random.Generator | None = None,
-            ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run the whole network on (n, input_length) rows; returns logits.
+            start: int = 0) -> tuple[np.ndarray, ForwardCache | None]:
+    """Run the network from layer ``start`` on; returns logits.
 
-    In train mode the cache carries every intermediate needed by
-    :func:`backward` plus candidate BN running-stat updates; in eval
-    mode it is None. No parameter is mutated here.
+    At ``start = 0`` x holds (n, input_length) rows and the whole
+    network runs. At ``start = HEAD`` x holds :func:`trunk_features`
+    output and only Dropout and the FC layers run. In train mode the
+    cache carries every intermediate :func:`backward` needs for the
+    layers that ran, plus candidate BN running-stat updates (none from
+    the head alone); in eval mode it is None. No parameter is mutated
+    here.
     """
+    if start not in (0, HEAD):
+        raise DataError(f"forward starts at 0 or at HEAD ({HEAD}), "
+                        f"got {start!r}")
     cache = ForwardCache() if train else None
-    features = trunk_features(config, params, batch, cache)
-    logits, head = forward_head(config, params, features, train, rng)
-    if train:
-        cache.layers += head.layers
-    return logits, cache
-
-
-def forward_head(config: NetworkConfig, params: dict, features: np.ndarray,
-                 train: bool, rng: np.random.Generator | None = None,
-                 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Dropout and the FC layers on (n, flatten_width) trunk features;
-    returns logits.
-
-    In train mode the cache is head-only: it starts at the dropout
-    entry, so :func:`backward` on it returns FC gradients only, and it
-    never holds BN updates. In eval mode the cache is None.
-    """
-    if features.ndim != 2 or features.shape[1] != config.flatten_width:
+    if start == 0:
+        x = trunk_features(config, params, x, cache)
+    if x.ndim != 2 or x.shape[1] != config.flatten_width:
         raise DataError(f"expected (n, {config.flatten_width}) features, "
-                        f"got {features.shape}")
-    cache = ForwardCache() if train else None
-    h, mask = dropout_forward(features, config.dropout_p, train, rng)
+                        f"got {x.shape}")
+    h, mask = dropout_forward(x, config.dropout_p, train, rng)
     if train:
         cache.layers.append(("dropout", "", mask))
     last = len(config.fc_sizes) - 1
@@ -619,9 +617,9 @@ def backward(config: NetworkConfig, params: dict, cache: ForwardCache,
              dlogits: np.ndarray) -> dict:
     """Gradients of the loss w.r.t. the parameters the cache covers.
 
-    Walks the cached layers in reverse. A cache from :func:`forward`
-    yields every trainable parameter; one from :func:`forward_head`
-    alone ends at its dropout entry, so the walk stops there and only
+    Walks the cached layers in reverse. A cache from :func:`forward` at
+    ``start = 0`` yields every trainable parameter; one from ``start =
+    HEAD`` begins at its dropout entry, so the walk ends there and only
     FC gradients are returned. A conv layer's weight and bias gradients
     go to :func:`_side_thread` as soon as its ``dy`` is known, while the
     walk carries on down the input-gradient chain.
@@ -691,14 +689,10 @@ def _call_now(fn, *args) -> Future:
 
 
 def predict_logits(config: NetworkConfig, params: dict, X: np.ndarray,
-                   step=None) -> np.ndarray:
-    """Eval-mode logits, computed in chunks of ``EVAL_BATCH_ROWS`` rows
-    by ``step``: forward on (n, input_length) rows, or forward_head
-    when X holds :func:`trunk_features`."""
-    step = step or forward
-    if len(X) == 0:
-        step(config, params, X, train=False)  # the step checks X's shape
-        return np.empty((0, config.fc_sizes[-1]), dtype=np.float32)
+                   start: int = 0) -> np.ndarray:
+    """Eval-mode logits of :func:`forward` from ``start``, computed in
+    chunks of ``EVAL_BATCH_ROWS`` rows; no rows make one empty chunk."""
     return np.concatenate([
-        step(config, params, X[start:start + EVAL_BATCH_ROWS], train=False)[0]
-        for start in range(0, len(X), EVAL_BATCH_ROWS)])
+        forward(config, params, X[i:i + EVAL_BATCH_ROWS], train=False,
+                start=start)[0]
+        for i in range(0, max(len(X), 1), EVAL_BATCH_ROWS)])

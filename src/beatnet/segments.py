@@ -116,14 +116,6 @@ def _label_windows(t0: np.ndarray, beats: np.ndarray) -> np.ndarray:
     return np.where(hi > lo, BEAT, NO_BEAT).astype(np.uint8)
 
 
-def label_window(t0: float, beats: np.ndarray) -> int:
-    """BEAT when a beat time falls in [t0+0.10, t0+0.15), else NO_BEAT.
-
-    ``beats`` holds beat times in seconds, sorted ascending.
-    """
-    return int(_label_windows(np.array([t0]), beats)[0])
-
-
 def _resample_windows(samples: np.ndarray, starts: np.ndarray, size: int,
                       fs: float, out: np.ndarray) -> None:
     """Resample the windows ``samples[start:start + size]`` into the rows
@@ -171,20 +163,6 @@ def _resample_windows(samples: np.ndarray, starts: np.ndarray, size: int,
         out[block] = v
 
     run_in_threads(resample_block, -(-n // rows))
-
-
-def resample_linear(samples: np.ndarray, fs_in: float) -> np.ndarray:
-    """Resample onto a 1000 Hz grid by linear interpolation.
-
-    Returns ``SEGMENT_LENGTH`` values: output k is the input evaluated at
-    k/1000 s from the first sample; queries past the last sample clamp
-    to its value.
-    """
-    samples = np.asarray(samples)
-    out = np.empty((1, SEGMENT_LENGTH), dtype=np.float32)
-    _resample_windows(samples, np.zeros(1, dtype=np.intp), samples.size,
-                      fs_in, out)
-    return out[0]
 
 
 def window_count(duration: float, max_duration: float = MAX_RECORD_SECONDS) -> int:

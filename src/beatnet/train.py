@@ -14,9 +14,10 @@ the given values, and the convolutional trunk runs in eval mode, so its
 weights, BN parameters and BN running statistics all stay exactly as
 given, and its output for a segment never changes. The loop therefore
 computes the trunk features of the whole dataset once, up front, and
-each batch (and each epoch's scoring pass) runs only the FC head on
-them. The batches, the dropout draws and so the results are the same
-as running the frozen trunk on every batch.
+each batch (and each epoch's scoring pass) runs :func:`beatnet.nn.forward`
+from ``nn.HEAD`` on them: only Dropout and the FC head. The batches,
+the dropout draws and so the results are the same as running the
+frozen trunk on every batch.
 
 Checkpoints use the shared frame of :mod:`beatnet.container` (magic
 "HBDL", u16 version, 8-byte checksum trailer). The body is a u32-length
@@ -43,7 +44,6 @@ from .nn import (
     NetworkConfig,
     backward,
     forward,
-    forward_head,
     init_params,
     param_layout,
     trunk_features,
@@ -102,11 +102,11 @@ def train(dataset: LabeledDataset, settings: Settings,
     if init is not None:
         params = {name: arr.copy() for name, arr in init.items()}
         inputs = trunk_features(network, params, dataset.X)
-        step = forward_head
+        start = nn.HEAD
     else:
         params = init_params(network, rng)
         inputs = dataset.X
-        step = forward
+        start = 0
     y = dataset.y.astype(np.int64)
     state = AdaDeltaState(rho=settings.rho, eps=settings.eps, lr=settings.lr)
     history = TrainHistory()
@@ -115,24 +115,24 @@ def train(dataset: LabeledDataset, settings: Settings,
         started = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, settings.batch_size):
-            batch_idx = order[start:start + settings.batch_size]
+        for first in range(0, n, settings.batch_size):
+            batch_idx = order[first:first + settings.batch_size]
             yb = y[batch_idx]
-            logits, cache = step(network, params, inputs[batch_idx],
-                                 train=True, rng=rng)
+            logits, cache = forward(network, params, inputs[batch_idx],
+                                    train=True, rng=rng, start=start)
             loss, dlogits = weighted_cross_entropy(
                 logits, yb, weights, settings.reduction)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} in epoch {epoch + 1}, batch "
-                    f"starting at segment {start}")
+                    f"starting at segment {first}")
             grads = backward(network, params, cache, dlogits)
             adadelta_step(params, grads, state)
             for name, value in cache.bn_updates.items():
                 params[name] = value
             loss_sum += loss * (len(batch_idx)
                                 if settings.reduction == "mean" else 1.0)
-        history.logits = nn.predict_logits(network, params, inputs, step)
+        history.logits = nn.predict_logits(network, params, inputs, start)
         history.mean_loss.append(loss_sum / n)
         history.train_mcc.append(mcc_from_labels(
             history.logits.argmax(axis=1), y))

@@ -21,6 +21,7 @@ import numpy as np
 
 from beatnet.loss import ClassWeights, weighted_cross_entropy
 from beatnet.nn import (
+    HEAD,
     NetworkConfig,
     backward,
     batchnorm1d_backward,
@@ -36,6 +37,7 @@ from beatnet.nn import (
     param_layout,
     relu_backward,
     relu_forward,
+    trunk_features,
 )
 
 from helpers import channels_last, max_rel_err, numeric_grad
@@ -189,46 +191,54 @@ def _activation_pattern(cache) -> list[np.ndarray]:
     return pattern
 
 
-def sampled_keys(config: NetworkConfig) -> list[str]:
+def sampled_keys(config: NetworkConfig, start: int = 0) -> list[str]:
     """The parameters the full-network check samples: every layout entry
-    but the BatchNorm running statistics, which get no gradient."""
+    but the BatchNorm running statistics, which get no gradient; from
+    ``start = HEAD``, the FC entries alone."""
     return [name for name, _ in param_layout(config)
-            if "running_" not in name]
+            if "running_" not in name
+            and (start == 0 or name.startswith("fc"))]
 
 
 def gradcheck_full_network(seed: int, dtype=np.float64,
                            eps: float = 1e-5, n_coords: int = 20,
                            config: NetworkConfig = SMALL_NET,
-                           mag_floor: float = 1e-6,
+                           mag_floor: float = 1e-6, start: int = 0,
                            ) -> float:
     """Compare backprop against FD at ``n_coords`` sampled parameters.
 
-    Train-mode forward (batch statistics active) with dropout p = 0, so
-    repeated evaluations are deterministic. The loss is only piecewise
-    smooth, so central differences are an oracle for the gradient only
-    when the whole interval [x-eps, x+eps] stays on one smooth piece: a
-    sampled coordinate is accepted only if the ReLU on/off masks and
-    pool lane choices are identical at x and x+-eps, and its gradient
-    clears ``mag_floor`` (the dtype's FD round-off noise). Coordinates
-    failing that screen say nothing about backprop and are resampled.
+    Train-mode forward from ``start`` (batch statistics active) with
+    dropout p = 0, so repeated evaluations are deterministic. From
+    ``start = HEAD`` the input is the eval-mode trunk features of the
+    seeded rows, as a frozen-trunk transfer run feeds the head, and only
+    the FC parameters, the ones its cache covers, are sampled. The loss
+    is only piecewise smooth, so central differences are an oracle for
+    the gradient only when the whole interval [x-eps, x+eps] stays on one
+    smooth piece: a sampled coordinate is accepted only if the ReLU
+    on/off masks and pool lane choices are identical at x and x+-eps,
+    and its gradient clears ``mag_floor`` (the dtype's FD round-off
+    noise). Coordinates failing that screen say nothing about backprop
+    and are resampled.
     """
     rng = np.random.default_rng(seed)
     params = {k: v.astype(dtype) for k, v in
               init_params(config, rng).items()}
     x = rng.normal(size=(3, config.input_length)).astype(dtype)
     labels = rng.integers(0, 2, 3)
+    if start == HEAD:
+        x = trunk_features(config, params, x)
 
     def probe() -> tuple[float, list[np.ndarray]]:
-        logits, cache = forward(config, params, x, train=True)
+        logits, cache = forward(config, params, x, train=True, start=start)
         loss, _ = weighted_cross_entropy(logits, labels)
         return loss, _activation_pattern(cache)
 
-    logits, cache = forward(config, params, x, train=True)
+    logits, cache = forward(config, params, x, train=True, start=start)
     _, dlogits = weighted_cross_entropy(logits, labels)
     grads = backward(config, params, cache, dlogits)
     base_pattern = _activation_pattern(cache)
 
-    keys = sampled_keys(config)
+    keys = sampled_keys(config, start)
     worst = 0.0
     accepted = 0
     for _ in range(60 * n_coords):

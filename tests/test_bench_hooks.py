@@ -20,7 +20,7 @@ import beatnet.nn
 import beatnet.segments
 import beatnet.train
 from beatnet.config import Settings
-from beatnet.nn import EVAL_BATCH_ROWS, init_params
+from beatnet.nn import EVAL_BATCH_ROWS, HEAD, init_params
 from beatnet.segments import TEST, TRAIN, build_labeled_dataset, load_cache
 from beatnet.synthetic import make_synthetic_records
 
@@ -129,13 +129,22 @@ def test_scratch_train_scores_each_epoch_with_predict_logits(monkeypatch,
     assert [args[2].shape[0] for args, _, _ in calls] == [len(dataset)] * 2
 
 
-def test_head_only_train_runs_no_forward(monkeypatch, dataset):
+def test_head_only_train_runs_forward_from_the_head(monkeypatch, dataset):
+    # the frozen trunk runs once over the dataset; every batch and every
+    # scoring chunk starts at the head
     net = SMALL.network_config()
     init = init_params(net, np.random.default_rng(0))
+    trunks = spy(monkeypatch, beatnet.train, "trunk_features")
     calls = [spy(monkeypatch, module, "forward")
              for module in (beatnet.nn, beatnet.train)]
     beatnet.train.train(dataset, SMALL, init=init)
-    assert calls == [[], []]
+    assert len(trunks) == 1 and trunks[0][0][2] is dataset.X
+    n = len(dataset)
+    assert [len(module_calls) for module_calls in calls] == [
+        SMALL.epochs * -(-n // EVAL_BATCH_ROWS),
+        SMALL.epochs * -(-n // SMALL.batch_size)]
+    assert all(kwargs["start"] == HEAD for module_calls in calls
+               for _, kwargs, _ in module_calls)
 
 
 def test_experiment3_reads_the_checkpoint_once(workloads, monkeypatch,
@@ -229,16 +238,18 @@ def big_caches(tmp_path_factory):
     return caches, checkpoint
 
 
-def eval_forward_rows(calls) -> int:
+def eval_forward_rows(calls, start) -> int:
     return sum(args[2].shape[0] for module_calls in calls
-               for args, kwargs, _ in module_calls if not kwargs["train"])
+               for args, kwargs, _ in module_calls
+               if not kwargs["train"] and kwargs["start"] == start)
 
 
 @pytest.mark.parametrize("experiment_id", [1, 3])
 def test_trained_partitions_run_the_network_once(monkeypatch, tmp_path,
                                                  big_caches, experiment_id):
-    # nn.trunk_rows_per_segment counts these rows: the Train report
-    # reuses the last epoch's scoring pass instead of a pass of its own
+    # the Train report reuses the last epoch's scoring pass instead of a
+    # pass of its own; nn.trunk_rows_per_segment counts the rows of both
+    # starts
     caches, checkpoint = big_caches
     subset = ("NormalSinus+LongTerm" if experiment_id == 1
               else "Arrhythmia")
@@ -250,7 +261,9 @@ def test_trained_partitions_run_the_network_once(monkeypatch, tmp_path,
                                        tmp_path / "out", SMALL,
                                        checkpoint=checkpoint)
     scratch_epochs = SMALL.epochs if experiment_id == 1 else 0
-    assert eval_forward_rows(calls) == scratch_epochs * n_train + n_test
+    assert eval_forward_rows(calls, 0) == scratch_epochs * n_train + n_test
+    assert eval_forward_rows(calls, HEAD) == (
+        SMALL.epochs * n_train if experiment_id == 3 else 0)
 
 
 @pytest.mark.parametrize("experiment_id", [1, 3])

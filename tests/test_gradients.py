@@ -10,6 +10,8 @@ looser 1e-2 bound).
 import numpy as np
 import pytest
 
+from beatnet.nn import HEAD
+
 from gradcheck import (
     LAYER_CHECKS,
     SMALL_NET,
@@ -29,10 +31,14 @@ def test_layer_gradients_match_finite_differences(layer):
     assert worst < LAYER_TOL, f"{layer}: worst rel err {worst:.2e}"
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_full_network_gradients_float64(seed):
+@pytest.mark.parametrize(
+    "seed, start", [*((s, 0) for s in range(3)),
+                    *((s, HEAD) for s in range(3))],
+    ids=[*map(str, range(3)), *(f"head-{s}" for s in range(3))])
+def test_full_network_gradients_float64(seed, start):
+    # from HEAD the cache starts at dropout: a frozen-trunk run's backward
     worst = gradcheck_full_network(seed, dtype=np.float64, eps=1e-5,
-                                   n_coords=30)
+                                   n_coords=30, start=start)
     assert worst < LAYER_TOL, f"worst rel err {worst:.2e}"
 
 
@@ -47,3 +53,6 @@ def test_full_network_gradcheck_covers_all_parameter_kinds():
     # the sampler must be able to land on conv, bn and fc entries
     kinds = {k.split(".")[-1] for k in sampled_keys(SMALL_NET)}
     assert kinds == {"weight", "bias", "gamma", "beta"}
+    # from the head, every FC entry and nothing else
+    assert sampled_keys(SMALL_NET, HEAD) == [
+        f"fc{i}.{kind}" for i in range(3) for kind in ("weight", "bias")]

@@ -16,6 +16,7 @@ from beatnet import nn, segments
 from beatnet.errors import DataError
 from beatnet.nn import (
     EVAL_BATCH_ROWS,
+    HEAD,
     TRUNK_ROWS,
     NetworkConfig,
     backward,
@@ -26,7 +27,6 @@ from beatnet.nn import (
     dropout_backward,
     dropout_forward,
     forward,
-    forward_head,
     init_params,
     linear_forward,
     maxpool1d_backward,
@@ -565,8 +565,8 @@ def test_forward_head_keeps_bn_frozen():
     rng = np.random.default_rng(12)
     params = init_params(NET, rng)
     h = rng.normal(size=(4, NET.flatten_width)).astype(np.float32)
-    logits, cache = forward_head(NET, params, h, train=True,
-                                 rng=np.random.default_rng(1))
+    logits, cache = forward(NET, params, h, train=True,
+                            rng=np.random.default_rng(1), start=HEAD)
     assert cache.bn_updates == {}
     # a head-only cache ends at dropout, so backward yields FC grads only
     grads = backward(NET, params, cache, np.ones_like(logits))
@@ -586,7 +586,7 @@ def test_trunk_features_equal_forward_trunk(n):
         [trunk_features(NET, params, X[i:i + 64]) for i in range(0, n, 64)]))
     # the head on the features gives the logits of the whole network
     np.testing.assert_array_equal(
-        forward_head(NET, params, features, train=False)[0],
+        forward(NET, params, features, train=False, start=HEAD)[0],
         forward(NET, params, X, train=False)[0])
 
 
@@ -598,7 +598,7 @@ def test_eval_pass_records_no_cache():
                                          ).astype(np.float32)
     assert forward(NET, params, X[:4], train=False)[1] is None
     features = trunk_features(NET, params, X[:4])
-    assert forward_head(NET, params, features, train=False)[1] is None
+    assert forward(NET, params, features, train=False, start=HEAD)[1] is None
 
     def traced_peak(run) -> int:
         tracemalloc.start()
@@ -641,22 +641,34 @@ def test_trunk_features_of_no_rows():
     features = trunk_features(NET, params,
                               np.empty((0, 250), dtype=np.float32))
     assert features.shape == (0, NET.flatten_width)
-    # predict_logits gives no rows of logits with either step
-    for X, step in ((np.empty((0, 250), dtype=np.float32), None),
-                    (features, forward_head)):
-        logits = predict_logits(NET, params, X, step)
-        assert logits.shape == (0, 2) and logits.dtype == np.float32
+    # predict_logits gives no rows of logits from either start, as one
+    # empty chunk: float64 rows give float64 logits, as one row of them
+    # does (test_blocked_eval_trunk_keeps_a_blocks_dtype)
+    for X, start, dtype in (
+            (np.empty((0, 250), dtype=np.float32), 0, np.float32),
+            (np.empty((0, 250), dtype=np.float64), 0, np.float64),
+            (features, HEAD, np.float32)):
+        logits = predict_logits(NET, params, X, start)
+        assert logits.shape == (0, 2) and logits.dtype == dtype
     # zero rows of a wrong shape are refused, as one row of it is
-    for X, step, match in (
-            (np.empty((0, 1, 250)), None, r"expected \(n, 250\) input"),
-            (np.empty((0, 7)), None, r"expected \(n, 250\) input"),
-            (np.empty((0, 1, 250)), forward_head,
-             r"expected \(n, 960\) features"),
-            (np.empty((0, 7)), forward_head,
-             r"expected \(n, 960\) features")):
+    for X, start, match in (
+            (np.empty((0, 1, 250)), 0, r"expected \(n, 250\) input"),
+            (np.empty((0, 7)), 0, r"expected \(n, 250\) input"),
+            (np.empty((0, 1, 250)), HEAD, r"expected \(n, 960\) features"),
+            (np.empty((0, 7)), HEAD, r"expected \(n, 960\) features")):
         for rows in (X, np.zeros((1, *X.shape[1:]))):
             with pytest.raises(DataError, match=match):
-                predict_logits(NET, params, rows, step)
+                predict_logits(NET, params, rows, start)
+
+
+def test_forward_refuses_other_starts():
+    # only 0 and HEAD are starts, also for a scoring pass of no rows
+    params = init_params(NET, np.random.default_rng(16))
+    X = np.zeros((1, 250), np.float32)
+    for run in (lambda: forward(NET, params, X, train=False, start=2),
+                lambda: predict_logits(NET, params, X[:0], 2)):
+        with pytest.raises(DataError, match=r"HEAD \(4\), got 2"):
+            run()
 
 
 def test_forward_rejects_wrong_length():
@@ -674,7 +686,8 @@ def test_forward_rejects_wrong_length():
             run()
     # and the head takes only the trunk's flattened features
     with pytest.raises(DataError, match=r"expected \(n, 960\) features"):
-        forward_head(NET, params, rng.normal(size=(4, 959)), train=False)
+        forward(NET, params, rng.normal(size=(4, 959)), train=False,
+                start=HEAD)
 
 
 def test_predict_logits_accepts_2d_and_batches():
@@ -745,8 +758,8 @@ def test_blocked_eval_trunk_keeps_a_blocks_dtype():
     assert features[:TRUNK_ROWS].tobytes() == one_block.tobytes()
     logits = predict_logits(NET, params, X)
     assert logits.dtype == np.float64
-    assert logits.tobytes() == forward_head(NET, params, features,
-                                            train=False)[0].tobytes()
+    assert logits.tobytes() == forward(NET, params, features, train=False,
+                                       start=HEAD)[0].tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])

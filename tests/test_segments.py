@@ -23,9 +23,7 @@ from beatnet.segments import (
     build_labeled_dataset,
     build_subsets,
     class_stats,
-    label_window,
     load_cache,
-    resample_linear,
     run_in_threads,
     save_cache,
     segment_arrays,
@@ -41,46 +39,52 @@ from helpers import brute_force_labels, ref_segment_arrays
 # --- window labeling ---
 
 
+def label(t0, beats) -> list:
+    return segments._label_windows(np.array(t0), np.array(beats)).tolist()
+
+
 def test_label_window_hit_and_misses():
-    t0 = 10.0
-    assert label_window(t0, np.array([10.12])) == BEAT
-    assert label_window(t0, np.array([10.05])) == NO_BEAT   # before the band
-    assert label_window(t0, np.array([10.20])) == NO_BEAT   # after the band
-    assert label_window(t0, np.array([])) == NO_BEAT
+    assert label([10.0], [10.12]) == [BEAT]
+    assert label([10.0], [10.05]) == [NO_BEAT]   # before the band
+    assert label([10.0], [10.20]) == [NO_BEAT]   # after the band
+    assert label([10.0], []) == [NO_BEAT]
 
 
 def test_label_window_boundaries():
-    t0 = 10.0
-    assert label_window(t0, np.array([10.10])) == BEAT      # inclusive start
-    assert label_window(t0, np.array([10.15])) == NO_BEAT   # exclusive end
-    assert label_window(t0, np.array([10.1499])) == BEAT
+    assert label([10.0], [10.10]) == [BEAT]      # inclusive start
+    assert label([10.0], [10.15]) == [NO_BEAT]   # exclusive end
+    assert label([10.0], [10.1499]) == [BEAT]
 
 
 def test_label_window_multiple_beats():
-    beats = np.array([0.5, 10.11, 10.14, 20.0])
-    assert label_window(10.0, beats) == BEAT
-    assert label_window(0.0, beats) == NO_BEAT
+    assert label([10.0, 0.0], [0.5, 10.11, 10.14, 20.0]) == [BEAT, NO_BEAT]
 
 
 # --- resampling ---
 
 
+def resample(samples: np.ndarray, fs: float) -> np.ndarray:
+    """One window of all of ``samples`` through the resampling kernel."""
+    out = np.empty((1, SEGMENT_LENGTH), dtype=np.float32)
+    segments._resample_windows(samples, np.zeros(1, dtype=np.intp),
+                               samples.size, fs, out)
+    return out[0]
+
+
 def test_resample_constant():
-    out = resample_linear(np.full(7, 3.5), fs_in=25.0)
-    assert out.shape == (SEGMENT_LENGTH,)
-    assert out.dtype == np.float32
+    out = resample(np.full(7, 3.5), fs=25.0)
     np.testing.assert_array_equal(out, np.full(SEGMENT_LENGTH, 3.5, np.float32))
 
 
 def test_resample_identity_at_1000hz():
     rng = np.random.default_rng(0)
     x = rng.normal(size=SEGMENT_LENGTH).astype(np.float32)
-    np.testing.assert_allclose(resample_linear(x, 1000.0), x, atol=1e-6)
+    np.testing.assert_allclose(resample(x, 1000.0), x, atol=1e-6)
 
 
 def test_resample_two_point_ramp():
     # [0, 1] at 4 Hz spans 0.25 s; output k sits at k/1000 s -> k/250
-    out = resample_linear(np.array([0.0, 1.0]), fs_in=4.0)
+    out = resample(np.array([0.0, 1.0]), fs=4.0)
     assert out[0] == 0.0
     np.testing.assert_allclose(out[-1], 0.996, atol=1e-6)
     np.testing.assert_allclose(out, np.arange(250) / 250.0, atol=1e-6)
@@ -94,23 +98,23 @@ def test_resample_reproduces_affine_signals():
         n = int(np.ceil(0.25 * fs)) + 2
         a, b = rng.normal(size=2)
         t = np.arange(n) / fs
-        out = resample_linear(a + b * t, fs)
+        out = resample(a + b * t, fs)
         expect = a + b * (np.arange(SEGMENT_LENGTH) / 1000.0)
         np.testing.assert_allclose(out, expect, atol=1e-5)
 
 
 def test_resample_clamps_past_last_sample():
     # 2 samples at 8 Hz cover 0.125 s; later queries hold the last value
-    out = resample_linear(np.array([0.0, 1.0]), fs_in=8.0)
+    out = resample(np.array([0.0, 1.0]), fs=8.0)
     assert out[-1] == 1.0
     assert out[126] == 1.0
 
 
 def test_resample_too_short():
     with pytest.raises(DataError, match="need at least 2 samples"):
-        resample_linear(np.array([1.0]), fs_in=250.0)
+        resample(np.array([1.0]), fs=250.0)
     with pytest.raises(DataError, match="fs must be > 0, got 0.0"):
-        resample_linear(np.array([1.0, 2.0]), fs_in=0.0)
+        resample(np.array([1.0, 2.0]), fs=0.0)
 
 
 # --- window counting ---
@@ -178,7 +182,7 @@ def test_segment_first_window_content():
     rec = synth_pair(seed=3)
     X, _ = segment_arrays(rec)
     span = int(np.ceil(0.25 * rec.fs)) + 1
-    expect = resample_linear(rec.samples[:span], rec.fs)
+    expect = resample(rec.samples[:span], rec.fs)
     np.testing.assert_array_equal(X[0], expect)
 
 
@@ -355,7 +359,7 @@ def test_only_records_of_several_blocks_start_threads(monkeypatch):
     monkeypatch.setattr(segments, "ThreadPoolExecutor", counted)
     monkeypatch.setattr(segments, "WORKERS", 4)
     segment_arrays(odd_record(360.0, 256.0, seed=9))  # 1024 windows
-    resample_linear(np.arange(100.0), 360.0)
+    resample(np.arange(100.0), 360.0)
     assert pools == []
     segment_arrays(odd_record(360.0, 600.0, seed=9))  # 2400 windows
     assert pools == [3]  # the calling thread is the fourth
